@@ -2,7 +2,9 @@
 
 Subcommands: wong, qpff, qpdff, verify.  Exit codes follow one contract
 everywhere: 0 for success, 1 when a mathematical check failed, 2 for input
-errors (unreadable files, parse errors, inconsistent shapes).
+errors (unreadable files, parse errors, inconsistent shapes), 3 for an
+internal error (a failed consistency assertion inside the library, which
+is a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def cmd_wong(args, out) -> int:
     for idx, space in enumerate(report.w_chain):
         _print_subspace(f"W^{idx}", space, out)
     if args.check_identities:
-        identities = wong.check_limit_identities(system)
-        projection = wong.augmented_projection_check(system)
+        identities = wong.check_limit_identities(system, report)
+        projection = wong.augmented_projection_check(system, report)
         print(f"limit identities: {'ok' if identities.ok else 'FAILED'}", file=out)
         print(f"augmented projection: {'ok' if projection else 'FAILED'}", file=out)
         if not (identities.ok and projection):
@@ -59,14 +61,14 @@ def cmd_qpff(args, out) -> int:
     system, _ = sysio.parse_system(_read(args.input))
     dec = pfeedback.compute_qpff(system)
     z = dec.block_sizes
-    report = pfeedback.verify_qpff(dec.transformed, z)
+    report = dec.report
     print(f"block signature: {z.signature()}", file=out)
     print(f"l_sizes: {z.l1} {z.l2} {z.l3}", file=out)
     print(f"n_sizes: {z.n1} {z.n2} {z.n3}", file=out)
     print(f"m_sizes: {z.m1} {z.m2} {z.m3}", file=out)
     print(f"verified: {'ok' if report.ok else 'FAILED'}", file=out)
     if args.classify:
-        cls = pfeedback.classify_controllability(system)
+        cls = pfeedback.classify_controllability(system, dec)
         for (li, ni, mi), label in cls.described_blocks():
             print(f"  Sigma_{{{li},{ni},{mi}}}: {label}", file=out)
         print(f"  redundant input directions (dim ker B): {cls.m_kernel}", file=out)
@@ -95,7 +97,7 @@ def cmd_qpdff(args, out) -> int:
     system, _ = sysio.parse_system(_read(args.input))
     dec = pdfeedback.compute_qpdff(system)
     z = dec.block_sizes
-    report = pdfeedback.verify_qpdff(dec.transformed, z)
+    report = dec.report
     print(f"l_sizes: {z.l1} {z.l2} {z.l3}", file=out)
     print(f"input row block: {z.m2}", file=out)
     print(f"n_sizes: {z.n1} {z.n2} {z.n3}", file=out)
@@ -207,6 +209,9 @@ def main(argv=None, out=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ only if they compare equal field by field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
+_ZERO = Fraction(0)
 
 
 def _q(x) -> Fraction:
@@ -47,6 +49,16 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "Mat":
+        """Wrap a grid built inside this module without re-checking it:
+        ``rows`` tuples of ``cols`` Fractions each."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -140,17 +152,31 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = list(zip(*other.data)) if other.rows else [()] * other.cols
+        # With row i of self scaled to integers by the lcm d_i of its
+        # denominators and column j of other by e_j, entry (i, j) of the
+        # product is (integer row i . integer column j) / (d_i e_j).  Only
+        # nonzero factors are multiplied.
+        col_dens = [lcm(*(row[j].denominator for row in other.data))
+                    for j in range(other.cols)]
+        sparse = [[(j, b.numerator * (col_dens[j] // b.denominator))
+                   for j, b in enumerate(orow) if b] for orow in other.data]
+        zero = _ZERO
         out = []
         for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, oc)) for oc in ocols]
-                       if other.rows else [Q(0)] * other.cols)
-        return Mat(self.rows, other.cols, out)
+            den, ints = _integer_row(row)
+            acc = [0] * other.cols
+            for a, nonzeros in zip(ints, sparse):
+                if a:
+                    for j, b in nonzeros:
+                        acc[j] += a * b
+            out.append(tuple(Q(x, den * col_dens[j]) if x else zero
+                             for j, x in enumerate(acc)))
+        return Mat._trusted(self.rows, other.cols, tuple(out))
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.cols, self.rows, list(zip(*self.data)) if self.rows else
-                   [() for _ in range(self.cols)])
+        return Mat._trusted(self.cols, self.rows,
+                            tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     # -- stacking ----------------------------------------------------------------
 
@@ -161,8 +187,8 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("hstack: row counts differ")
-        data = [sum((m.data[i] for m in mats), ()) for i in range(rows)]
-        return Mat(rows, sum(m.cols for m in mats), data)
+        data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
+        return Mat._trusted(rows, sum(m.cols for m in mats), data)
 
     @staticmethod
     def vstack(*mats: "Mat") -> "Mat":
@@ -171,8 +197,8 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack: column counts differ")
-        data = [row for m in mats for row in m.data]
-        return Mat(sum(m.rows for m in mats), cols, data)
+        data = tuple(row for m in mats for row in m.data)
+        return Mat._trusted(len(data), cols, data)
 
     @staticmethod
     def block_diag(*mats: "Mat") -> "Mat":
@@ -204,36 +230,74 @@ class Mat:
         return x
 
 
+def _integer_row(row) -> tuple[int, list[int]]:
+    """(d, ints) with row = ints / d, d the lcm of the row's denominators."""
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        return 1, [x.numerator for x in row]
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     """Reduced row echelon form of ``m`` over Q.
 
     Returns (R, pivot_columns, rank).  R is unique for the row space of ``m``.
+
+    The elimination runs on integer rows.  Each row is first cleared of
+    denominators; eliminating column pc from a row with entry f against the
+    pivot row with pivot p replaces it by (p row - f pivot_row) / g, with g
+    making the row primitive.  Every work row thus stays a nonzero multiple
+    of the row rational Gauss-Jordan elimination would hold, and dividing
+    each pivot row by its pivot at the end gives that unique R exactly.
+    Only the nonzero entries of the pivot row enter an update.
     """
-    work = [list(row) for row in m.data]
+    rows, cols = m.rows, m.cols
+    work = [_primitive(_integer_row(row)[1]) for row in m.data]
     pivots: list[int] = []
     pr = 0
-    for pc in range(m.cols):
+    for pc in range(cols):
         sel = None
-        for i in range(pr, m.rows):
-            if work[i][pc] != 0:
+        for i in range(pr, rows):
+            if work[i][pc]:
                 sel = i
                 break
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]
-        inv = Q(1) / work[pr][pc]
-        if inv != 1:
-            work[pr] = [x * inv for x in work[pr]]
         prow = work[pr]
-        for i in range(m.rows):
-            if i != pr and work[i][pc] != 0:
-                f = work[i][pc]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        p = prow[pc]
+        # Columns left of pc are zero in the pivot row, so its nonzero
+        # entries are all at pc or beyond.
+        nonzeros = [(j, x) for j in range(pc, cols) if (x := prow[j])]
+        for i in range(rows):
+            row = work[i]
+            f = row[pc]
+            if i == pr or not f:
+                continue
+            g = gcd(p, f)
+            scale, f = p // g, f // g
+            if scale != 1:
+                row = [scale * x for x in row]
+            for j, b in nonzeros:
+                row[j] -= f * b
+            work[i] = _primitive(row)
         pivots.append(pc)
         pr += 1
-        if pr == m.rows:
+        if pr == rows:
             break
-    return Mat(m.rows, m.cols, work), tuple(pivots), len(pivots)
+    zero = _ZERO
+    out = []
+    for row, pc in zip(work, pivots):
+        p = row[pc]
+        out.append(tuple(Q(x, p) if x else zero for x in row))
+    out.extend([(zero,) * cols] * (rows - pr))
+    return Mat._trusted(rows, cols, tuple(out)), tuple(pivots), pr
 
 
 class Subspace:
@@ -321,7 +385,7 @@ class Subspace:
 
 def _canonical_basis(spanning: Mat) -> Mat:
     r, _, rank = rref(spanning.T)
-    return Mat(rank, spanning.rows, r.data[:rank]).T
+    return Mat._trusted(rank, spanning.rows, r.data[:rank]).T
 
 
 def kernel_basis(m: Mat) -> Subspace:
@@ -336,7 +400,8 @@ def kernel_basis(m: Mat) -> Subspace:
         for i, p in enumerate(pivots):
             v[p] = -r.data[i][f]
         cols.append(v)
-    basis = Mat(m.cols, len(cols), list(zip(*cols)) if cols else [() for _ in range(m.cols)])
+    basis = Mat._trusted(m.cols, len(cols),
+                         tuple(zip(*cols)) if cols else ((),) * m.cols)
     return Subspace(m.cols, basis)
 
 

@@ -28,7 +28,7 @@ from .pencils import full_rank_all_finite, pencil
 from .sylvester import TwoEqInstance, solve_two_equations
 from .wong import SystemTriple, wong_limits
 from .pfeedback import (FormReport, PffData, head_sel, lower_shift,
-                        tail_sel, verify_pff, _multi)
+                        tail_sel, verify_pff, _multi, _unit_span)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +196,7 @@ class QpdffDecomposition:
     transformed: SystemTriple
     witness: PDTransform
     block_sizes: QpdffBlockSizes
+    report: FormReport  # verify_qpdff of the transformed triple; always ok
 
 
 def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
@@ -205,7 +206,8 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
     the equation side the image of B is split off first and placed last, so
     that the transformed B is supported on the bottom block row only.  F_D
     and F_P clear E and A there, and V sorts the inputs into (redundant,
-    effective).
+    effective).  The result always passes verify_qpdff, whose report it
+    carries.
     """
     rep = wong_limits(sys)
     vstar, wstar = rep.v_limit, rep.w_limit
@@ -245,7 +247,7 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
     report = verify_qpdff(transformed, sizes)
     if not report.ok:
         raise AssertionError(f"constructed QPDFF failed verification: {report.failures()}")
-    return QpdffDecomposition(transformed, witness, sizes)
+    return QpdffDecomposition(transformed, witness, sizes, report)
 
 
 def _qpdff_blocks(sys: SystemTriple, z: QpdffBlockSizes):
@@ -354,14 +356,6 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> tuple[SystemTri
     if not (offdiag_zero and diag_kept and out.B == sys.B):
         raise AssertionError("decoupling did not produce the expected block pattern")
     return out, witness
-
-
-def _unit_span(dim: int, idx) -> Subspace:
-    cols = sorted(idx)
-    ident = Mat.identity(dim)
-    basis = (Mat.hstack(*[ident.col(j) for j in cols])
-             if cols else Mat.zeros(dim, 0))
-    return Subspace(dim, basis, canonical=True)
 
 
 def decoupled_wong_pattern_ok(sys: SystemTriple, sizes: QpdffBlockSizes) -> bool:

@@ -273,10 +273,25 @@ def select_bases(sys: SystemTriple, variant: int = 0) -> BasisSelection:
 
 
 @dataclass(frozen=True)
+class FormReport:
+    """Outcome of a structural form check, one entry per condition."""
+
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(flag for _, flag in self.checks)
+
+    def failures(self) -> list[str]:
+        return [name for name, flag in self.checks if not flag]
+
+
+@dataclass(frozen=True)
 class QpffDecomposition:
     transformed: SystemTriple
     witness: PTransform
     block_sizes: QpffBlockSizes
+    report: FormReport  # verify_qpff of the transformed triple; always ok
 
 
 def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
@@ -285,7 +300,7 @@ def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
     T gathers the state bases, S inverts the equation bases, the feedback
     components F_1, F_2 clear A below the first and second block rows, and V
     sorts the inputs into (effective, redundant, constrained).  The result
-    always passes verify_qpff.
+    always passes verify_qpff, whose report it carries.
     """
     sel = select_bases(sys, variant)
     l1, l2, l3 = sel.U_S.cols, sel.R_S.cols, sel.O_S.cols
@@ -316,21 +331,7 @@ def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
     report = verify_qpff(transformed, sizes)
     if not report.ok:
         raise AssertionError(f"constructed QPFF failed verification: {report.failures()}")
-    return QpffDecomposition(transformed, witness, sizes)
-
-
-@dataclass(frozen=True)
-class FormReport:
-    """Outcome of a structural form check, one entry per condition."""
-
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, flag in self.checks if not flag]
+    return QpffDecomposition(transformed, witness, sizes, report)
 
 
 def _qpff_blocks(sys: SystemTriple, z: QpffBlockSizes):
@@ -553,11 +554,16 @@ class ControllabilityReport:
                 ((z.l3, z.n3, z.m3), BLOCK_LABELS[2])]
 
 
-def classify_controllability(sys: SystemTriple) -> ControllabilityReport:
-    """Run the QPFF construction and label its three diagonal blocks."""
-    dec = compute_qpff(sys)
+def classify_controllability(sys: SystemTriple,
+                             decomposition: QpffDecomposition | None = None
+                             ) -> ControllabilityReport:
+    """Label the three diagonal blocks of the QPFF of sys.
+
+    ``decomposition`` is compute_qpff(sys) when the caller has it already.
+    """
+    dec = compute_qpff(sys) if decomposition is None else decomposition
     return ControllabilityReport(
         decomposition=dec,
-        m_kernel=kernel_basis(sys.B).dim,
+        m_kernel=dec.block_sizes.m2,
         m_constrained=dec.block_sizes.m3,
     )

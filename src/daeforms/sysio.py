@@ -13,6 +13,7 @@ Grammar (one construct per line, order of blocks is free):
     r: 3                           -- single integer
     i_star: 1                      -- single integer
 
+Each key may appear only once per document, whatever its kind.
 A matrix header is followed by exactly ROWS data lines of COLS entries each;
 matrices with zero rows or zero columns have no data lines at all.  Entries
 are exact rationals written as an optional minus sign, digits, and an
@@ -89,6 +90,14 @@ class Document:
 def parse_document(text: str) -> Document:
     doc = Document()
     lines = text.splitlines()
+    first_seen: dict[str, int] = {}
+
+    def claim(key: str, lineno: int):
+        if key in first_seen:
+            raise ParseError(lineno, f"duplicate key {key!r} (first given on line "
+                                     f"{first_seen[key]})")
+        first_seen[key] = lineno
+
     i = 0
     while i < len(lines):
         raw = lines[i]
@@ -100,6 +109,7 @@ def parse_document(text: str) -> Document:
         header = _MATRIX_HEADER.match(stripped)
         if header and header.group(1) not in _TEXT_KEYS:
             key, rows, cols = header.group(1), int(header.group(2)), int(header.group(3))
+            claim(key, lineno)
             i += 1
             grid = []
             if rows > 0 and cols > 0:
@@ -123,6 +133,7 @@ def parse_document(text: str) -> Document:
         keyed = _KEY_LINE.match(stripped)
         if keyed:
             key, rest = keyed.group(1), keyed.group(2).strip()
+            claim(key, lineno)
             i += 1
             if key in _TEXT_KEYS:
                 doc.meta[key] = rest

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from daeforms import Mat, sysio
+from daeforms import Mat, pdfeedback, pfeedback, sysio, wong
 from daeforms.cli import main
 from daeforms.sysio import ParseError, parse_document, parse_system, parse_witness
 from golden import SYS763
@@ -67,6 +67,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_system("E: 1x1\n1\nA: 1x1\n1\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("E: 1x1\n1\nA: 1x1\n0\nE: 1x1\n2\nB: 1x0\n", 5),
+        ("alpha: 1\n# again\nalpha: 2\n", 3),
+        ("name: a\nname: b\n", 2),
+        ("r: 1\nr: 1x1\n1\n", 2),
+    ])
+    def test_duplicate_key_is_located(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert err.value.line == line
+        assert "duplicate key" in str(err.value)
+
 
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
@@ -101,6 +113,13 @@ class TestWongCommand:
         bad.write_text("E: 1x1\n1/0\nA: 1x1\n0\nB: 1x0\n")
         code, _ = run_cli("wong", str(bad))
         assert code == 2
+
+    def test_duplicate_matrix_exit_code(self, tmp_path, capsys):
+        dup = tmp_path / "dup.system"
+        dup.write_text("E: 1x1\n1\nA: 1x1\n0\nB: 1x0\nE: 1x1\n2\n")
+        code, _ = run_cli("wong", str(dup))
+        assert code == 2
+        assert "line 6: duplicate key 'E'" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         code, _ = run_cli("wong", "no-such-file.system")
@@ -223,3 +242,85 @@ class TestVerifyCommand:
                              "--data", str(out))
         assert code == 0
         assert "verify qpdff: pass" in text
+
+
+class TestInternalError:
+    def test_assertion_maps_to_exit_code_3(self, monkeypatch, capsys):
+        def broken(system, variant=0):
+            raise AssertionError("constructed QPFF failed verification")
+        monkeypatch.setattr(pfeedback, "compute_qpff", broken)
+        code, text = run_cli("qpff", path("sigma763.system"))
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == "internal error: constructed QPFF failed verification\n"
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Rebind module.name to a wrapper counting its calls in counter[0]."""
+    counter = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+class TestWorkDoneOnce:
+    def test_qpff_classify_decomposes_and_verifies_once(self, monkeypatch):
+        computed = count_calls(monkeypatch, pfeedback, "compute_qpff")
+        verified = count_calls(monkeypatch, pfeedback, "verify_qpff")
+        code, text = run_cli("qpff", path("sigma763.system"), "--classify")
+        assert code == 0 and "verified: ok" in text
+        assert (computed[0], verified[0]) == (1, 1)
+
+    def test_qpdff_decomposes_and_verifies_once(self, monkeypatch):
+        computed = count_calls(monkeypatch, pdfeedback, "compute_qpdff")
+        verified = count_calls(monkeypatch, pdfeedback, "verify_qpdff")
+        code, _ = run_cli("qpdff", path("sigma763.system"))
+        assert code == 0
+        assert (computed[0], verified[0]) == (1, 1)
+
+    def test_wong_identities_compute_limits_twice(self, monkeypatch):
+        # once for the system, once for its augmented system
+        limits = count_calls(monkeypatch, wong, "wong_limits")
+        code, _ = run_cli("wong", path("sigma763.system"), "--check-identities")
+        assert code == 0
+        assert limits[0] == 2
+
+
+GOLDEN = os.path.join(DATA, "golden")
+
+# name: argv run inside tests/data, with OUT standing for the --output file.
+# The expected files are a frozen reference: a change that alters them
+# changes what users see, so regenerate them only for an intended change.
+GOLDEN_CALLS = {
+    "wong_check_identities": ("wong", "sigma763.system", "--check-identities"),
+    "qpff_classify_decouple": ("qpff", "sigma763.system", "--classify", "--decouple",
+                               "--output", "OUT"),
+    "qpdff_decouple": ("qpdff", "sigma763.system", "--decouple", "--output", "OUT"),
+    "verify_pff": ("verify", "sigma763.system", "--witness", "sigma763_pff.witness",
+                   "--form", "pff", "--data", "sigma763_pff.data"),
+    "verify_pdff": ("verify", "sigma763.system", "--witness", "sigma763_pdff.witness",
+                    "--form", "pdff", "--data", "sigma763_pdff.data"),
+}
+
+
+def golden_bytes(name: str) -> bytes:
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+    def test_output_is_byte_identical(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "form.out"
+        argv = [str(out) if a == "OUT" else a for a in GOLDEN_CALLS[name]]
+        code, text = run_cli(*argv)
+        assert code == 0
+        assert text.encode("utf-8") == golden_bytes(name + ".stdout")
+        if "OUT" in GOLDEN_CALLS[name]:
+            assert out.read_bytes() == golden_bytes(name + ".out")

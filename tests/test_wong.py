@@ -5,7 +5,7 @@ import pytest
 from daeforms import (Mat, SystemTriple, Subspace, augmented_projection_check,
                       check_limit_identities, image_basis, kernel_basis,
                       v_sequence, w_sequence, wong_limits)
-from daeforms.wong import augmented_system, kernel_in_w_limit
+from daeforms.wong import _v_step, _w_step, augmented_system, kernel_in_w_limit
 from golden import SYS763, V1_BASIS, W1_BASIS, W2_BASIS
 from randgen import make_rng, rand_mat, rand_system
 
@@ -101,6 +101,35 @@ class TestWongLimits:
         rng = make_rng(35)
         for _ in range(20):
             assert kernel_in_w_limit(rand_system(rng))
+
+
+class TestLimitFixpoints:
+    """The chains stop at the first repeated subspace, so the limits are
+    fixpoints of the one-step maps; pinned here because wong_limits does not
+    re-step them at runtime."""
+
+    @staticmethod
+    def assert_fixpoints(sys):
+        rep = wong_limits(sys)
+        im_b = image_basis(sys.B)
+        assert _v_step(sys, rep.v_limit, im_b) == rep.v_limit
+        assert _w_step(sys, rep.w_limit, im_b) == rep.w_limit
+
+    def test_golden_system(self):
+        self.assert_fixpoints(SYS763)
+
+    def test_random_systems(self):
+        rng = make_rng(40)
+        for _ in range(60):
+            self.assert_fixpoints(rand_system(rng))
+
+    def test_passed_limits_give_the_same_checks(self):
+        rng = make_rng(41)
+        for _ in range(20):
+            sys = rand_system(rng, 4, 4, 2)
+            rep = wong_limits(sys)
+            assert check_limit_identities(sys, rep) == check_limit_identities(sys)
+            assert augmented_projection_check(sys, rep) == augmented_projection_check(sys)
 
 
 class TestLimitIdentities:
