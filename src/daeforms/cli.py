@@ -80,7 +80,7 @@ def cmd_qpff(args, out) -> int:
               sysio.format_system(dec.transformed).rstrip("\n"),
               sysio.format_witness(dec.witness).rstrip("\n")]
     if args.decouple:
-        decoupled, extra = pfeedback.decouple_qpff(dec.transformed, z)
+        decoupled, extra = pfeedback.decouple_qpff(dec.transformed, z, report)
         dec_report = pfeedback.verify_qpff(decoupled, z)
         print(f"decoupled: {'ok' if dec_report.ok else 'FAILED'}", file=out)
         chunks.append("# decoupled triple")
@@ -110,7 +110,7 @@ def cmd_qpdff(args, out) -> int:
               sysio.format_system(dec.transformed).rstrip("\n"),
               sysio.format_witness(dec.witness).rstrip("\n")]
     if args.decouple:
-        decoupled, _extra = pdfeedback.decouple_qpdff(dec.transformed, z)
+        decoupled, _extra = pdfeedback.decouple_qpdff(dec.transformed, z, report)
         pattern_ok = pdfeedback.decoupled_wong_pattern_ok(decoupled, z)
         print(f"decoupled: {'ok' if pattern_ok else 'FAILED'}", file=out)
         chunks.append("# decoupled triple")
@@ -125,13 +125,14 @@ def cmd_qpdff(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     system, _ = sysio.parse_system(_read(args.input))
-    witness = sysio.parse_witness(_read(args.witness))
+    witness_doc = sysio.parse_document(_read(args.witness))
+    witness = sysio.witness_from_document(witness_doc)
     doc = sysio.parse_document(_read(args.data))
     form = args.form
 
     if form in ("pff", "qpff"):
         if not isinstance(witness, pfeedback.PTransform):
-            raise ParseError(0, "P-feedback forms need a witness without F_D")
+            raise witness_doc.error("F_D", "P-feedback forms need a witness without F_D")
         transformed = pfeedback.apply_p_transform(system, witness)
     else:
         if isinstance(witness, pfeedback.PTransform):

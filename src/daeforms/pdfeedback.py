@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .linalg import Mat, Q, Subspace, complement, image_basis, kernel_basis, solve_right
 from .pencils import full_rank_all_finite, pencil
 from .sylvester import TwoEqInstance, solve_two_equations
-from .wong import SystemTriple, wong_limits
+from .wong import FieldError, SystemTriple, wong_limits
 from .pfeedback import (FormReport, PffData, head_sel, lower_shift,
                         tail_sel, verify_pff, _multi, _unit_span)
 
@@ -49,10 +49,11 @@ class PDTransform:
         for name in ("S", "T", "V"):
             m = getattr(self, name)
             if not m.is_invertible():
-                raise ValueError(f"witness matrix {name} must be square invertible")
+                raise FieldError(name, f"witness matrix {name} must be square invertible")
         shape = (self.V.rows, self.T.rows)
-        if self.F_P.shape != shape or self.F_D.shape != shape:
-            raise ValueError("F_P and F_D must be m x n")
+        for name in ("F_P", "F_D"):
+            if getattr(self, name).shape != shape:
+                raise FieldError(name, "F_P and F_D must be m x n")
 
     @classmethod
     def identity(cls, l: int, n: int, m: int) -> "PDTransform":
@@ -107,11 +108,11 @@ class PdffData:
             idx = tuple(int(k) for k in getattr(self, name))
             object.__setattr__(self, name, idx)
             if any(k < 1 for k in idx):
-                raise ValueError(f"multi-index {name} must contain positive integers")
+                raise FieldError(name, f"multi-index {name} must contain positive integers")
         if self.a_cbar.rows != self.a_cbar.cols:
-            raise ValueError("the uncontrollable block must be square")
+            raise FieldError("A_cbar", "the uncontrollable block must be square")
         if self.r < 0:
-            raise ValueError("rank of B cannot be negative")
+            raise FieldError("r", "rank of B cannot be negative")
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         a, b, g = self.alpha, self.beta, self.gamma
@@ -302,14 +303,17 @@ def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
     return FormReport(tuple(checks))
 
 
-def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> tuple[SystemTriple, PDTransform]:
+def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
+                   report: FormReport | None = None) -> tuple[SystemTriple, PDTransform]:
     """Eliminate the off-diagonal blocks of a verified QPDFF.
 
     Input and state are already separated, so only three input-free coupled
     Sylvester systems have to be solved; the witness needs neither feedback
-    nor an input transformation.
+    nor an input transformation.  ``report`` is verify_qpdff(sys, sizes)
+    when the caller has it already.
     """
-    report = verify_qpdff(sys, sizes)
+    if report is None:
+        report = verify_qpdff(sys, sizes)
     if not report.ok:
         raise ValueError(f"input is not in QPDFF: {report.failures()}")
     z = sizes

@@ -1,11 +1,17 @@
 """Univariate polynomial matrices over Q and exact pencil rank decisions.
 
-The heart of the module is ``full_rank_all_finite``, which decides whether a
-polynomial matrix keeps a prescribed rank at every finite complex point.  The
-authoritative route is the gcd of all maximal minors: the rank drops at some
-finite lambda exactly when the minors share a common root, i.e. when their
-gcd is non-constant.  A small evaluation sample is used only to shortcut
-obvious negatives; it never decides positively on its own.
+``full_rank_all_finite`` decides whether a pencil s*E - A keeps a prescribed
+rank at every finite complex point.  It reads the decision off the Wong
+limits V*, W* of the input-free triple [E, A, 0]: by the quasi-Kronecker
+form, the rank drops at no finite lambda exactly when V* is contained in
+W*, and the normal rank is n - dim(V* n W*) + dim E(V* n W*).  This is
+polynomial work in the pencil's size.
+
+``Poly``, ``PolyMat``, ``normal_rank``, ``determinant`` and ``minor_gcd``
+stay as the independent route: the rank drops at some finite lambda exactly
+when the gcd of all maximal minors is non-constant.  Enumerating the minors
+is exponential, so the library decides through the Wong limits and the
+tests use the minors as an oracle.
 
 Rank at infinity is not handled here.  Callers that need the convention
 rank(inf * M - N) = rank(M) take a plain rank of the leading coefficient.
@@ -17,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Mat, Q, _q
+from .wong import SystemTriple, v_sequence, w_sequence
 
 
 class Poly:
@@ -280,12 +287,40 @@ def minor_gcd(p: PolyMat, k: int) -> Poly:
     return acc
 
 
+def _coefficients(p: PolyMat) -> tuple[Mat, Mat]:
+    """(E, A) with p = s*E - A; p must have degree at most one."""
+    if p.max_degree() > 1:
+        raise ValueError("a matrix pencil has degree at most one")
+
+    def coeff(x: Poly, k: int) -> Fraction:
+        return x.coeffs[k] if k < len(x.coeffs) else Q(0)
+    e = Mat(p.rows, p.cols, [[coeff(x, 1) for x in row] for row in p.data])
+    a = Mat(p.rows, p.cols, [[-coeff(x, 0) for x in row] for row in p.data])
+    return e, a
+
+
+def _rank_from_limits(p: PolyMat) -> tuple[int, bool]:
+    """(normal rank of p, whether that rank holds at every finite lambda).
+
+    Read off the Wong limits V*, W* of [E, A, 0] for p = s*E - A: the normal
+    rank is n - dim(V* n W*) + dim E(V* n W*), and the rank drops at some
+    finite lambda exactly when V* is not contained in W*.
+    """
+    e, a = _coefficients(p)
+    free = SystemTriple(e, a, Mat.zeros(p.rows, 0))
+    vstar, wstar = v_sequence(free)[-1], w_sequence(free)[-1]
+    meet = vstar.intersect(wstar)
+    return p.cols - meet.dim + meet.image_under(e).dim, wstar.contains(vstar)
+
+
 def full_rank_all_finite(p: PolyMat, target: int, orientation: str | None = None) -> bool:
     """True iff rank of p(lambda) equals ``target`` for every finite lambda.
 
-    Decided exactly: the normal rank must equal ``target`` and the gcd of all
-    target x target minors must be a nonzero constant.  ``orientation`` may be
-    "row" or "column" and is validated against the shape.
+    p is the pencil s*E - A, as built by ``pencil``; a PolyMat of degree
+    above one raises ValueError.  Decided exactly from the Wong limits of
+    [E, A, 0] (see ``_rank_from_limits``): the normal rank must equal
+    ``target`` and must not drop at any finite lambda.  ``orientation`` may
+    be "row" or "column" and is validated against the shape.
     """
     if target > min(p.rows, p.cols):
         raise ValueError("target rank exceeds the matrix dimensions")
@@ -295,13 +330,5 @@ def full_rank_all_finite(p: PolyMat, target: int, orientation: str | None = None
         raise ValueError("column orientation requires target == cols")
     if orientation not in (None, "row", "column"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if target == 0:
-        return normal_rank(p) == 0
-    # cheap exact negatives: a single sample point below target settles it
-    for x in range(-2, 2 + max(1, p.max_degree())):
-        if p.eval_at(x).rank() < target:
-            return False
-    if normal_rank(p) != target:
-        return False
-    g = minor_gcd(p, target)
-    return g.is_constant() and not g.is_zero()
+    nrank, no_drop = _rank_from_limits(p)
+    return nrank == target and no_drop

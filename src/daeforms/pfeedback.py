@@ -27,7 +27,7 @@ from .linalg import (Mat, Q, Subspace, complement, image_basis, kernel_basis,
                      solve_right)
 from .pencils import full_rank_all_finite, pencil
 from .sylvester import TwoEqInstance, solve_two_equations
-from .wong import SystemTriple, wong_limits
+from .wong import FieldError, SystemTriple, wong_limits
 
 
 # --------------------------------------------------------------------------
@@ -75,9 +75,9 @@ class PffData:
             idx = getattr(self, name)
             object.__setattr__(self, name, tuple(int(k) for k in idx))
             if any(k < 1 for k in getattr(self, name)):
-                raise ValueError(f"multi-index {name} must contain positive integers")
+                raise FieldError(name, f"multi-index {name} must contain positive integers")
         if self.a_cbar.rows != self.a_cbar.cols:
-            raise ValueError("the uncontrollable block must be square")
+            raise FieldError("A_cbar", "the uncontrollable block must be square")
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         """Total (l, n, m) of the template; m defaults to the minimal width."""
@@ -162,9 +162,9 @@ class PTransform:
         for name in ("S", "T", "V"):
             m = getattr(self, name)
             if not m.is_invertible():
-                raise ValueError(f"witness matrix {name} must be square invertible")
+                raise FieldError(name, f"witness matrix {name} must be square invertible")
         if self.F_P.shape != (self.V.rows, self.T.rows):
-            raise ValueError("F_P must be m x n")
+            raise FieldError("F_P", "F_P must be m x n")
 
     @classmethod
     def identity(cls, l: int, n: int, m: int) -> "PTransform":
@@ -400,14 +400,17 @@ def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
     return FormReport(tuple(checks))
 
 
-def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> tuple[SystemTriple, PTransform]:
+def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
+                  report: FormReport | None = None) -> tuple[SystemTriple, PTransform]:
     """Eliminate the off-diagonal blocks of a verified QPFF.
 
     Solves three coupled Sylvester-type systems for the correction blocks,
     then realizes them as a P-feedback witness with V = I.  The diagonal
-    blocks of the output are bit-identical to the input's.
+    blocks of the output are bit-identical to the input's.  ``report`` is
+    verify_qpff(sys, sizes) when the caller has it already.
     """
-    report = verify_qpff(sys, sizes)
+    if report is None:
+        report = verify_qpff(sys, sizes)
     if not report.ok:
         raise ValueError(f"input is not in QPFF: {report.failures()}")
     z = sizes

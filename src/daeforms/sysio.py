@@ -33,14 +33,15 @@ from fractions import Fraction
 from .linalg import Mat
 from .pfeedback import PffData, PTransform, QpffBlockSizes
 from .pdfeedback import PdffData, PDTransform, QpdffBlockSizes
-from .wong import SystemTriple
+from .wong import FieldError, SystemTriple
 
 
 class ParseError(ValueError):
-    """Input text is not a valid document; carries the offending line number."""
+    """Input text is not a valid document; carries the offending line number,
+    or None when no single line is at fault (a missing key)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -69,28 +70,41 @@ class Document:
         self.matrices: dict[str, Mat] = {}
         self.int_lists: dict[str, tuple[int, ...]] = {}
         self.meta: dict[str, str] = {}
+        self.first_seen: dict[str, int] = {}  # key -> line it is given on
+
+    def error(self, key: str, message: str) -> ParseError:
+        """A ParseError located at the line of ``key``."""
+        return ParseError(self.first_seen.get(key), message)
+
+    def build(self, cls, *args, **kwargs):
+        """cls(*args, **kwargs), with a FieldError raised as a ParseError at
+        the line of the field's key."""
+        try:
+            return cls(*args, **kwargs)
+        except FieldError as exc:
+            raise self.error(exc.field, str(exc)) from exc
 
     def require_matrix(self, key: str) -> Mat:
         if key not in self.matrices:
-            raise ParseError(0, f"missing required matrix {key!r}")
+            raise ParseError(None, f"missing required matrix {key!r}")
         return self.matrices[key]
 
     def require_ints(self, key: str) -> tuple[int, ...]:
         if key not in self.int_lists:
-            raise ParseError(0, f"missing required list {key!r}")
+            raise ParseError(None, f"missing required list {key!r}")
         return self.int_lists[key]
 
     def require_int(self, key: str) -> int:
         vals = self.require_ints(key)
         if len(vals) != 1:
-            raise ParseError(0, f"{key!r} must hold exactly one integer")
+            raise self.error(key, f"{key!r} must hold exactly one integer")
         return vals[0]
 
 
 def parse_document(text: str) -> Document:
     doc = Document()
     lines = text.splitlines()
-    first_seen: dict[str, int] = {}
+    first_seen = doc.first_seen
 
     def claim(key: str, lineno: int):
         if key in first_seen:
@@ -151,32 +165,24 @@ def parse_document(text: str) -> Document:
 
 def parse_system(text: str) -> tuple[SystemTriple, dict[str, str]]:
     doc = parse_document(text)
-    try:
-        sys = SystemTriple(doc.require_matrix("E"), doc.require_matrix("A"),
-                           doc.require_matrix("B"))
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(0, str(exc)) from exc
-    return sys, doc.meta
+    e, a, b = (doc.require_matrix(key) for key in ("E", "A", "B"))
+    return doc.build(SystemTriple, e, a, b), doc.meta
 
 
 def parse_witness(text: str) -> PTransform | PDTransform:
-    doc = parse_document(text)
-    s = doc.require_matrix("S")
-    t = doc.require_matrix("T")
-    v = doc.require_matrix("V")
-    f_p = doc.require_matrix("F_P")
-    try:
-        if "F_D" in doc.matrices:
-            return PDTransform(s, t, v, f_p, doc.matrices["F_D"])
-        return PTransform(s, t, v, f_p)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    return witness_from_document(parse_document(text))
+
+
+def witness_from_document(doc: Document) -> PTransform | PDTransform:
+    s, t, v, f_p = (doc.require_matrix(key) for key in ("S", "T", "V", "F_P"))
+    if "F_D" in doc.matrices:
+        return doc.build(PDTransform, s, t, v, f_p, doc.matrices["F_D"])
+    return doc.build(PTransform, s, t, v, f_p)
 
 
 def parse_pff_data(doc: Document) -> PffData:
-    return PffData(
+    return doc.build(
+        PffData,
         alpha=doc.require_ints("alpha"),
         beta=doc.require_ints("beta"),
         gamma=doc.require_ints("gamma"),
@@ -187,7 +193,8 @@ def parse_pff_data(doc: Document) -> PffData:
 
 
 def parse_pdff_data(doc: Document) -> PdffData:
-    return PdffData(
+    return doc.build(
+        PdffData,
         alpha=doc.require_ints("alpha"),
         a_cbar=doc.require_matrix("A_cbar"),
         beta=doc.require_ints("beta"),
@@ -196,22 +203,22 @@ def parse_pdff_data(doc: Document) -> PdffData:
     )
 
 
+def _size_lists(doc: Document, lengths: tuple[int, ...], message: str) -> list[int]:
+    """l_sizes, n_sizes and m_sizes, concatenated, after checking their lengths."""
+    lists = [(key, doc.require_ints(key)) for key in ("l_sizes", "n_sizes", "m_sizes")]
+    for (key, vals), length in zip(lists, lengths):
+        if len(vals) != length:
+            raise doc.error(key, message)
+    return [v for _, vals in lists for v in vals]
+
+
 def parse_qpff_sizes(doc: Document) -> QpffBlockSizes:
-    l = doc.require_ints("l_sizes")
-    n = doc.require_ints("n_sizes")
-    m = doc.require_ints("m_sizes")
-    if len(l) != 3 or len(n) != 3 or len(m) != 3:
-        raise ParseError(0, "QPFF sizes need three entries per dimension")
-    return QpffBlockSizes(*l, *n, *m)
+    return QpffBlockSizes(*_size_lists(doc, (3, 3, 3),
+                                       "QPFF sizes need three entries per dimension"))
 
 
 def parse_qpdff_sizes(doc: Document) -> QpdffBlockSizes:
-    l = doc.require_ints("l_sizes")
-    n = doc.require_ints("n_sizes")
-    m = doc.require_ints("m_sizes")
-    if len(l) != 3 or len(n) != 3 or len(m) != 2:
-        raise ParseError(0, "QPDFF sizes need 3+3+2 entries")
-    return QpdffBlockSizes(*l, *n, *m)
+    return QpdffBlockSizes(*_size_lists(doc, (3, 3, 2), "QPDFF sizes need 3+3+2 entries"))
 
 
 # -- writing -----------------------------------------------------------------

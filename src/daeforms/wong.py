@@ -19,6 +19,15 @@ from dataclasses import dataclass
 from .linalg import Mat, Subspace, image_basis, kernel_basis, preimage
 
 
+class FieldError(ValueError):
+    """A ValueError about one field of an input object; ``field`` is the key
+    that the text format gives it (E, F_P, alpha, A_cbar, ...)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SystemTriple:
     """The structured pencil data [E, A, B] with shapes (l x n, l x n, l x m)."""
@@ -29,9 +38,9 @@ class SystemTriple:
 
     def __post_init__(self):
         if self.E.shape != self.A.shape:
-            raise ValueError("E and A must have the same shape")
+            raise FieldError("A", "E and A must have the same shape")
         if self.B.rows != self.E.rows:
-            raise ValueError("B must have the same number of rows as E")
+            raise FieldError("B", "B must have the same number of rows as E")
 
     @property
     def l(self) -> int:

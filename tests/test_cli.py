@@ -80,6 +80,79 @@ class TestParsing:
         assert "duplicate key" in str(err.value)
 
 
+class TestSemanticErrorLines:
+    """Errors about one key name that key's line; errors with no line, such
+    as a missing key, carry no line prefix."""
+
+    @pytest.mark.parametrize("text,line", [
+        ("E: 1x1\n1\nA: 1x2\n0 0\nB: 1x0\n", 3),
+        ("E: 1x1\n1\n# inputs\nB: 2x0\nA: 1x1\n0\n", 4),
+    ])
+    def test_system_shape_mismatch_names_its_key(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("text,line", [
+        ("S: 1x1\n0\nT: 1x1\n1\nV: 1x1\n1\nF_P: 1x1\n0\n", 1),
+        ("S: 1x1\n1\nT: 1x1\n1\nV: 1x1\n1\nF_P: 1x2\n0 0\n", 7),
+        ("S: 1x1\n1\nT: 1x1\n1\nV: 1x1\n1\nF_P: 1x1\n0\nF_D: 2x1\n0\n0\n", 9),
+    ])
+    def test_witness_error_names_its_key(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_witness(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("parse,text,line", [
+        (sysio.parse_pff_data, "alpha: 1\nbeta: 0\ngamma:\ndelta:\nkappa:\nA_cbar: 0x0\n", 2),
+        (sysio.parse_pff_data, "alpha:\nbeta:\ngamma:\ndelta:\nkappa:\nA_cbar: 1x2\n0 0\n", 6),
+        (sysio.parse_pdff_data, "alpha:\nbeta:\ngamma:\nA_cbar: 0x0\nr: -1\n", 5),
+    ])
+    def test_form_data_error_names_its_key(self, parse, text, line):
+        with pytest.raises(ParseError) as err:
+            parse(parse_document(text))
+        assert err.value.line == line
+
+    def test_single_integer_names_its_key(self):
+        with pytest.raises(ParseError) as err:
+            parse_document("alpha: 1\n\nr: 1 2\n").require_int("r")
+        assert err.value.line == 3
+
+    def test_missing_key_has_no_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_system("E: 1x1\n1\nA: 1x1\n1\n")
+        assert err.value.line is None
+        assert str(err.value) == "missing required matrix 'B'"
+
+    def test_cli_missing_key(self, tmp_path, capsys):
+        f = tmp_path / "nob.system"
+        f.write_text("E: 1x1\n1\nA: 1x1\n1\n")
+        code, _ = run_cli("wong", str(f))
+        assert code == 2
+        assert capsys.readouterr().err == "error: missing required matrix 'B'\n"
+
+    def test_cli_sizes_of_wrong_length(self, tmp_path, capsys):
+        data = tmp_path / "sizes.data"
+        data.write_text("# sizes\nl_sizes: 2 1 4\nn_sizes: 3 1\nm_sizes: 1 0 2\n")
+        code, _ = run_cli("verify", path("sigma763.system"),
+                          "--witness", path("sigma763_pff.witness"),
+                          "--form", "qpff", "--data", str(data))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: QPFF sizes need three entries per dimension\n")
+
+    def test_cli_pd_witness_for_p_form(self, capsys):
+        with open(path("sigma763_pdff.witness"), encoding="utf-8") as fh:
+            f_d_line = 1 + [ln.startswith("F_D:") for ln in fh].index(True)
+        code, _ = run_cli("verify", path("sigma763.system"),
+                          "--witness", path("sigma763_pdff.witness"),
+                          "--form", "pff", "--data", path("sigma763_pff.data"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {f_d_line}: P-feedback forms need a witness without F_D\n")
+
+
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     code = main(list(argv), out=buf)
@@ -282,6 +355,19 @@ class TestWorkDoneOnce:
         code, _ = run_cli("qpdff", path("sigma763.system"))
         assert code == 0
         assert (computed[0], verified[0]) == (1, 1)
+
+    def test_qpff_decouple_verifies_input_once(self, monkeypatch):
+        # once inside compute_qpff, once for the decoupled triple
+        verified = count_calls(monkeypatch, pfeedback, "verify_qpff")
+        code, text = run_cli("qpff", path("sigma763.system"), "--decouple")
+        assert code == 0 and "decoupled: ok" in text
+        assert verified[0] == 2
+
+    def test_qpdff_decouple_verifies_input_once(self, monkeypatch):
+        verified = count_calls(monkeypatch, pdfeedback, "verify_qpdff")
+        code, text = run_cli("qpdff", path("sigma763.system"), "--decouple")
+        assert code == 0 and "decoupled: ok" in text
+        assert verified[0] == 1
 
     def test_wong_identities_compute_limits_twice(self, monkeypatch):
         # once for the system, once for its augmented system

@@ -152,6 +152,16 @@ class TestDecoupleQpdff:
         assert w.V == Mat.identity(SYS763.m)
         assert decoupled_wong_pattern_ok(out, dec.block_sizes)
 
+    def test_given_report_is_trusted_and_checked(self):
+        from daeforms.pfeedback import FormReport
+        dec = compute_qpdff(SYS763)
+        z = dec.block_sizes
+        assert (decouple_qpdff(dec.transformed, z, dec.report)
+                == decouple_qpdff(dec.transformed, z))
+        failed = FormReport((("block2_ode", False),))
+        with pytest.raises(ValueError, match="block2_ode"):
+            decouple_qpdff(dec.transformed, z, failed)
+
     def test_scrambled_round_trip(self):
         rng = make_rng(66)
         for _ in range(10):

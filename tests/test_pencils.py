@@ -3,10 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Poly, full_rank_all_finite, minor_gcd, normal_rank,
                       pencil)
-from daeforms.pencils import PolyMat, determinant
+from daeforms.pencils import PolyMat, _rank_from_limits, determinant
 from golden import QPFF_E, QPFF_A, QPFF_B, QPFF_SIZES
 from randgen import make_rng, rand_mat, rand_invertible
 
@@ -179,3 +180,126 @@ class TestMinorGcd:
     def test_empty_selection(self):
         p = PolyMat(2, 2, [[Poly.ONE, Poly.ZERO], [Poly.ZERO, Poly.ONE]])
         assert minor_gcd(p, 0) == Poly.ONE
+
+
+# -- the Wong-limit decision against the minor-gcd route ---------------------
+
+def minor_gcd_decision(p: PolyMat, target: int) -> bool:
+    """The exponential oracle: normal rank equals target and the gcd of all
+    target x target minors is a nonzero constant."""
+    if normal_rank(p) != target:
+        return False
+    g = minor_gcd(p, target)
+    return g.is_constant() and not g.is_zero()
+
+
+def kronecker_pencil(blocks) -> tuple[Mat, Mat]:
+    """(E, A) block diagonal in the Kronecker blocks named by ``blocks``:
+    ("L", k) is k x (k+1), ("LT", k) is (k+1) x k, ("N", k) nilpotent and
+    ("J", k, lam) a Jordan block at the finite eigenvalue lam."""
+    es, as_ = [], []
+    for kind, k, *rest in blocks:
+        ident, up = Mat.identity(k), Mat(k, k, [[int(j == i + 1) for j in range(k)]
+                                              for i in range(k)])
+        if kind == "L":
+            es.append(Mat.hstack(ident, Mat.zeros(k, 1)))
+            as_.append(Mat.hstack(Mat.zeros(k, 1), ident))
+        elif kind == "LT":
+            es.append(Mat.vstack(ident, Mat.zeros(1, k)))
+            as_.append(Mat.vstack(Mat.zeros(1, k), ident))
+        elif kind == "N":
+            es.append(up)
+            as_.append(ident)
+        else:
+            es.append(ident)
+            as_.append(Mat(k, k, [[rest[0] * int(i == j) + int(j == i + 1) for j in range(k)]
+                                  for i in range(k)]))
+    return Mat.block_diag(*es), Mat.block_diag(*as_)
+
+
+def rand_kronecker_pencil(rng) -> PolyMat:
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("L", "LT", "N", "J"))
+        k = rng.randint(0 if kind in ("L", "LT") else 1, 2)
+        blocks.append((kind, k, rng.randint(-2, 2)))
+    e, a = kronecker_pencil(blocks)
+    s, t = rand_invertible(rng, e.rows), rand_invertible(rng, e.cols)
+    return pencil(s @ e @ t, s @ a @ t)
+
+
+def rand_sparse_pencil(rng, rows: int, cols: int, zero_share: float) -> PolyMat:
+    def entry():
+        return 0 if rng.random() < zero_share else rng.randint(-2, 2)
+    e = Mat(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+    a = Mat(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+    return pencil(e, a)
+
+
+def seeded_pencils():
+    rng = make_rng(24)
+    for _ in range(120):
+        yield rand_kronecker_pencil(rng)
+    for _ in range(120):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        yield rand_sparse_pencil(rng, rows, cols, rng.choice((0.0, 0.5, 0.8)))
+
+
+@st.composite
+def small_pencils(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    zero = st.just(0)
+    entry = draw(st.sampled_from((st.integers(-3, 3),
+                                  st.one_of(zero, zero, zero, st.integers(-3, 3)))))
+    grid = st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+    e, a = draw(grid), draw(grid)
+    return pencil(Mat(rows, cols, e), Mat(rows, cols, a))
+
+
+class TestWongDecision:
+    def test_agrees_with_minor_gcd_on_seeded_pencils(self):
+        decided = positive = 0
+        for p in seeded_pencils():
+            for target in range(min(p.rows, p.cols) + 1):
+                got = full_rank_all_finite(p, target)
+                assert got == minor_gcd_decision(p, target), (p, target)
+                decided += 1
+                positive += got
+        assert positive > 50 and decided - positive > 50
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_pencils(), st.data())
+    def test_agrees_with_minor_gcd_property(self, p, data):
+        target = data.draw(st.integers(0, min(p.rows, p.cols)))
+        assert full_rank_all_finite(p, target) == minor_gcd_decision(p, target)
+
+    def test_normal_rank_formula_matches_bareiss(self):
+        for p in seeded_pencils():
+            assert _rank_from_limits(p)[0] == normal_rank(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_pencils())
+    def test_normal_rank_formula_property(self, p):
+        assert _rank_from_limits(p)[0] == normal_rank(p)
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 12, 20])
+    def test_stacked_pencil_and_its_twin(self, k):
+        # s[I_k; 0] - [0; I_k] has full column rank at every lambda; its twin
+        # s[I_k; 0] - [9 I_k; N_k] loses it at lambda = 9.  The minor-gcd
+        # route enumerates C(2k, k) minors here.
+        ident, zero = Mat.identity(k), Mat.zeros(k, k)
+        shift = Mat(k, k, [[int(j == i + 1) for j in range(k)] for i in range(k)])
+        e = Mat.vstack(ident, zero)
+        stacked = pencil(e, Mat.vstack(zero, ident))
+        twin = pencil(e, Mat.vstack(ident * 9, shift))
+        assert full_rank_all_finite(stacked, k, "column")
+        assert not full_rank_all_finite(twin, k, "column")
+        assert full_rank_all_finite(pencil(e.T, Mat.vstack(zero, ident).T), k, "row")
+        assert not full_rank_all_finite(pencil(e.T, Mat.vstack(ident * 9, shift).T), k, "row")
+
+    def test_degree_two_raises(self):
+        p = PolyMat(1, 2, [[Poly((0, 0, 1)), Poly.ONE]])
+        with pytest.raises(ValueError):
+            full_rank_all_finite(p, 1, "row")

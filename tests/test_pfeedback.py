@@ -252,6 +252,15 @@ class TestDecoupleQpff:
         assert out.E.sub(0, z.l1, 0, z.n1) == dec.transformed.E.sub(0, z.l1, 0, z.n1)
         assert verify_qpff(out, z).ok
 
+    def test_given_report_is_trusted_and_checked(self):
+        from daeforms.pfeedback import FormReport
+        dec = compute_qpff(SYS763)
+        z = dec.block_sizes
+        assert decouple_qpff(dec.transformed, z, dec.report) == decouple_qpff(dec.transformed, z)
+        failed = FormReport((("zero_pattern", False),))
+        with pytest.raises(ValueError, match="zero_pattern"):
+            decouple_qpff(dec.transformed, z, failed)
+
     def test_decoupled_wong_pattern_and_input_dim(self):
         from daeforms.pfeedback import constrained_input_dim, decoupled_wong_pattern_ok
         rng = make_rng(58)
