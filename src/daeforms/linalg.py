@@ -1,9 +1,14 @@
 """Exact rational matrices and the subspace lattice built on top of them.
 
-Everything here works over Q via fractions.Fraction, so ranks, kernels and
-echelon forms are exact decisions, never tolerance calls.  Zero-dimension
-matrices (0 x k and k x 0) are first-class citizens because the canonical
-feedback-form templates contain blocks like 0_{1x0}.
+Everything here works over Q, so ranks, kernels and echelon forms are exact
+decisions, never tolerance calls.  Matrix entries are fractions.Fraction,
+but every elimination runs on primitive integer rows in ``_echelon``.  That
+kernel is fraction-free like Bareiss's elimination (Math. Comp. 22, 1968),
+except that it keeps rows small by dividing out their gcd rather than the
+previous pivot.  Fractions are built only at the Mat/Subspace boundary, for
+the rows an elimination returns.  Zero-dimension matrices (0 x k and k x 0)
+are first-class citizens because the canonical feedback-form templates
+contain blocks like 0_{1x0}.
 
 Subspaces are stored as reduced column echelon bases, which are unique for
 a given span.  Two Subspace values therefore describe the same space if and
@@ -216,7 +221,7 @@ class Mat:
     # -- rank and inversion --------------------------------------------------------
 
     def rank(self) -> int:
-        return rref(self)[2]
+        return len(_echelon(_integer_rows(self.data), self.cols))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -244,24 +249,28 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
-    """Reduced row echelon form of ``m`` over Q.
+def _integer_rows(rows) -> list[list[int]]:
+    """Each row cleared of denominators and made primitive."""
+    return [_primitive(_integer_row(row)[1]) for row in rows]
 
-    Returns (R, pivot_columns, rank).  R is unique for the row space of ``m``.
 
-    The elimination runs on integer rows.  Each row is first cleared of
-    denominators; eliminating column pc from a row with entry f against the
-    pivot row with pivot p replaces it by (p row - f pivot_row) / g, with g
-    making the row primitive.  Every work row thus stays a nonzero multiple
-    of the row rational Gauss-Jordan elimination would hold, and dividing
-    each pivot row by its pivot at the end gives that unique R exactly.
-    Only the nonzero entries of the pivot row enter an update.
+def _echelon(work: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of the integer rows ``work``, in place.
+
+    Returns the pivot columns.  Eliminating column pc from a row with entry
+    f against the pivot row with pivot p replaces it by (p row - f pivot_row)
+    / g, with g making the row primitive.  Every work row thus stays a
+    nonzero multiple of the row rational Gauss-Jordan elimination would
+    hold: afterwards row i < rank is the i-th row of the unique RREF times
+    its pivot entry, and the rows from rank on are zero.  Only the nonzero
+    entries of the pivot row enter an update.
     """
-    rows, cols = m.rows, m.cols
-    work = [_primitive(_integer_row(row)[1]) for row in m.data]
+    rows = len(work)
     pivots: list[int] = []
     pr = 0
     for pc in range(cols):
+        if pr == rows:
+            break
         sel = None
         for i in range(pr, rows):
             if work[i][pc]:
@@ -289,15 +298,28 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
             work[i] = _primitive(row)
         pivots.append(pc)
         pr += 1
-        if pr == rows:
-            break
+    return pivots
+
+
+def _reduced_rows(work: list[list[int]], pivots: list[int]) -> list[tuple[Fraction, ...]]:
+    """The nonzero RREF rows as Fractions: each echelon row over its pivot."""
     zero = _ZERO
-    out = []
-    for row, pc in zip(work, pivots):
-        p = row[pc]
-        out.append(tuple(Q(x, p) if x else zero for x in row))
-    out.extend([(zero,) * cols] * (rows - pr))
-    return Mat._trusted(rows, cols, tuple(out)), tuple(pivots), pr
+    return [tuple(Q(x, row[pc]) if x else zero for x in row)
+            for row, pc in zip(work, pivots)]
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
+    """Reduced row echelon form of ``m`` over Q.
+
+    Returns (R, pivot_columns, rank).  R is unique for the row space of ``m``.
+    The rows are cleared of denominators, eliminated by ``_echelon`` and
+    divided by their pivots.
+    """
+    work = _integer_rows(m.data)
+    pivots = _echelon(work, m.cols)
+    out = _reduced_rows(work, pivots)
+    out.extend([(_ZERO,) * m.cols] * (m.rows - len(pivots)))
+    return Mat._trusted(m.rows, m.cols, tuple(out)), tuple(pivots), len(pivots)
 
 
 class Subspace:
@@ -313,7 +335,7 @@ class Subspace:
         if basis.rows != ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
         if not canonical:
-            basis = _canonical_basis(basis)
+            basis = _span_basis(ambient_dim, _integer_rows(zip(*basis.data)))
         super().__setattr__("ambient_dim", ambient_dim)
         super().__setattr__("basis", basis)
 
@@ -356,6 +378,8 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
+        if other.dim == 0 or self.dim == self.ambient_dim:
+            return True
         return Mat.hstack(self.basis, other.basis).rank() == self.dim
 
     def _check_ambient(self, other: "Subspace"):
@@ -364,6 +388,10 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
+        if self.dim == 0:
+            return other
+        if other.dim == 0:
+            return self
         return Subspace(self.ambient_dim, Mat.hstack(self.basis, other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -383,9 +411,42 @@ class Subspace:
         return Subspace(m.rows, m @ self.basis)
 
 
-def _canonical_basis(spanning: Mat) -> Mat:
-    r, _, rank = rref(spanning.T)
-    return Mat._trusted(rank, spanning.rows, r.data[:rank]).T
+def _span_basis(ambient_dim: int, work: list[list[int]]) -> Mat:
+    """The canonical basis of the span of the integer vectors ``work``
+    (which the elimination overwrites): the nonzero rows of their RREF,
+    as columns."""
+    basis = _reduced_rows(work, _echelon(work, ambient_dim))
+    return Mat._trusted(ambient_dim, len(basis),
+                        tuple(zip(*basis)) if basis else ((),) * ambient_dim)
+
+
+def _projected_kernel(work: list[list[int]], cols: int, n: int) -> Subspace:
+    """The kernel of the integer rows ``work`` (``cols`` wide; the
+    elimination overwrites them), projected onto its first n coordinates.
+
+    The raw kernel is read off one echelon form: free column f gives the
+    vector with 1 at f and -row[f] / row[p] at the pivot p of each echelon
+    row.  Each projection is scaled to integers by the lcm of its pivots,
+    and a second echelon form makes the span canonical.
+    """
+    pivots = _echelon(work, cols)
+    head = [(row, p) for row, p in zip(work, pivots) if p < n]
+    pivot_set = set(pivots)
+    spans = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        coeffs = [(p, row[f], row[p]) for row, p in head if row[f]]
+        if f >= n and not coeffs:
+            continue
+        scale = lcm(*(piv for _, _, piv in coeffs))
+        vec = [0] * n
+        if f < n:
+            vec[f] = scale
+        for p, x, piv in coeffs:
+            vec[p] = -x * (scale // piv)
+        spans.append(_primitive(vec))
+    return Subspace(n, _span_basis(n, spans), canonical=True)
 
 
 def kernel_basis(m: Mat) -> Subspace:

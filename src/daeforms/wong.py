@@ -10,13 +10,23 @@ are nested and stabilize after at most n steps.  Their limits V*, W* carry
 the controllability structure of the system: V* is the (augmented)
 consistency space and V* n W* the reachability space.  A^{-1}, E^{-1} denote
 preimages of subspaces, not matrix inverses; E and A need not be square.
+
+One step is computed fused, on integer rows, as
+
+    V^{i+1} = proj_n ker [A, -E basis(V^i), -B]
+    W^{i+1} = proj_n ker [E, -A basis(W^i), -B]
+
+with proj_n keeping the first n coordinates: one elimination for the kernel
+and one to make its projection a canonical basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .linalg import Mat, Subspace, image_basis, kernel_basis, preimage
+from .linalg import (Mat, Subspace, _integer_row, _integer_rows, _primitive,
+                     _projected_kernel, image_basis, kernel_basis)
 
 
 class FieldError(ValueError):
@@ -82,19 +92,45 @@ class WongReport:
         return self.w_chain[-1]
 
 
-def _v_step(sys: SystemTriple, space: Subspace, im_b: Subspace) -> Subspace:
-    return preimage(sys.A, space.image_under(sys.E).sum(im_b))
+def _cleared_rows(sys: SystemTriple) -> list[tuple[list[int], list[int], list[int]]]:
+    """Row i of [A | E | B] times the lcm of its denominators, split into
+    its (A, E, B) parts.  One factor per row leaves every kernel as it is."""
+    out = []
+    for a, e, b in zip(sys.A.data, sys.E.data, sys.B.data):
+        _, ints = _integer_row(a + e + b)
+        out.append((ints[:sys.n], ints[sys.n:2 * sys.n], ints[2 * sys.n:]))
+    return out
 
 
-def _w_step(sys: SystemTriple, space: Subspace, im_b: Subspace) -> Subspace:
-    return preimage(sys.E, space.image_under(sys.A).sum(im_b))
+def _step(sys: SystemTriple, space: Subspace, rows, main: int) -> Subspace:
+    """One Wong step proj_n ker [M, O basis(space), B] on integer rows.
+
+    (M, O) is (A, E) for ``main`` 0 and (E, A) for ``main`` 1; ``rows`` are
+    the system's ``_cleared_rows``, computed here when None.  The basis
+    columns enter as primitive integer vectors, and the signs of the last
+    two blocks do not change the projected kernel.
+    """
+    if rows is None:
+        rows = _cleared_rows(sys)
+    vecs = _integer_rows(zip(*space.basis.data))
+    work = [_primitive(row[main] + [sum(map(mul, row[1 - main], v)) for v in vecs] + row[2])
+            for row in rows]
+    return _projected_kernel(work, sys.n + len(vecs) + sys.m, sys.n)
+
+
+def _v_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
+    return _step(sys, space, rows, 0)
+
+
+def _w_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
+    return _step(sys, space, rows, 1)
 
 
 def _iterate(sys: SystemTriple, start: Subspace, step) -> list[Subspace]:
-    im_b = image_basis(sys.B)
+    rows = _cleared_rows(sys)
     chain = [start]
     for _ in range(sys.n + 1):
-        nxt = step(sys, chain[-1], im_b)
+        nxt = step(sys, chain[-1], rows)
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)

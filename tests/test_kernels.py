@@ -32,6 +32,7 @@ def assert_same_rref(m: Mat):
     got = rref(m)
     want = dense_rref(m)
     assert got == want
+    assert m.rank() == want[2]
     assert all(type(x) is F for row in got[0].data for x in row)
 
 

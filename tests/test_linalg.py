@@ -164,6 +164,19 @@ class TestLattice:
         assert s.sum(Subspace.zero(4)) == s
         assert s.intersect(Subspace.full(4)) == s
 
+    def test_zero_and_full_operands_match_elimination(self):
+        # sum and contains answer these without eliminating; the answers
+        # must be the ones the stacked bases give
+        rng = make_rng(10)
+        for _ in range(40):
+            ambient = rng.randint(0, 5)
+            s = rand_subspace(rng, ambient, rng.randint(0, ambient))
+            for t in (Subspace.zero(ambient), Subspace.full(ambient)):
+                for x, y in ((s, t), (t, s)):
+                    both = Mat.hstack(x.basis, y.basis)
+                    assert x.sum(y) == Subspace(ambient, both)
+                    assert x.contains(y) == (oracle_rank(both) == x.dim)
+
     def test_modular_dimension_law(self):
         rng = make_rng(9)
         for _ in range(60):

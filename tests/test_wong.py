@@ -1,9 +1,12 @@
 """Augmented Wong sequences: golden chains, theorems as property tests."""
 
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, SystemTriple, Subspace, augmented_projection_check,
-                      check_limit_identities, image_basis, kernel_basis,
+                      check_limit_identities, image_basis, kernel_basis, preimage,
                       v_sequence, w_sequence, wong_limits)
 from daeforms.wong import _v_step, _w_step, augmented_system, kernel_in_w_limit
 from golden import SYS763, V1_BASIS, W1_BASIS, W2_BASIS
@@ -111,9 +114,8 @@ class TestLimitFixpoints:
     @staticmethod
     def assert_fixpoints(sys):
         rep = wong_limits(sys)
-        im_b = image_basis(sys.B)
-        assert _v_step(sys, rep.v_limit, im_b) == rep.v_limit
-        assert _w_step(sys, rep.w_limit, im_b) == rep.w_limit
+        assert _v_step(sys, rep.v_limit) == rep.v_limit
+        assert _w_step(sys, rep.w_limit) == rep.w_limit
 
     def test_golden_system(self):
         self.assert_fixpoints(SYS763)
@@ -130,6 +132,90 @@ class TestLimitFixpoints:
             rep = wong_limits(sys)
             assert check_limit_identities(sys, rep) == check_limit_identities(sys)
             assert augmented_projection_check(sys, rep) == augmented_projection_check(sys)
+
+
+def lattice_step(main: Mat, other: Mat, b: Mat, space: Subspace) -> Subspace:
+    """main^{-1}(other space + im b) composed from the subspace lattice: the
+    oracle for the fused integer step."""
+    return preimage(main, space.image_under(other).sum(image_basis(b)))
+
+
+def lattice_chain(main: Mat, other: Mat, b: Mat, start: Subspace) -> list[Subspace]:
+    chain = [start]
+    while (nxt := lattice_step(main, other, b, chain[-1])) != chain[-1]:
+        chain.append(nxt)
+    return chain
+
+
+def rat_mat(rng, rows: int, cols: int, big: bool = False) -> Mat:
+    """About a third zeros; ``big`` draws numerators up to 10^9 and
+    denominators up to 10^6."""
+    num, den = (10 ** 9, 10 ** 6) if big else (3, 3)
+
+    def entry():
+        return 0 if rng.random() < 0.3 else F(rng.randint(-num, num), rng.randint(1, den))
+    return Mat(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+KINDS = ("plain", "l_zero", "n_zero", "m_zero", "b_zero", "e_deficient", "big")
+
+
+def step_case(rng, kind: str) -> tuple[SystemTriple, Subspace]:
+    """A seeded triple of the given kind and a random subspace of Q^n."""
+    l, n, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+    l, n, m = (0 if kind == "l_zero" else l, 0 if kind == "n_zero" else n,
+               0 if kind == "m_zero" else m)
+    big = kind == "big"
+    e = rat_mat(rng, l, n, big)
+    if kind == "e_deficient":
+        r = rng.randint(0, max(min(l, n) - 1, 0))
+        e = rat_mat(rng, l, r) @ rat_mat(rng, r, n)
+    b = Mat.zeros(l, m) if kind == "b_zero" else rat_mat(rng, l, m, big)
+    space = image_basis(rat_mat(rng, n, rng.randint(0, n + 1), big))
+    return SystemTriple(e, rat_mat(rng, l, n, big), b), space
+
+
+@st.composite
+def triples_with_space(draw):
+    l, n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7))
+
+    def mat(rows, cols):
+        return Mat(rows, cols, draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                             min_size=rows, max_size=rows)))
+    sys = SystemTriple(mat(l, n), mat(l, n), mat(l, m))
+    return sys, image_basis(mat(n, draw(st.integers(0, n + 1))))
+
+
+class TestFusedStepAgainstLattice:
+    """The integer step proj_n ker [main, other basis, B] against the
+    preimage of a sum of an image, one step and whole chains."""
+
+    @staticmethod
+    def assert_steps_match(sys, space):
+        v = _v_step(sys, space)
+        assert v == lattice_step(sys.A, sys.E, sys.B, space)
+        assert _w_step(sys, space) == lattice_step(sys.E, sys.A, sys.B, space)
+        assert all(type(x) is F for row in v.basis.data for x in row)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_step(self, kind):
+        rng = make_rng(50 + KINDS.index(kind))
+        for _ in range(30):
+            self.assert_steps_match(*step_case(rng, kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chains(self, kind):
+        rng = make_rng(60 + KINDS.index(kind))
+        for _ in range(15):
+            sys, _ = step_case(rng, kind)
+            assert v_sequence(sys) == lattice_chain(sys.A, sys.E, sys.B, Subspace.full(sys.n))
+            assert w_sequence(sys) == lattice_chain(sys.E, sys.A, sys.B, Subspace.zero(sys.n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(triples_with_space())
+    def test_one_step_property(self, case):
+        self.assert_steps_match(*case)
 
 
 class TestLimitIdentities:
