@@ -10,19 +10,23 @@ the rows an elimination returns.  Zero-dimension matrices (0 x k and k x 0)
 are first-class citizens because the canonical feedback-form templates
 contain blocks like 0_{1x0}.
 
-Subspaces are stored as reduced column echelon bases, which are unique for
-a given span.  Two Subspace values therefore describe the same space if and
-only if they compare equal field by field.
+A Subspace is stored as the nonzero RREF rows of a spanning set, each a
+primitive integer tuple with a positive pivot: a unique form, so equal
+spans compare equal.  The lattice runs on these rows without Fractions: a
+sum or an intersection (Zassenhaus) is one elimination, and a kernel is read
+off canonically from one elimination of the reversed columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _q(x) -> Fraction:
@@ -76,11 +80,16 @@ class Mat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be non-negative")
+        return cls._trusted(rows, cols, ((_ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 0:
+            raise ValueError("matrix dimensions must be non-negative")
+        return cls._trusted(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                                        for i in range(n)))
 
     @classmethod
     def col_vec(cls, entries: Sequence) -> "Mat":
@@ -100,7 +109,7 @@ class Mat:
         return self.data[i]
 
     def col(self, j: int) -> "Mat":
-        return Mat(self.rows, 1, [[self.data[i][j]] for i in range(self.rows)])
+        return Mat._trusted(self.rows, 1, tuple((row[j],) for row in self.data))
 
     def columns(self) -> list["Mat"]:
         return [self.col(j) for j in range(self.cols)]
@@ -209,19 +218,19 @@ class Mat:
     def block_diag(*mats: "Mat") -> "Mat":
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = [[Q(0)] * cols for _ in range(rows)]
+        out = [[_ZERO] * cols for _ in range(rows)]
         r = c = 0
         for m in mats:
             for i in range(m.rows):
-                out[r + i][c:c + m.cols] = list(m.data[i])
+                out[r + i][c:c + m.cols] = m.data[i]
             r += m.rows
             c += m.cols
-        return Mat(rows, cols, out)
+        return Mat._trusted(rows, cols, tuple(map(tuple, out)))
 
     # -- rank and inversion --------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(_integer_rows(self.data), self.cols))
+        return len(_echelon(_integer_rows(self.data), self.cols, back=False))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -229,8 +238,9 @@ class Mat:
     def inv(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
+        # For square a, a X = I is solvable exactly when a is invertible.
         x = solve_right(self, Mat.identity(self.rows))
-        if x is None or (self @ x) != Mat.identity(self.rows):
+        if x is None:
             raise ValueError("matrix is singular")
         return x
 
@@ -254,16 +264,17 @@ def _integer_rows(rows) -> list[list[int]]:
     return [_primitive(_integer_row(row)[1]) for row in rows]
 
 
-def _echelon(work: list[list[int]], cols: int) -> list[int]:
-    """Gauss-Jordan elimination of the integer rows ``work``, in place.
+def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
+    """Gauss-Jordan elimination of the integer rows ``work``, in place, on
+    their first ``cols`` columns; returns the pivot columns.
 
-    Returns the pivot columns.  Eliminating column pc from a row with entry
-    f against the pivot row with pivot p replaces it by (p row - f pivot_row)
-    / g, with g making the row primitive.  Every work row thus stays a
-    nonzero multiple of the row rational Gauss-Jordan elimination would
-    hold: afterwards row i < rank is the i-th row of the unique RREF times
-    its pivot entry, and the rows from rank on are zero.  Only the nonzero
-    entries of the pivot row enter an update.
+    Eliminating column pc from a row with entry f against the pivot row with
+    pivot p replaces it by (p row - f pivot_row) / g, with g making the row
+    primitive, so each row stays a nonzero multiple of the rational one:
+    afterwards row i < rank is the i-th RREF row times its pivot entry, and
+    the rows from rank on are zero in the first ``cols`` columns.  With
+    ``back`` False a pivot is eliminated only from the rows below it, which
+    leaves an echelon form: enough for a rank, or to discard the pivot rows.
     """
     rows = len(work)
     pivots: list[int] = []
@@ -271,11 +282,7 @@ def _echelon(work: list[list[int]], cols: int) -> list[int]:
     for pc in range(cols):
         if pr == rows:
             break
-        sel = None
-        for i in range(pr, rows):
-            if work[i][pc]:
-                sel = i
-                break
+        sel = next((i for i in range(pr, rows) if work[i][pc]), None)
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]
@@ -283,8 +290,8 @@ def _echelon(work: list[list[int]], cols: int) -> list[int]:
         p = prow[pc]
         # Columns left of pc are zero in the pivot row, so its nonzero
         # entries are all at pc or beyond.
-        nonzeros = [(j, x) for j in range(pc, cols) if (x := prow[j])]
-        for i in range(rows):
+        nonzeros = [(j, x) for j, x in enumerate(prow[pc:], pc) if x]
+        for i in range(0 if back else pr + 1, rows):
             row = work[i]
             f = row[pc]
             if i == pr or not f:
@@ -323,50 +330,63 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
 
 
 class Subspace:
-    """Linear subspace of Q^n held as a canonical full-column-rank basis.
+    """Linear subspace of Q^n held in canonical integer form.
 
-    The basis is the reduced column echelon form of any spanning set, so the
-    representation is unique and equality is a syntactic check.
+    ``rows`` are the nonzero RREF rows of any spanning set, each a primitive
+    integer tuple with a positive pivot, so equality is a syntactic check.
+    ``basis`` is the reduced column echelon basis: the rows over their
+    pivots, as Fraction columns.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: Mat, *, canonical: bool = False):
+    def __init__(self, ambient_dim: int, basis: Mat):
         if basis.rows != ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
-        if not canonical:
-            basis = _span_basis(ambient_dim, _integer_rows(zip(*basis.data)))
-        super().__setattr__("ambient_dim", ambient_dim)
-        super().__setattr__("basis", basis)
+        self._set(ambient_dim, _span(ambient_dim, _integer_rows(zip(*basis.data))).rows)
+
+    def _set(self, ambient_dim: int, rows: tuple):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _from_rows(cls, ambient_dim: int, rows: tuple) -> "Subspace":
+        """Wrap rows that are already canonical."""
+        s = object.__new__(cls)
+        s._set(ambient_dim, rows)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def span(cls, ambient_dim: int, spanning: Mat) -> "Subspace":
-        return cls(ambient_dim, spanning)
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.zeros(ambient_dim, 0), canonical=True)
+        return cls._from_rows(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim), canonical=True)
+        return _row_kernel([], ambient_dim)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Mat:
+        """The canonical basis as a full-column-rank Fraction matrix."""
+        n = self.ambient_dim
+        cols = _reduced_rows(self.rows, [_lead(row) for row in self.rows])
+        return Mat._trusted(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -374,13 +394,13 @@ class Subspace:
     def contains_vector(self, v: Mat) -> bool:
         if v.shape != (self.ambient_dim, 1):
             raise ValueError("vector has wrong ambient dimension")
-        return solve_right(self.basis, v) is not None
+        return self.contains(Subspace(self.ambient_dim, v))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if other.dim == 0 or self.dim == self.ambient_dim:
             return True
-        return Mat.hstack(self.basis, other.basis).rank() == self.dim
+        return other.dim <= self.dim and not any(any(_reduce(w, self.rows)) for w in other.rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -392,78 +412,88 @@ class Subspace:
             return other
         if other.dim == 0:
             return self
-        return Subspace(self.ambient_dim, Mat.hstack(self.basis, other.basis))
+        return _span(self.ambient_dim, [list(row) for row in self.rows + other.rows])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked bases [B1, -B2]."""
+        """Zassenhaus: forward elimination of the first halves of the rows
+        [v | v] (v in self) and [w | 0] (w in other) leaves rows [0 | x]
+        whose x span the intersection."""
         self._check_ambient(other)
-        d1 = self.dim
-        if d1 == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        ker = kernel_basis(Mat.hstack(self.basis, -other.basis))
-        coeff = ker.basis.sub(0, d1, 0, ker.basis.cols)
-        return Subspace(self.ambient_dim, self.basis @ coeff)
+        n = self.ambient_dim
+        work = [list(v + v) for v in self.rows] + [list(w) + [0] * n for w in other.rows]
+        return _span(n, _forward(work, n))
 
     def image_under(self, m: Mat) -> "Subspace":
         """The subspace m . self, living in Q^(m.rows)."""
         if m.cols != self.ambient_dim:
             raise ValueError("matrix does not act on this ambient space")
-        return Subspace(m.rows, m @ self.basis)
+        # One common denominator for all of m leaves the image as it is.
+        den = lcm(*(x.denominator for row in m.data for x in row))
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in m.data]
+        return _span(m.rows, [_primitive([sum(map(mul, row, v)) for row in ints])
+                              for v in self.rows])
 
 
-def _span_basis(ambient_dim: int, work: list[list[int]]) -> Mat:
-    """The canonical basis of the span of the integer vectors ``work``
-    (which the elimination overwrites): the nonzero rows of their RREF,
-    as columns."""
-    basis = _reduced_rows(work, _echelon(work, ambient_dim))
-    return Mat._trusted(ambient_dim, len(basis),
-                        tuple(zip(*basis)) if basis else ((),) * ambient_dim)
+def _lead(row) -> int:
+    """The index of the first nonzero entry of a nonzero row."""
+    return next(j for j, x in enumerate(row) if x)
 
 
-def _projected_kernel(work: list[list[int]], cols: int, n: int) -> Subspace:
-    """The kernel of the integer rows ``work`` (``cols`` wide; the
-    elimination overwrites them), projected onto its first n coordinates.
+def _span(ambient_dim: int, work: list[list[int]]) -> Subspace:
+    """The span of the primitive integer vectors ``work`` (overwritten):
+    their echelon rows with positive pivots."""
+    pivots = _echelon(work, ambient_dim)
+    return Subspace._from_rows(ambient_dim, tuple(
+        tuple(row) if row[p] > 0 else tuple(-x for x in row) for row, p in zip(work, pivots)))
 
-    The raw kernel is read off one echelon form: free column f gives the
-    vector with 1 at f and -row[f] / row[p] at the pivot p of each echelon
-    row.  Each projection is scaled to integers by the lcm of its pivots,
-    and a second echelon form makes the span canonical.
+
+def _forward(work: list[list[int]], d: int) -> list[list[int]]:
+    """The row combinations of ``work`` that vanish on its first d columns,
+    without those columns: the nonzero rows left by forward elimination."""
+    rank = len(_echelon(work, d, back=False))
+    return [row[d:] for row in work[rank:] if any(row)]
+
+
+def _reduce(vec, rows):
+    """``vec`` reduced against nonzero ``rows``, each zero at the pivots
+    (first nonzero entries) of the rows before it: zero exactly when vec is
+    in their span."""
+    for row in rows:
+        p = _lead(row)
+        if f := vec[p]:
+            g = gcd(row[p], f)
+            scale, f = row[p] // g, f // g
+            vec = [scale * x - f * y for x, y in zip(vec, row)]
+    return vec
+
+
+def _row_kernel(work: list[list[int]], n: int) -> Subspace:
+    """The kernel of the integer rows ``work`` (overwritten), whose n columns
+    are stored in reverse order.
+
+    After Gauss-Jordan elimination, free column f gives the kernel vector
+    that is 1 at f, 0 at the other free columns and -row[f] / row[p] at the
+    pivot p of each echelon row.  Every such p lies left of f, so in the
+    original order these are the kernel's nonzero RREF rows.
     """
-    pivots = _echelon(work, cols)
-    head = [(row, p) for row, p in zip(work, pivots) if p < n]
-    pivot_set = set(pivots)
-    spans = []
-    for f in range(cols):
-        if f in pivot_set:
+    pivots = _echelon(work, n)
+    rows = []
+    for f in range(n - 1, -1, -1):
+        if f in pivots:
             continue
-        coeffs = [(p, row[f], row[p]) for row, p in head if row[f]]
-        if f >= n and not coeffs:
-            continue
+        coeffs = [(p, row[f], row[p]) for row, p in zip(work, pivots) if row[f]]
         scale = lcm(*(piv for _, _, piv in coeffs))
         vec = [0] * n
-        if f < n:
-            vec[f] = scale
+        vec[n - 1 - f] = scale
         for p, x, piv in coeffs:
-            vec[p] = -x * (scale // piv)
-        spans.append(_primitive(vec))
-    return Subspace(n, _span_basis(n, spans), canonical=True)
+            vec[n - 1 - p] = -x * (scale // piv)
+        rows.append(tuple(_primitive(vec)))
+    return Subspace._from_rows(n, tuple(rows))
 
 
 def kernel_basis(m: Mat) -> Subspace:
     """The kernel {x : m x = 0} as a canonical subspace of Q^cols."""
-    r, pivots, rank = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
-        cols.append(v)
-    basis = Mat._trusted(m.cols, len(cols),
-                         tuple(zip(*cols)) if cols else ((),) * m.cols)
-    return Subspace(m.cols, basis)
+    return _row_kernel([row[::-1] for row in _integer_rows(m.data)], m.cols)
 
 
 def image_basis(m: Mat) -> Subspace:
@@ -474,13 +504,14 @@ def image_basis(m: Mat) -> Subspace:
 def preimage(m: Mat, s: Subspace) -> Subspace:
     """The preimage {x : m x in s} under the linear map induced by m.
 
-    Computed as the projection onto the first block of ker [m, -basis(s)].
+    With S the basis of s, it is the kernel of the rows z m with z S = 0,
+    which forward elimination of the S columns of [S | m] leaves.
     """
     if s.ambient_dim != m.rows:
         raise ValueError("subspace must live in the codomain of m")
-    ker = kernel_basis(Mat.hstack(m, -s.basis))
-    proj = ker.basis.sub(0, m.cols, 0, ker.basis.cols)
-    return Subspace(m.cols, proj)
+    work = [_primitive([v[i] * den for v in s.rows] + ints[::-1])
+            for i, (den, ints) in enumerate(map(_integer_row, m.data))]
+    return _row_kernel(_forward(work, s.dim), m.cols)
 
 
 def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None,
@@ -496,19 +527,16 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None,
         raise ValueError("inner subspace is not contained in the outer one")
     want = outer.dim - inner.dim
     chosen: list[Mat] = []
-    current = inner.basis
-    rank = inner.dim
+    current = list(inner.rows)
 
     def try_candidates(cands):
-        nonlocal current, rank
         for cand in cands:
             if len(chosen) == want:
                 return
-            stacked = Mat.hstack(current, cand)
-            if stacked.rank() > rank:
+            rest = _reduce(_integer_row([x for x, in cand.data])[1], current)
+            if any(rest):
                 chosen.append(cand)
-                current = stacked
-                rank += 1
+                current.append(_primitive(rest))
 
     if preferred is not None:
         if preferred.rows != outer.ambient_dim:
@@ -520,9 +548,7 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None,
     try_candidates(fill)
     if len(chosen) != want:
         raise AssertionError("complement construction failed to fill the outer space")
-    if not chosen:
-        return Mat.zeros(outer.ambient_dim, 0)
-    return Mat.hstack(*chosen)
+    return Mat.hstack(Mat.zeros(outer.ambient_dim, 0), *chosen)
 
 
 def solve_right(a: Mat, b_rhs: Mat) -> Mat | None:

@@ -503,7 +503,7 @@ def _unit_span(dim: int, idx) -> Subspace:
     ident = Mat.identity(dim)
     basis = (Mat.hstack(*[ident.col(j) for j in cols])
              if cols else Mat.zeros(dim, 0))
-    return Subspace(dim, basis, canonical=True)
+    return Subspace(dim, basis)
 
 
 def decoupled_wong_pattern_ok(sys: SystemTriple, sizes: QpffBlockSizes) -> bool:
@@ -520,13 +520,6 @@ def decoupled_wong_pattern_ok(sys: SystemTriple, sizes: QpffBlockSizes) -> bool:
             and vstar == _unit_span(sys.n, range(z.n1 + z.n2))
             and meet.image_under(sys.E) == _unit_span(sys.l, range(z.l1))
             and vstar.image_under(sys.E) == _unit_span(sys.l, range(z.l1 + z.l2)))
-
-
-def constrained_input_dim(sys: SystemTriple, sizes: QpffBlockSizes) -> int:
-    """dim(im B n ({0}^{l1+l2} x Q^{l3})) for a decoupled QPFF."""
-    z = sizes
-    bottom = _unit_span(sys.l, range(z.l1 + z.l2, sys.l))
-    return image_basis(sys.B).intersect(bottom).dim
 
 
 # --------------------------------------------------------------------------

@@ -11,13 +11,12 @@ the controllability structure of the system: V* is the (augmented)
 consistency space and V* n W* the reachability space.  A^{-1}, E^{-1} denote
 preimages of subspaces, not matrix inverses; E and A need not be square.
 
-One step is computed fused, on integer rows, as
-
-    V^{i+1} = proj_n ker [A, -E basis(V^i), -B]
-    W^{i+1} = proj_n ker [E, -A basis(W^i), -B]
-
-with proj_n keeping the first n coordinates: one elimination for the kernel
-and one to make its projection a canonical basis.
+A step is the preimage V^{i+1} = ker(P A), with P spanning the left kernel
+of [E V^i | B]: A x lies in E V^i + im B iff every such row annihilates it.
+On integer rows, the B columns of [B | E | A] are eliminated once per chain,
+leaving [P_B E | P_B A]; a step prepends the columns P_B E v, v in V^i,
+eliminates them forward and reads V^{i+1} off the rest canonically (W swaps
+E and A).
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import (Mat, Subspace, _integer_row, _integer_rows, _primitive,
-                     _projected_kernel, image_basis, kernel_basis)
+from .linalg import (Mat, Subspace, _forward, _integer_row, _primitive, _row_kernel,
+                     image_basis)
 
 
 class FieldError(ValueError):
@@ -92,30 +91,26 @@ class WongReport:
         return self.w_chain[-1]
 
 
-def _cleared_rows(sys: SystemTriple) -> list[tuple[list[int], list[int], list[int]]]:
-    """Row i of [A | E | B] times the lcm of its denominators, split into
-    its (A, E, B) parts.  One factor per row leaves every kernel as it is."""
-    out = []
+def _chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
+    """The integer rows [P_B O | P_B M reversed], P_B spanning the left
+    kernel of B; (M, O) is (A, E) for ``main`` 0 and (E, A) for ``main`` 1.
+    Clearing each row of [B | O | M] of denominators keeps its row space."""
+    work = []
     for a, e, b in zip(sys.A.data, sys.E.data, sys.B.data):
-        _, ints = _integer_row(a + e + b)
-        out.append((ints[:sys.n], ints[sys.n:2 * sys.n], ints[2 * sys.n:]))
-    return out
+        m_part, o_part = (e, a) if main else (a, e)
+        work.append(_primitive(_integer_row(b + o_part + m_part[::-1])[1]))
+    return _forward(work, sys.m)
 
 
 def _step(sys: SystemTriple, space: Subspace, rows, main: int) -> Subspace:
-    """One Wong step proj_n ker [M, O basis(space), B] on integer rows.
-
-    (M, O) is (A, E) for ``main`` 0 and (E, A) for ``main`` 1; ``rows`` are
-    the system's ``_cleared_rows``, computed here when None.  The basis
-    columns enter as primitive integer vectors, and the signs of the last
-    two blocks do not change the projected kernel.
-    """
+    """One Wong step M^{-1}(O space + im B) = ker(P M) from the chain's
+    ``_chain_rows`` (computed here when None): forward elimination of the
+    prepended columns P_B O v, v in ``space.rows``, leaves P M, reversed."""
     if rows is None:
-        rows = _cleared_rows(sys)
-    vecs = _integer_rows(zip(*space.basis.data))
-    work = [_primitive(row[main] + [sum(map(mul, row[1 - main], v)) for v in vecs] + row[2])
-            for row in rows]
-    return _projected_kernel(work, sys.n + len(vecs) + sys.m, sys.n)
+        rows = _chain_rows(sys, main)
+    n = sys.n
+    work = [_primitive([sum(map(mul, row, v)) for v in space.rows] + row[n:]) for row in rows]
+    return _row_kernel(_forward(work, space.dim), n)
 
 
 def _v_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
@@ -126,8 +121,7 @@ def _w_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
     return _step(sys, space, rows, 1)
 
 
-def _iterate(sys: SystemTriple, start: Subspace, step) -> list[Subspace]:
-    rows = _cleared_rows(sys)
+def _iterate(sys: SystemTriple, start: Subspace, step, rows) -> list[Subspace]:
     chain = [start]
     for _ in range(sys.n + 1):
         nxt = step(sys, chain[-1], rows)
@@ -143,12 +137,12 @@ def v_sequence(sys: SystemTriple) -> list[Subspace]:
     The stabilized element appears exactly once, so the last list entry is V*
     and the termination index is len - 1.
     """
-    return _iterate(sys, Subspace.full(sys.n), _v_step)
+    return _iterate(sys, Subspace.full(sys.n), _v_step, _chain_rows(sys, 0))
 
 
 def w_sequence(sys: SystemTriple) -> list[Subspace]:
     """The increasing chain W^0 < W^1 < ... up to and including the limit."""
-    return _iterate(sys, Subspace.zero(sys.n), _w_step)
+    return _iterate(sys, Subspace.zero(sys.n), _w_step, _chain_rows(sys, 1))
 
 
 def wong_limits(sys: SystemTriple) -> WongReport:
@@ -233,7 +227,3 @@ def augmented_projection_check(sys: SystemTriple, limits: WongReport | None = No
     return (aug.v_limit.image_under(proj) == own.v_limit and
             aug.w_limit.image_under(proj) == own.w_limit)
 
-
-def kernel_in_w_limit(sys: SystemTriple) -> bool:
-    """ker E is always absorbed by W*; exposed for property testing."""
-    return wong_limits(sys).w_limit.contains(kernel_basis(sys.E))

@@ -3,6 +3,13 @@
 These are the plain row-update RREF and inner-product matrix product that
 touch every entry, zeros included.  The library kernels skip zero entries;
 on every input they must return exactly the same Fractions.
+
+The subspace lattice is kept here in its Fraction form too: every span is
+the reduced column echelon basis that the dense RREF of the spanning
+columns gives, and kernels, intersections, images, preimages, complements
+and inverses are composed from dense RREFs and dense products.  The library
+runs the lattice on canonical integer rows; its ``Subspace.basis`` must
+equal these bases exactly.
 """
 
 from fractions import Fraction
@@ -47,3 +54,81 @@ def dense_matmul(a: Mat, b: Mat) -> Mat:
         out.append([sum(x * y for x, y in zip(row, bc)) for bc in bcols]
                    if b.rows else [Fraction(0)] * b.cols)
     return Mat(a.rows, b.cols, out)
+
+
+def columns(n: int, vecs) -> Mat:
+    """The n x len(vecs) matrix with the given columns."""
+    vecs = list(vecs)
+    return Mat(n, len(vecs), [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(n)])
+
+
+def dense_rank(m: Mat) -> int:
+    return dense_rref(m)[2]
+
+
+def dense_span(n: int, spanning: Mat) -> Mat:
+    """The reduced column echelon basis of the columns of ``spanning``."""
+    r, _, rank = dense_rref(spanning.T)
+    return columns(n, r.data[:rank])
+
+
+def dense_kernel(m: Mat) -> Mat:
+    r, pivots, _ = dense_rref(m)
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r.data[i][f]
+        vecs.append(v)
+    return dense_span(m.cols, columns(m.cols, vecs))
+
+
+def dense_sum(n: int, x: Mat, y: Mat) -> Mat:
+    return dense_span(n, Mat.hstack(x, y))
+
+
+def dense_intersect(n: int, x: Mat, y: Mat) -> Mat:
+    """Through the kernel of [x, -y]: x times its first block spans x n y."""
+    ker = dense_kernel(Mat.hstack(x, -y))
+    return dense_span(n, dense_matmul(x, ker.sub(0, x.cols, 0, ker.cols)))
+
+
+def dense_image(m: Mat, x: Mat) -> Mat:
+    return dense_span(m.rows, dense_matmul(m, x))
+
+
+def dense_preimage(m: Mat, x: Mat) -> Mat:
+    """Through the kernel of [m, -x], projected onto its first block."""
+    ker = dense_kernel(Mat.hstack(m, -x))
+    return dense_span(m.cols, ker.sub(0, m.cols, 0, ker.cols))
+
+
+def dense_complement(inner: Mat, outer: Mat, preferred: Mat | None = None,
+                     variant: int = 0) -> Mat:
+    """The greedy complement on canonical bases ``inner`` within ``outer``:
+    ``preferred`` columns inside ``outer`` first, then the columns of
+    ``outer`` (reversed for ``variant`` 1), each taken when it raises the
+    rank of the columns taken so far."""
+    n = outer.rows
+    cands = [] if preferred is None else [
+        preferred.col(j) for j in range(preferred.cols)
+        if dense_rank(Mat.hstack(outer, preferred.col(j))) == outer.cols]
+    fill = [outer.col(j) for j in range(outer.cols)]
+    chosen, current = [], inner
+    for cand in cands + (fill[::-1] if variant else fill):
+        stacked = Mat.hstack(current, cand)
+        if len(chosen) < outer.cols - inner.cols and dense_rank(stacked) > current.cols:
+            chosen.append(cand)
+            current = stacked
+    return Mat.hstack(Mat.zeros(n, 0), *chosen)
+
+
+def dense_inverse(a: Mat) -> Mat | None:
+    """The right half of the dense RREF of [a, I], or None when a is singular."""
+    n = a.rows
+    r, pivots, _ = dense_rref(Mat.hstack(a, Mat(n, n, [[int(i == j) for j in range(n)]
+                                                        for i in range(n)])))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return r.sub(0, n, n, 2 * n)

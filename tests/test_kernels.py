@@ -1,12 +1,17 @@
-"""The zero-skipping rref and matrix product against the dense oracle."""
+"""The integer kernels against the dense Fraction oracle: rref, the matrix
+product, the inverse and the subspace lattice."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from daeforms import Mat, rref
-from dense_oracle import dense_matmul, dense_rref
-from randgen import make_rng
+from daeforms import Mat, Subspace, complement, kernel_basis, preimage, rref
+from dense_oracle import (dense_complement, dense_image, dense_intersect, dense_inverse,
+                          dense_kernel, dense_matmul, dense_preimage, dense_rank,
+                          dense_rref, dense_span, dense_sum)
+from randgen import make_rng, rand_invertible
 
 ZERO_SHARES = (0.0, 0.3, 0.6, 0.9)
 
@@ -100,3 +105,130 @@ class TestMatmulAgainstDense:
         got = a @ b
         assert got.shape == (r, c)
         assert got == dense_matmul(a, b)
+
+
+class TestInverseAgainstDense:
+    def test_invertible(self):
+        rng = make_rng(800)
+        for _ in range(40):
+            n = rng.randint(0, 6)
+            a = dense_matmul(rand_invertible(rng, n), Mat(n, n, [
+                [F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) if i == j else 0
+                 for j in range(n)] for i in range(n)]))
+            assert a.inv() == dense_inverse(a)
+            assert all(type(x) is F for row in a.inv().data for x in row)
+
+    def test_singular_raises(self):
+        rng = make_rng(801)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            a = low_rank_mat(rng, n, n, rng.randint(0, n - 1), rng.choice(ZERO_SHARES))
+            assert dense_inverse(a) is None
+            with pytest.raises(ValueError, match="singular"):
+                a.inv()
+
+
+def assert_canonical(s: Subspace):
+    """Primitive integer rows with positive pivots, zero in the other rows'
+    pivot columns, pivots increasing."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in s.rows]
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(s.rows, pivots):
+        assert all(type(x) is int for x in row) and len(row) == s.ambient_dim
+        assert row[p] > 0 and gcd(*row) == 1
+        assert all(other[p] == 0 for other in s.rows if other is not row)
+
+
+def assert_lattice_matches(n: int, x: Mat, y: Mat, m: Mat, preferred: Mat):
+    """Every lattice operation on spans of the columns of x and y against the
+    dense Fraction route; m maps Q^n somewhere, preferred lives in Q^n."""
+    s, t = Subspace(n, x), Subspace(n, y)
+    for space, spanning in ((s, x), (t, y)):
+        assert_canonical(space)
+        assert space.basis == dense_span(n, spanning)
+    assert s.sum(t).basis == dense_sum(n, x, y)
+    assert s.intersect(t).basis == dense_intersect(n, x, y)
+    assert s.contains(t) == (dense_rank(Mat.hstack(x, y)) == dense_rank(x))
+    assert s.image_under(m).basis == dense_image(m, x)
+    assert kernel_basis(m).basis == dense_kernel(m)
+    image = t.image_under(m)
+    assert preimage(m, image).basis == dense_preimage(m, dense_image(m, y))
+    outer = s.sum(t)
+    for variant in (0, 1):
+        for pref in (None, preferred):
+            want = dense_complement(s.basis, outer.basis, pref, variant)
+            assert complement(s, outer, pref, variant=variant) == want
+    for space in (s.sum(t), s.intersect(t), s.image_under(m), kernel_basis(m),
+                  preimage(m, image)):
+        assert_canonical(space)
+
+
+class TestLatticeAgainstDense:
+    """The integer lattice against the Fraction route: seeded cases over
+    sparse, dense, large-denominator and negative-pivot spanning sets, the
+    edge spaces, and a hypothesis property."""
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_random_spans(self, zero_share):
+        rng = make_rng(int(zero_share * 100) + 810)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            x = low_rank_mat(rng, n, rng.randint(0, n + 1), rng.randint(0, n), zero_share)
+            y = sparse_mat(rng, n, rng.randint(0, n + 1), zero_share)
+            m = low_rank_mat(rng, rng.randint(0, 5), n, rng.randint(0, n), zero_share)
+            assert_lattice_matches(n, x, y, m, sparse_mat(rng, n, 3, zero_share))
+
+    def test_large_denominators(self):
+        rng = make_rng(820)
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            x = sparse_mat(rng, n, rng.randint(0, n), 0.3, big=True)
+            y = sparse_mat(rng, n, rng.randint(0, n), 0.3, big=True)
+            m = sparse_mat(rng, rng.randint(1, 5), n, 0.3, big=True)
+            assert_lattice_matches(n, x, y, m, sparse_mat(rng, n, 2, 0.3, big=True))
+
+    def test_negative_pivots(self):
+        # spanning vectors whose first nonzero entries are negative must give
+        # the same canonical rows as their negations
+        rng = make_rng(821)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            x = sparse_mat(rng, n, rng.randint(1, n), 0.3)
+            flipped = Mat(n, x.cols, [[-abs(v) if v else v for v in row] for row in x.data])
+            assert Subspace(n, x) == Subspace(n, -x)
+            assert_canonical(Subspace(n, flipped))
+            assert_lattice_matches(n, flipped, -x, -sparse_mat(rng, 2, n, 0.3), -x)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_zero_and_full_spaces(self, n):
+        rng = make_rng(822 + n)
+        zero, ident = Mat.zeros(n, 0), Mat(n, n, [[int(i == j) for j in range(n)]
+                                                   for i in range(n)])
+        assert Subspace.zero(n) == Subspace(n, zero) == Subspace(n, Mat.zeros(n, 2))
+        assert Subspace.full(n) == Subspace(n, ident) == kernel_basis(Mat.zeros(2, n))
+        assert kernel_basis(ident) == Subspace.zero(n)
+        other = sparse_mat(rng, n, 2, 0.3)
+        for x in (zero, ident, other):
+            for y in (zero, ident, other):
+                assert_lattice_matches(n, x, y, sparse_mat(rng, 2, n, 0.3), other)
+
+    def test_complement_prefers_given_columns(self):
+        outer = Subspace.full(3)
+        inner = Subspace(3, Mat.from_rows([[1], [1], [1]]))
+        preferred = Mat.from_rows([[2, 0], [2, 0], [2, 1]])
+        got = complement(inner, outer, preferred, variant=1)
+        assert got == dense_complement(inner.basis, outer.basis, preferred, 1)
+        assert got.col(0) == preferred.col(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(0, 5))
+        entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=9))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        assert_lattice_matches(n, mat(n, data.draw(st.integers(0, n + 1))),
+                               mat(n, data.draw(st.integers(0, n + 1))),
+                               mat(data.draw(st.integers(0, 4)), n), mat(n, 2))

@@ -253,6 +253,29 @@ class TestSolveRight:
             assert (a @ x - b).is_zero()
 
 
+class TestConstantConstructors:
+    """zeros, identity and block_diag are built from shared constants; they
+    must equal what the validating constructor builds."""
+
+    def test_match_validated_constructor(self):
+        for r, c in ((0, 0), (0, 3), (3, 0), (2, 3)):
+            assert Mat.zeros(r, c) == Mat(r, c, [[0] * c for _ in range(r)])
+        for n in range(4):
+            assert Mat.identity(n) == Mat(n, n, [[int(i == j) for j in range(n)]
+                                                 for i in range(n)])
+        blocks = (Mat.from_rows([[1, F(1, 2)]]), Mat.zeros(0, 2), Mat.from_rows([[3], [4]]))
+        assert Mat.block_diag(*blocks) == Mat(3, 5, [[1, F(1, 2), 0, 0, 0],
+                                                     [0, 0, 0, 0, 3], [0, 0, 0, 0, 4]])
+        for m in (Mat.zeros(2, 3), Mat.identity(3), Mat.block_diag(*blocks)):
+            assert all(type(x) is F for row in m.data for x in row)
+
+    @pytest.mark.parametrize("build", [lambda: Mat.zeros(-1, 2), lambda: Mat.zeros(2, -1),
+                                       lambda: Mat.identity(-1)])
+    def test_negative_sizes_raise(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestZeroDimensionMatrices:
     def test_shapes(self):
         z1 = Mat.zeros(0, 3)

@@ -262,7 +262,8 @@ class TestDecoupleQpff:
             decouple_qpff(dec.transformed, z, failed)
 
     def test_decoupled_wong_pattern_and_input_dim(self):
-        from daeforms.pfeedback import constrained_input_dim, decoupled_wong_pattern_ok
+        from daeforms.pfeedback import decoupled_wong_pattern_ok
+        from oracles import constrained_input_dim
         rng = make_rng(58)
         for _ in range(10):
             dec = compute_qpff(rand_system(rng, 4, 4, 2))

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from daeforms import (Mat, SystemTriple, Subspace, augmented_projection_check,
                       check_limit_identities, image_basis, kernel_basis, preimage,
                       v_sequence, w_sequence, wong_limits)
-from daeforms.wong import _v_step, _w_step, augmented_system, kernel_in_w_limit
+from daeforms.wong import _v_step, _w_step, augmented_system
 from golden import SYS763, V1_BASIS, W1_BASIS, W2_BASIS
+from oracles import kernel_in_w_limit
 from randgen import make_rng, rand_mat, rand_system
 
 
