@@ -15,13 +15,13 @@ from .wong import (SystemTriple, WongReport, augmented_projection_check,
 from .sylvester import (TwoEqInstance, find_reduction_lambda,
                         gen_sylvester_always_solvable, reduce_to_gen_sylvester,
                         solve_gen_sylvester, solve_two_equations)
-from .pfeedback import (BasisSelection, PffData, PTransform, QpffBlockSizes,
+from .pfeedback import (BasisSelection, PffData, PDTransform, PTransform, QpffBlockSizes,
                         QpffDecomposition, apply_p_transform, classify_controllability,
                         compose_p, compute_qpff, decouple_qpff, invert_p,
                         make_canonical_blocks, select_bases, verify_pff, verify_qpff)
-from .pdfeedback import (PdffData, PDTransform, QpdffBlockSizes, QpdffDecomposition,
-                         apply_pd_transform, compose_pd, compute_qpdff, decouple_qpdff,
-                         decoupled_wong_pattern_ok, invert_pd, make_pdff_template,
+from .pdfeedback import (PdffData, QpdffBlockSizes, QpdffDecomposition,
+                         apply_pd_transform, compute_qpdff, decouple_qpdff,
+                         decoupled_wong_pattern_ok, make_pdff_template,
                          pff_to_pdff, verify_pdff, verify_qpdff)
 
 __version__ = "0.1.0"

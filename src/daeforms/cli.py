@@ -13,7 +13,7 @@ import argparse
 import sys as _sys
 
 from . import pdfeedback, pfeedback, sysio, wong
-from .linalg import Mat, Subspace
+from .linalg import Subspace
 from .sysio import ParseError
 
 
@@ -130,15 +130,9 @@ def cmd_verify(args, out) -> int:
     doc = sysio.parse_document(_read(args.data))
     form = args.form
 
-    if form in ("pff", "qpff"):
-        if not isinstance(witness, pfeedback.PTransform):
-            raise witness_doc.error("F_D", "P-feedback forms need a witness without F_D")
-        transformed = pfeedback.apply_p_transform(system, witness)
-    else:
-        if isinstance(witness, pfeedback.PTransform):
-            witness = pdfeedback.PDTransform(witness.S, witness.T, witness.V,
-                                             witness.F_P, Mat.zeros(system.m, system.n))
-        transformed = pdfeedback.apply_pd_transform(system, witness)
+    if form in ("pff", "qpff") and isinstance(witness, pdfeedback.PDTransform):
+        raise witness_doc.error("F_D", "P-feedback forms need a witness without F_D")
+    transformed = pfeedback.apply_p_transform(system, witness)
 
     if form == "pff":
         ok = pfeedback.verify_pff(transformed, sysio.parse_pff_data(doc))

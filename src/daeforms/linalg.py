@@ -115,8 +115,12 @@ class Mat:
         return [self.col(j) for j in range(self.cols)]
 
     def sub(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        """Submatrix with rows r0:r1 and columns c0:c1 (half-open)."""
-        return Mat(r1 - r0, c1 - c0, [row[c0:c1] for row in self.data[r0:r1]])
+        """Submatrix with rows r0:r1 and columns c0:c1 (half-open); needs
+        0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ValueError(f"slice [{r0}:{r1}, {c0}:{c1}] is outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        return Mat._trusted(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.data[r0:r1]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -146,16 +150,17 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Mat._trusted(self.rows, self.cols, tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Mat._trusted(self.rows, self.cols, tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self.data])
+        return Mat._trusted(self.rows, self.cols, tuple(tuple(-a for a in row)
+                                                        for row in self.data))
 
     def __mul__(self, scalar) -> "Mat":
         s = _q(scalar)
@@ -563,7 +568,7 @@ def solve_right(a: Mat, b_rhs: Mat) -> Mat | None:
     n = a.cols
     if any(p >= n for p in pivots):
         return None
-    out = [[Q(0)] * b_rhs.cols for _ in range(n)]
+    out = [(_ZERO,) * b_rhs.cols] * n
     for i, p in enumerate(pivots):
-        out[p] = list(r.data[i][n:])
-    return Mat(n, b_rhs.cols, out)
+        out[p] = r.data[i][n:]
+    return Mat._trusted(n, b_rhs.cols, tuple(out))

@@ -12,6 +12,11 @@ every effective input is shifted into a dedicated bottom block row where it
 is constrained to zero.  The canonical PD-feedback form (PDFF) refines the
 diagonal blocks into shift and nilpotent chains.
 
+The PD group contains the P group, so the witness algebra is the one of
+``pfeedback``: a P witness acts as a PD witness with F_D = 0, and
+``apply_pd_transform`` is ``pfeedback.apply_p_transform``.  The QPDFF
+shares the QPFF's state-basis split, block slicing and decoupling skeleton.
+
 Chain orientation differs between the two template families on purpose: the
 PDFF writes its underdetermined chains with the derivative on the leading
 states and the free state last, which is what the golden transformation
@@ -21,72 +26,19 @@ data pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .linalg import Mat, Q, Subspace, complement, image_basis, kernel_basis, solve_right
-from .pencils import full_rank_all_finite, pencil
-from .sylvester import TwoEqInstance, solve_two_equations
+from .pencils import full_rank_all_finite
+from .sylvester import TwoEqInstance
 from .wong import FieldError, SystemTriple, wong_limits
-from .pfeedback import (FormReport, PffData, head_sel, lower_shift,
-                        tail_sel, verify_pff, _multi, _unit_span)
-
-
-# --------------------------------------------------------------------------
-# witnesses
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PDTransform:
-    """A PD-equivalence witness (S, T, V, F_P, F_D)."""
-
-    S: Mat
-    T: Mat
-    V: Mat
-    F_P: Mat
-    F_D: Mat
-
-    def __post_init__(self):
-        for name in ("S", "T", "V"):
-            m = getattr(self, name)
-            if not m.is_invertible():
-                raise FieldError(name, f"witness matrix {name} must be square invertible")
-        shape = (self.V.rows, self.T.rows)
-        for name in ("F_P", "F_D"):
-            if getattr(self, name).shape != shape:
-                raise FieldError(name, "F_P and F_D must be m x n")
-
-    @classmethod
-    def identity(cls, l: int, n: int, m: int) -> "PDTransform":
-        z = Mat.zeros(m, n)
-        return cls(Mat.identity(l), Mat.identity(n), Mat.identity(m), z, z)
-
-
-def apply_pd_transform(sys: SystemTriple, w: PDTransform) -> SystemTriple:
-    """[S(E T + B F_D), S(A T + B F_P), S B V]."""
-    if w.S.cols != sys.l or w.T.rows != sys.n or w.V.rows != sys.m:
-        raise ValueError("witness dimensions do not fit the system")
-    return SystemTriple(
-        w.S @ (sys.E @ w.T + sys.B @ w.F_D),
-        w.S @ (sys.A @ w.T + sys.B @ w.F_P),
-        w.S @ sys.B @ w.V,
-    )
-
-
-def compose_pd(first: PDTransform, second: PDTransform) -> PDTransform:
-    """The single witness equal to applying ``first`` and then ``second``."""
-    return PDTransform(
-        second.S @ first.S,
-        first.T @ second.T,
-        first.V @ second.V,
-        first.F_P @ second.T + first.V @ second.F_P,
-        first.F_D @ second.T + first.V @ second.F_D,
-    )
-
-
-def invert_pd(w: PDTransform) -> PDTransform:
-    s_inv, t_inv, v_inv = w.S.inv(), w.T.inv(), w.V.inv()
-    return PDTransform(s_inv, t_inv, v_inv,
-                       -(v_inv @ w.F_P @ t_inv), -(v_inv @ w.F_D @ t_inv))
+from .pfeedback import (FormReport, PDTransform, PffData, compose_p, head_sel, lower_shift,
+                        tail_sel, verify_pff, _blocks, _below_triangle_zero,
+                        _check_decoupled, _check_template_data, _cuts, _multi,
+                        _solve_coupling, _state_split, _unitriangular, _unit_span,
+                        _wong_pattern_ok)
+from .pfeedback import apply_p_transform as apply_pd_transform
 
 
 # --------------------------------------------------------------------------
@@ -104,13 +56,7 @@ class PdffData:
     r: int
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            idx = tuple(int(k) for k in getattr(self, name))
-            object.__setattr__(self, name, idx)
-            if any(k < 1 for k in idx):
-                raise FieldError(name, f"multi-index {name} must contain positive integers")
-        if self.a_cbar.rows != self.a_cbar.cols:
-            raise FieldError("A_cbar", "the uncontrollable block must be square")
+        _check_template_data(self, ("alpha", "beta", "gamma"))
         if self.r < 0:
             raise FieldError("r", "rank of B cannot be negative")
 
@@ -211,18 +157,14 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
     carries.
     """
     rep = wong_limits(sys)
-    vstar, wstar = rep.v_limit, rep.w_limit
-    meet = vstar.intersect(wstar)
+    meet, u_t, r_t, o_t = _state_split(sys, rep, variant)
     im_b = image_basis(sys.B)
-    u_t = meet.basis
-    r_t = complement(meet, vstar, variant=variant)
-    o_t = complement(vstar, Subspace.full(sys.n), variant=variant)
     n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
 
     q_s = im_b.basis
     outer1 = meet.image_under(sys.E).sum(im_b)
     u_s = complement(im_b, outer1, variant=variant)
-    outer2 = vstar.image_under(sys.E).sum(im_b)
+    outer2 = rep.v_limit.image_under(sys.E).sum(im_b)
     r_s = complement(outer1, outer2, variant=variant)
     o_s = complement(outer2, Subspace.full(sys.l), variant=variant)
     l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
@@ -251,38 +193,17 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
     return QpdffDecomposition(transformed, witness, sizes, report)
 
 
-def _qpdff_blocks(sys: SystemTriple, z: QpdffBlockSizes):
-    r1, r2, r3 = z.l1, z.l1 + z.l2, z.l1 + z.l2 + z.l3
-    c1, c2 = z.n1, z.n1 + z.n2
-    return {
-        "E11": sys.E.sub(0, r1, 0, c1), "E22": sys.E.sub(r1, r2, c1, c2),
-        "E33": sys.E.sub(r2, r3, c2, sys.n),
-        "A11": sys.A.sub(0, r1, 0, c1), "A22": sys.A.sub(r1, r2, c1, c2),
-        "A33": sys.A.sub(r2, r3, c2, sys.n),
-        "E12": sys.E.sub(0, r1, c1, c2), "E13": sys.E.sub(0, r1, c2, sys.n),
-        "E23": sys.E.sub(r1, r2, c2, sys.n),
-        "A12": sys.A.sub(0, r1, c1, c2), "A13": sys.A.sub(0, r1, c2, sys.n),
-        "A23": sys.A.sub(r1, r2, c2, sys.n),
-        "Bhat": sys.B.sub(r3, sys.l, z.m1, sys.m),
-    }
-
-
 def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
     """Check the QPDFF zero pattern and the four block conditions."""
     if not sizes.fits(sys):
         raise ValueError("block sizes do not sum to the system dimensions")
     z = sizes
-    blk = _qpdff_blocks(sys, z)
-    r1, r2, r3 = z.l1, z.l1 + z.l2, z.l1 + z.l2 + z.l3
+    rows, cols = _cuts(z)
+    blk = _blocks(sys, rows, cols)
+    r3 = rows[3]
     checks: list[tuple[str, bool]] = []
 
-    pattern = True
-    for mat in (sys.E, sys.A):
-        pattern = (pattern
-                   and mat.sub(r1, sys.l, 0, z.n1).is_zero()
-                   and mat.sub(r2, sys.l, z.n1, z.n1 + z.n2).is_zero()
-                   and mat.sub(r3, sys.l, 0, sys.n).is_zero())
-    pattern = (pattern
+    pattern = (_below_triangle_zero(sys, rows, cols)
                and sys.B.sub(0, r3, 0, sys.m).is_zero()
                and sys.B.sub(r3, sys.l, 0, z.m1).is_zero())
     checks.append(("zero_pattern", pattern))
@@ -292,14 +213,14 @@ def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
     else:
         ok1 = (z.l1 < z.n1
                and blk["E11"].rank() == z.l1
-               and full_rank_all_finite(pencil(blk["E11"], blk["A11"]), z.l1, "row"))
+               and full_rank_all_finite(blk["E11"], blk["A11"], z.l1, "row"))
         checks.append(("block1_underdetermined", ok1))
 
     checks.append(("block2_ode", blk["E22"].is_invertible()))
     checks.append(("block3_trivial",
-                   full_rank_all_finite(pencil(blk["E33"], blk["A33"]), z.n3, "column")))
+                   full_rank_all_finite(blk["E33"], blk["A33"], z.n3, "column")))
     checks.append(("input_block_invertible",
-                   blk["Bhat"].is_invertible() and sys.B.rank() == z.m2))
+                   sys.B.sub(r3, sys.l, z.m1, sys.m).is_invertible() and sys.B.rank() == z.m2))
     return FormReport(tuple(checks))
 
 
@@ -317,48 +238,26 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
     if not report.ok:
         raise ValueError(f"input is not in QPDFF: {report.failures()}")
     z = sizes
-    blk = _qpdff_blocks(sys, z)
+    rows, cols = _cuts(z)
+    blk = _blocks(sys, rows, cols)
     e11, e22, e33 = blk["E11"], blk["E22"], blk["E33"]
     a11, a22, a33 = blk["A11"], blk["A22"], blk["A33"]
 
-    sol_g = solve_two_equations(TwoEqInstance(
+    g_t, g_s = _solve_coupling("(1,2)", TwoEqInstance(
         A=a11, B=e22, C=e11, D=a22, E=blk["A12"], F=blk["E12"]))
-    if sol_g is None:
-        raise AssertionError("decoupling system for the (1,2) blocks is unsolvable")
-    g_t, g_s = sol_g
-
-    sol_f = solve_two_equations(TwoEqInstance(
+    f_t, f_s = _solve_coupling("(2,3)", TwoEqInstance(
         A=a22, B=e33, C=e22, D=a33, E=blk["A23"], F=blk["E23"]))
-    if sol_f is None:
-        raise AssertionError("decoupling system for the (2,3) blocks is unsolvable")
-    f_t, f_s = sol_f
-
-    sol_h = solve_two_equations(TwoEqInstance(
+    h_t, h_s = _solve_coupling("(1,3)", TwoEqInstance(
         A=a11, B=e33, C=e11, D=a33,
         E=blk["A12"] @ f_t + blk["A13"], F=blk["E12"] @ f_t + blk["E13"]))
-    if sol_h is None:
-        raise AssertionError("decoupling system for the (1,3) blocks is unsolvable")
-    h_t, h_s = sol_h
 
-    t_w = Mat.vstack(
-        Mat.hstack(Mat.identity(z.n1), g_t, h_t),
-        Mat.hstack(Mat.zeros(z.n2, z.n1), Mat.identity(z.n2), f_t),
-        Mat.hstack(Mat.zeros(z.n3, z.n1), Mat.zeros(z.n3, z.n2), Mat.identity(z.n3)),
-    )
-    left = Mat.block_diag(Mat.vstack(
-        Mat.hstack(Mat.identity(z.l1), -g_s, -h_s),
-        Mat.hstack(Mat.zeros(z.l2, z.l1), Mat.identity(z.l2), -f_s),
-        Mat.hstack(Mat.zeros(z.l3, z.l1), Mat.zeros(z.l3, z.l2), Mat.identity(z.l3)),
-    ), Mat.identity(z.m2))
+    t_w = _unitriangular((z.n1, z.n2, z.n3), g_t, h_t, f_t)
+    left = Mat.block_diag(_unitriangular((z.l1, z.l2, z.l3), -g_s, -h_s, -f_s),
+                          Mat.identity(z.m2))
     zmn = Mat.zeros(sys.m, sys.n)
     witness = PDTransform(left.inv(), t_w, Mat.identity(sys.m), zmn, zmn)
     out = apply_pd_transform(sys, witness)
-
-    ob = _qpdff_blocks(out, z)
-    offdiag_zero = all(ob[k].is_zero() for k in ("E12", "E13", "E23", "A12", "A13", "A23"))
-    diag_kept = all(ob[k] == blk[k] for k in ("E11", "E22", "E33", "A11", "A22", "A33", "Bhat"))
-    if not (offdiag_zero and diag_kept and out.B == sys.B):
-        raise AssertionError("decoupling did not produce the expected block pattern")
+    _check_decoupled(blk, _blocks(out, rows, cols), out.B == sys.B)
     return out, witness
 
 
@@ -370,23 +269,12 @@ def decoupled_wong_pattern_ok(sys: SystemTriple, sizes: QpdffBlockSizes) -> bool
     input-independence of the limits (the chains of [E, A, B] coincide with
     the chains of [E, A, 0]).
     """
-    z = sizes
     rep = wong_limits(sys)
-    vstar, wstar = rep.v_limit, rep.w_limit
-    meet = vstar.intersect(wstar)
-    n, l = sys.n, sys.l
-    ok = (meet == _unit_span(n, range(z.n1))
-          and vstar == _unit_span(n, range(z.n1 + z.n2)))
     im_b = image_basis(sys.B)
-    ok = ok and im_b == _unit_span(l, range(l - z.m2, l))
-    ok = ok and meet.image_under(sys.E).sum(im_b) == _unit_span(
-        l, list(range(z.l1)) + list(range(l - z.m2, l)))
-    ok = ok and vstar.image_under(sys.E).sum(im_b) == _unit_span(
-        l, list(range(z.l1 + z.l2)) + list(range(l - z.m2, l)))
-    inputless = SystemTriple(sys.E, sys.A, Mat.zeros(l, 0))
-    rep0 = wong_limits(inputless)
-    ok = ok and rep0.v_limit == vstar and rep0.w_limit == wstar
-    return ok
+    rep0 = wong_limits(SystemTriple(sys.E, sys.A, Mat.zeros(sys.l, 0)))
+    return (im_b == _unit_span(sys.l, range(sys.l - sizes.m2, sys.l))
+            and _wong_pattern_ok(sys, sizes, rep, im_b)
+            and rep0.v_limit == rep.v_limit and rep0.w_limit == rep.w_limit)
 
 
 # --------------------------------------------------------------------------
@@ -417,19 +305,12 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
     m_free = m - n_beta - n_kappa
 
     # row/column offsets of every block in the template layout
-    def offsets(widths):
-        out, acc = [], 0
-        for w in widths:
-            out.append(acc)
-            acc += w
-        return out, acc
-
     row_widths = ([ai - 1 for ai in a] + [bi for bi in b] + [ncbar]
                   + [gi for gi in g] + [di for di in d] + [ki for ki in k])
     col_widths = ([ai for ai in a] + [bi for bi in b] + [ncbar]
                   + [gi for gi in g] + [di - 1 for di in d] + [ki - 1 for ki in k])
-    row_off, _ = offsets(row_widths)
-    col_off, _ = offsets(col_widths)
+    row_off = list(accumulate(row_widths, initial=0))[:-1]
+    col_off = list(accumulate(col_widths, initial=0))[:-1]
     na = len(a)
     beta_rows = row_off[na:na + n_beta]
     beta_cols = col_off[na:na + n_beta]
@@ -493,7 +374,7 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
 
     second = PDTransform(_perm_matrix(row_order), _perm_matrix(col_order).T,
                          _perm_matrix(input_order).T, Mat.zeros(m, n), Mat.zeros(m, n))
-    witness = compose_pd(first, second)
+    witness = compose_p(first, second)
     new_data = PdffData(
         alpha=a + b,
         a_cbar=data.a_cbar,

@@ -1,7 +1,7 @@
 """Univariate polynomial matrices over Q and exact pencil rank decisions.
 
-``full_rank_all_finite`` decides whether a pencil s*E - A keeps a prescribed
-rank at every finite complex point.  It reads the decision off the Wong
+``full_rank_all_finite(E, A, ...)`` decides whether the pencil s*E - A keeps
+a prescribed rank at every finite complex point.  It reads the decision off the Wong
 limits V*, W* of the input-free triple [E, A, 0]: by the quasi-Kronecker
 form, the rank drops at no finite lambda exactly when V* is contained in
 W*, and the normal rank is n - dim(V* n W*) + dim E(V* n W*).  This is
@@ -287,48 +287,36 @@ def minor_gcd(p: PolyMat, k: int) -> Poly:
     return acc
 
 
-def _coefficients(p: PolyMat) -> tuple[Mat, Mat]:
-    """(E, A) with p = s*E - A; p must have degree at most one."""
-    if p.max_degree() > 1:
-        raise ValueError("a matrix pencil has degree at most one")
+def _rank_from_limits(e: Mat, a: Mat) -> tuple[int, bool]:
+    """(normal rank of s*E - A, whether that rank holds at every finite lambda).
 
-    def coeff(x: Poly, k: int) -> Fraction:
-        return x.coeffs[k] if k < len(x.coeffs) else Q(0)
-    e = Mat(p.rows, p.cols, [[coeff(x, 1) for x in row] for row in p.data])
-    a = Mat(p.rows, p.cols, [[-coeff(x, 0) for x in row] for row in p.data])
-    return e, a
-
-
-def _rank_from_limits(p: PolyMat) -> tuple[int, bool]:
-    """(normal rank of p, whether that rank holds at every finite lambda).
-
-    Read off the Wong limits V*, W* of [E, A, 0] for p = s*E - A: the normal
-    rank is n - dim(V* n W*) + dim E(V* n W*), and the rank drops at some
-    finite lambda exactly when V* is not contained in W*.
+    Read off the Wong limits V*, W* of [E, A, 0]: the normal rank is
+    n - dim(V* n W*) + dim E(V* n W*), and the rank drops at some finite
+    lambda exactly when V* is not contained in W*.
     """
-    e, a = _coefficients(p)
-    free = SystemTriple(e, a, Mat.zeros(p.rows, 0))
+    free = SystemTriple(e, a, Mat.zeros(e.rows, 0))
     vstar, wstar = v_sequence(free)[-1], w_sequence(free)[-1]
     meet = vstar.intersect(wstar)
-    return p.cols - meet.dim + meet.image_under(e).dim, wstar.contains(vstar)
+    return e.cols - meet.dim + meet.image_under(e).dim, wstar.contains(vstar)
 
 
-def full_rank_all_finite(p: PolyMat, target: int, orientation: str | None = None) -> bool:
-    """True iff rank of p(lambda) equals ``target`` for every finite lambda.
+def full_rank_all_finite(e: Mat, a: Mat, target: int, orientation: str | None = None) -> bool:
+    """True iff rank of lambda*E - A equals ``target`` for every finite lambda.
 
-    p is the pencil s*E - A, as built by ``pencil``; a PolyMat of degree
-    above one raises ValueError.  Decided exactly from the Wong limits of
-    [E, A, 0] (see ``_rank_from_limits``): the normal rank must equal
+    E and A must have the same shape.  Decided exactly from the Wong limits
+    of [E, A, 0] (see ``_rank_from_limits``): the normal rank must equal
     ``target`` and must not drop at any finite lambda.  ``orientation`` may
     be "row" or "column" and is validated against the shape.
     """
-    if target > min(p.rows, p.cols):
+    if e.shape != a.shape:
+        raise ValueError("a pencil needs E and A of the same shape")
+    if target > min(e.rows, e.cols):
         raise ValueError("target rank exceeds the matrix dimensions")
-    if orientation == "row" and target != p.rows:
+    if orientation == "row" and target != e.rows:
         raise ValueError("row orientation requires target == rows")
-    if orientation == "column" and target != p.cols:
+    if orientation == "column" and target != e.cols:
         raise ValueError("column orientation requires target == cols")
     if orientation not in (None, "row", "column"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    nrank, no_drop = _rank_from_limits(p)
+    nrank, no_drop = _rank_from_limits(e, a)
     return nrank == target and no_drop

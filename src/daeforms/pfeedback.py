@@ -8,26 +8,31 @@ coordinate change V and a proportional feedback F_P, acting as
 
 This module provides
 
-* the witness algebra (apply, compose, invert),
+* the one witness algebra (apply, compose, invert) of both feedback groups:
+  a PD witness adds derivative feedback F_D, and a P witness acts as a PD
+  witness with F_D = 0,
 * the quasi P-feedback form (QPFF): a block upper triangular decomposition
   into a completely controllable part, an uncontrollable ODE part and a
   trivial-solution part, constructed from the augmented Wong limits,
 * decoupling of a QPFF into block diagonal shape by solving coupled
   Sylvester-type equations,
 * the fully canonical P-feedback form (PFF) as a template verifier built
-  from shift and nilpotent blocks indexed by multi-indices.
+  from shift and nilpotent blocks indexed by multi-indices,
+* the block slicing, state-basis split and decoupling skeleton that
+  ``pdfeedback`` shares for the quasi PD-feedback form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .linalg import (Mat, Q, Subspace, complement, image_basis, kernel_basis,
                      solve_right)
-from .pencils import full_rank_all_finite, pencil
+from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance, solve_two_equations
-from .wong import FieldError, SystemTriple, wong_limits
+from .wong import FieldError, SystemTriple, WongReport, wong_limits
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +63,18 @@ def _multi(mats) -> Mat:
     return Mat.block_diag(*mats) if mats else Mat.zeros(0, 0)
 
 
+def _check_template_data(data, names: tuple[str, ...]):
+    """Normalize the multi-indices ``names`` of frozen template data to int
+    tuples and check them and the square uncontrollable block A_cbar."""
+    for name in names:
+        idx = tuple(int(k) for k in getattr(data, name))
+        object.__setattr__(data, name, idx)
+        if any(k < 1 for k in idx):
+            raise FieldError(name, f"multi-index {name} must contain positive integers")
+    if data.a_cbar.rows != data.a_cbar.cols:
+        raise FieldError("A_cbar", "the uncontrollable block must be square")
+
+
 @dataclass(frozen=True)
 class PffData:
     """Multi-index data (alpha, beta, gamma, delta, kappa) plus the
@@ -71,13 +88,7 @@ class PffData:
     a_cbar: Mat
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "kappa"):
-            idx = getattr(self, name)
-            object.__setattr__(self, name, tuple(int(k) for k in idx))
-            if any(k < 1 for k in getattr(self, name)):
-                raise FieldError(name, f"multi-index {name} must contain positive integers")
-        if self.a_cbar.rows != self.a_cbar.cols:
-            raise FieldError("A_cbar", "the uncontrollable block must be square")
+        _check_template_data(self, ("alpha", "beta", "gamma", "delta", "kappa"))
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         """Total (l, n, m) of the template; m defaults to the minimal width."""
@@ -151,51 +162,74 @@ def verify_pff(sys: SystemTriple, data: PffData) -> bool:
 
 @dataclass(frozen=True)
 class PTransform:
-    """An equivalence witness (S, T, V, F_P); S, T, V are checked invertible."""
+    """An equivalence witness (S, T, V, F_P); S, T, V are checked invertible.
+
+    It acts as a PD witness with F_D = 0, but has no F_D attribute.
+    """
 
     S: Mat
     T: Mat
     V: Mat
     F_P: Mat
 
+    _FEEDBACK = ("F_P",)  # the feedback fields; PDTransform adds F_D
+
     def __post_init__(self):
         for name in ("S", "T", "V"):
             m = getattr(self, name)
             if not m.is_invertible():
                 raise FieldError(name, f"witness matrix {name} must be square invertible")
-        if self.F_P.shape != (self.V.rows, self.T.rows):
-            raise FieldError("F_P", "F_P must be m x n")
+        for name in self._FEEDBACK:
+            if getattr(self, name).shape != (self.V.rows, self.T.rows):
+                raise FieldError(name, " and ".join(self._FEEDBACK) + " must be m x n")
 
     @classmethod
     def identity(cls, l: int, n: int, m: int) -> "PTransform":
-        return cls(Mat.identity(l), Mat.identity(n), Mat.identity(m), Mat.zeros(m, n))
+        return cls(Mat.identity(l), Mat.identity(n), Mat.identity(m),
+                   *(Mat.zeros(m, n) for _ in cls._FEEDBACK))
+
+
+@dataclass(frozen=True)
+class PDTransform(PTransform):
+    """A PD-equivalence witness (S, T, V, F_P, F_D)."""
+
+    F_D: Mat
+
+    _FEEDBACK = ("F_P", "F_D")
 
 
 def apply_p_transform(sys: SystemTriple, w: PTransform) -> SystemTriple:
-    """[S E T, S(A T + B F_P), S B V]."""
+    """[S(E T + B F_D), S(A T + B F_P), S B V], with F_D = 0 for a P witness."""
     if w.S.cols != sys.l or w.T.rows != sys.n or w.V.rows != sys.m:
         raise ValueError("witness dimensions do not fit the system")
+    et = sys.E @ w.T
+    if isinstance(w, PDTransform):
+        et = et + sys.B @ w.F_D
     return SystemTriple(
-        w.S @ sys.E @ w.T,
+        w.S @ et,
         w.S @ (sys.A @ w.T + sys.B @ w.F_P),
         w.S @ sys.B @ w.V,
     )
 
 
 def compose_p(first: PTransform, second: PTransform) -> PTransform:
-    """The single witness equal to applying ``first`` and then ``second``."""
-    return PTransform(
+    """The single witness equal to applying ``first`` and then ``second``;
+    both must be of the same kind, which the result keeps."""
+    if type(first) is not type(second):
+        raise TypeError("cannot compose witnesses of different kinds")
+    return type(first)(
         second.S @ first.S,
         first.T @ second.T,
         first.V @ second.V,
-        first.F_P @ second.T + first.V @ second.F_P,
+        *(getattr(first, k) @ second.T + first.V @ getattr(second, k) for k in first._FEEDBACK),
     )
 
 
 def invert_p(w: PTransform) -> PTransform:
-    """The witness undoing ``w``."""
+    """The witness undoing ``w``, of the same kind."""
     s_inv, t_inv, v_inv = w.S.inv(), w.T.inv(), w.V.inv()
-    return PTransform(s_inv, t_inv, v_inv, -(v_inv @ w.F_P @ t_inv))
+    return type(w)(s_inv, t_inv, v_inv,
+                   *(-(v_inv @ getattr(w, k) @ t_inv) for k in w._FEEDBACK))
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +279,16 @@ class BasisSelection:
         return Mat.hstack(self.U_S, self.R_S, self.O_S)
 
 
+def _state_split(sys: SystemTriple, rep: WongReport,
+                 variant: int) -> tuple[Subspace, Mat, Mat, Mat]:
+    """V* n W* and the state bases U_T, R_T, O_T of both quasi forms:
+    im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n."""
+    vstar = rep.v_limit
+    meet = vstar.intersect(rep.w_limit)
+    return (meet, meet.basis, complement(meet, vstar, variant=variant),
+            complement(vstar, Subspace.full(sys.n), variant=variant))
+
+
 def select_bases(sys: SystemTriple, variant: int = 0) -> BasisSelection:
     """Choose the six splitting bases from the augmented Wong limits.
 
@@ -256,10 +300,7 @@ def select_bases(sys: SystemTriple, variant: int = 0) -> BasisSelection:
     """
     rep = wong_limits(sys)
     vstar, wstar = rep.v_limit, rep.w_limit
-    meet = vstar.intersect(wstar)
-    u_t = meet.basis
-    r_t = complement(meet, vstar, variant=variant)
-    o_t = complement(vstar, Subspace.full(sys.n), variant=variant)
+    _, u_t, r_t, o_t = _state_split(sys, rep, variant)
     ev = vstar.image_under(sys.E)
     awb = wstar.image_under(sys.A).sum(image_basis(sys.B))
     us_space = ev.intersect(awb)
@@ -334,22 +375,34 @@ def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
     return QpffDecomposition(transformed, witness, sizes, report)
 
 
-def _qpff_blocks(sys: SystemTriple, z: QpffBlockSizes):
-    r1, r2 = z.l1, z.l1 + z.l2
-    c1, c2 = z.n1, z.n1 + z.n2
-    b1, b2 = z.m1, z.m1 + z.m2
-    return {
-        "E11": sys.E.sub(0, r1, 0, c1), "E22": sys.E.sub(r1, r2, c1, c2),
-        "E33": sys.E.sub(r2, sys.l, c2, sys.n),
-        "A11": sys.A.sub(0, r1, 0, c1), "A22": sys.A.sub(r1, r2, c1, c2),
-        "A33": sys.A.sub(r2, sys.l, c2, sys.n),
-        "E12": sys.E.sub(0, r1, c1, c2), "E13": sys.E.sub(0, r1, c2, sys.n),
-        "E23": sys.E.sub(r1, r2, c2, sys.n),
-        "A12": sys.A.sub(0, r1, c1, c2), "A13": sys.A.sub(0, r1, c2, sys.n),
-        "A23": sys.A.sub(r1, r2, c2, sys.n),
-        "B11": sys.B.sub(0, r1, 0, b1), "B13": sys.B.sub(0, r1, b2, sys.m),
-        "B33": sys.B.sub(r2, sys.l, b2, sys.m),
-    }
+def _cuts(z) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column cuts of the E/A block rows l1, l2, l3 and columns n1,
+    n2, n3; the QPDFF has its input block row below the last row cut."""
+    return (tuple(accumulate((z.l1, z.l2, z.l3), initial=0)),
+            tuple(accumulate((z.n1, z.n2, z.n3), initial=0)))
+
+
+def _blocks(sys: SystemTriple, rows, cols) -> dict[str, Mat]:
+    """E_ij and A_ij, i <= j, of the block triangle cut at ``rows``/``cols``."""
+    return {f"{key}{i + 1}{j + 1}": mat.sub(rows[i], rows[i + 1], cols[j], cols[j + 1])
+            for key, mat in (("E", sys.E), ("A", sys.A))
+            for i in range(3) for j in range(i, 3)}
+
+
+def _below_triangle_zero(sys: SystemTriple, rows, cols) -> bool:
+    """E and A vanish below the block triangle: column block j is zero from
+    block row j + 1 down to the last row, rows under the last cut included."""
+    return all(mat.sub(rows[j + 1], sys.l, cols[j], cols[j + 1]).is_zero()
+               for mat in (sys.E, sys.A) for j in range(3))
+
+
+def _qpff_blocks(sys: SystemTriple, z: QpffBlockSizes) -> dict[str, Mat]:
+    rows, cols = _cuts(z)
+    _, r1, r2, _ = rows
+    b2 = z.m1 + z.m2
+    return {**_blocks(sys, rows, cols),
+            "B11": sys.B.sub(0, r1, 0, z.m1), "B13": sys.B.sub(0, r1, b2, sys.m),
+            "B33": sys.B.sub(r2, sys.l, b2, sys.m)}
 
 
 def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
@@ -364,16 +417,14 @@ def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
     if not sizes.fits(sys):
         raise ValueError("block sizes do not sum to the system dimensions")
     z = sizes
+    rows, cols = _cuts(z)
     blk = _qpff_blocks(sys, z)
-    r1, r2 = z.l1, z.l1 + z.l2
+    _, r1, r2, _ = rows
     b1, b2 = z.m1, z.m1 + z.m2
     checks: list[tuple[str, bool]] = []
 
     pattern = (
-        sys.E.sub(r1, sys.l, 0, z.n1).is_zero()
-        and sys.A.sub(r1, sys.l, 0, z.n1).is_zero()
-        and sys.E.sub(r2, sys.l, z.n1, z.n1 + z.n2).is_zero()
-        and sys.A.sub(r2, sys.l, z.n1, z.n1 + z.n2).is_zero()
+        _below_triangle_zero(sys, rows, cols)
         and sys.B.sub(0, r1, b1, b2).is_zero()
         and sys.B.sub(r1, r2, 0, sys.m).is_zero()
         and sys.B.sub(r2, sys.l, 0, b2).is_zero()
@@ -388,16 +439,43 @@ def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
         ok1 = (z.l1 < z.n1 + z.m1
                and blk["E11"].rank() == z.l1
                and blk["B11"].rank() == z.m1
-               and full_rank_all_finite(pencil(aug_e, aug_a), z.l1, "row"))
+               and full_rank_all_finite(aug_e, aug_a, z.l1, "row"))
         checks.append(("block1_controllable", ok1))
 
     checks.append(("block2_ode", blk["E22"].is_invertible()))
 
     aug_e3 = Mat.hstack(blk["E33"], Mat.zeros(z.l3, z.m3))
-    aug_a3 = Mat.hstack(blk["A33"], sys.B.sub(r2, sys.l, b2, sys.m))
+    aug_a3 = Mat.hstack(blk["A33"], blk["B33"])
     checks.append(("block3_trivial",
-                   full_rank_all_finite(pencil(aug_e3, aug_a3), z.n3 + z.m3, "column")))
+                   full_rank_all_finite(aug_e3, aug_a3, z.n3 + z.m3, "column")))
     return FormReport(tuple(checks))
+
+
+def _solve_coupling(blocks: str, inst: TwoEqInstance) -> tuple[Mat, Mat]:
+    """solve_two_equations for the coupling that clears the ``blocks``
+    off-diagonal blocks; a verified quasi form always makes it solvable."""
+    sol = solve_two_equations(inst)
+    if sol is None:
+        raise AssertionError(f"decoupling system for the {blocks} blocks is unsolvable")
+    return sol
+
+
+def _unitriangular(sizes: tuple[int, int, int], x12: Mat, x13: Mat, x23: Mat) -> Mat:
+    """[[I, x12, x13], [0, I, x23], [0, 0, I]] with identities of ``sizes``."""
+    k1, k2, k3 = sizes
+    return Mat.vstack(
+        Mat.hstack(Mat.identity(k1), x12, x13),
+        Mat.hstack(Mat.zeros(k2, k1), Mat.identity(k2), x23),
+        Mat.hstack(Mat.zeros(k3, k1), Mat.zeros(k3, k2), Mat.identity(k3)),
+    )
+
+
+def _check_decoupled(before: dict[str, Mat], after: dict[str, Mat], inputs_ok: bool = True):
+    """Raise unless every off-diagonal block Xij (i != j) of ``after`` is
+    zero, every diagonal block equals that of ``before`` and ``inputs_ok``."""
+    if not (inputs_ok and all(m == before[k] if k[1] == k[2] else m.is_zero()
+                              for k, m in after.items())):
+        raise AssertionError("decoupling did not produce the expected block pattern")
 
 
 def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
@@ -423,24 +501,18 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
     e1_ext = Mat.hstack(e11, Mat.zeros(z.l1, z.m1))
 
     # first coupling: clear the (1,2) blocks
-    sol_g = solve_two_equations(TwoEqInstance(
+    yg, g_s = _solve_coupling("(1,2)", TwoEqInstance(
         A=a1_ext, B=e22, C=e1_ext, D=a22, E=blk["A12"], F=blk["E12"]))
-    if sol_g is None:
-        raise AssertionError("decoupling system for the (1,2) blocks is unsolvable")
-    yg, g_s = sol_g
     g_t_x = yg.sub(0, z.n1, 0, z.n2)
     g_t_u = yg.sub(z.n1, z.n1 + z.m1, 0, z.n2)
 
     # second coupling: clear the (2,3) blocks; the relaxed input column of the
     # unknown is forced to zero by the invertibility of E22
-    sol_f = solve_two_equations(TwoEqInstance(
+    yf, f_s = _solve_coupling("(2,3)", TwoEqInstance(
         A=a22, B=Mat.hstack(e33, Mat.zeros(z.l3, z.m3)), C=e22,
         D=Mat.hstack(a33, -b33),
         E=Mat.hstack(blk["A23"], Mat.zeros(z.l2, z.m3)),
         F=Mat.hstack(blk["E23"], Mat.zeros(z.l2, z.m3))))
-    if sol_f is None:
-        raise AssertionError("decoupling system for the (2,3) blocks is unsolvable")
-    yf, f_s = sol_f
     f_t_x = yf.sub(0, z.n2, 0, z.n3)
     if not yf.sub(0, z.n2, z.n3, z.n3 + z.m3).is_zero():
         raise AssertionError("relaxed input correction should vanish")
@@ -463,25 +535,14 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
     h_s_u = b13
     a13_t = blk["A12"] @ f_t_x + blk["A13"]
     e13_t = blk["E12"] @ f_t_x + blk["E13"] + h_s_u @ e33_u
-    sol_h = solve_two_equations(TwoEqInstance(
+    yh, h_s_x = _solve_coupling("(1,3)", TwoEqInstance(
         A=a1_ext, B=e33_x, C=e1_ext, D=a33_x, E=a13_t, F=e13_t))
-    if sol_h is None:
-        raise AssertionError("decoupling system for the (1,3) blocks is unsolvable")
-    yh, h_s_x = sol_h
     h_t_x = yh.sub(0, z.n1, 0, z.n3)
     h_t_u = yh.sub(z.n1, z.n1 + z.m1, 0, z.n3)
     h_s = Mat.hstack(h_s_x, h_s_u) @ r33_inv
 
-    t_w = Mat.vstack(
-        Mat.hstack(Mat.identity(z.n1), g_t_x, h_t_x),
-        Mat.hstack(Mat.zeros(z.n2, z.n1), Mat.identity(z.n2), f_t_x),
-        Mat.hstack(Mat.zeros(z.n3, z.n1), Mat.zeros(z.n3, z.n2), Mat.identity(z.n3)),
-    )
-    left = Mat.vstack(
-        Mat.hstack(Mat.identity(z.l1), -g_s, -h_s),
-        Mat.hstack(Mat.zeros(z.l2, z.l1), Mat.identity(z.l2), -f_s),
-        Mat.hstack(Mat.zeros(z.l3, z.l1), Mat.zeros(z.l3, z.l2), Mat.identity(z.l3)),
-    )
+    t_w = _unitriangular((z.n1, z.n2, z.n3), g_t_x, h_t_x, f_t_x)
+    left = _unitriangular((z.l1, z.l2, z.l3), -g_s, -h_s, -f_s)
     f_hat = Mat.vstack(
         Mat.hstack(Mat.zeros(z.m1, z.n1), g_t_u, h_t_u),
         Mat.zeros(z.m2 + z.m3, sys.n),
@@ -489,12 +550,7 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
     witness = PTransform(left.inv(), t_w, Mat.identity(sys.m), -f_hat)
     out = apply_p_transform(sys, witness)
 
-    zb = _qpff_blocks(out, z)
-    offdiag_zero = all(zb[k].is_zero() for k in ("E12", "E13", "E23", "A12", "A13", "A23", "B13"))
-    diag_kept = all(zb[k] == blk[k] for k in ("E11", "E22", "E33", "A11", "A22", "A33",
-                                              "B11", "B33"))
-    if not (offdiag_zero and diag_kept):
-        raise AssertionError("decoupling did not produce the expected block pattern")
+    _check_decoupled(blk, _qpff_blocks(out, z))
     return out, witness
 
 
@@ -506,20 +562,28 @@ def _unit_span(dim: int, idx) -> Subspace:
     return Subspace(dim, basis)
 
 
+def _wong_pattern_ok(sys: SystemTriple, z, rep: WongReport, im_b: Subspace) -> bool:
+    """The Wong limits ``rep`` of sys give V* n W* = Q^{n1} x 0 and
+    V* = Q^{n1+n2} x 0, and E(V* n W*) + im_b and E V* + im_b are spanned by
+    the first l1, resp. l1 + l2, unit vectors and the last dim(im_b) ones."""
+    vstar = rep.v_limit
+    meet = vstar.intersect(rep.w_limit)
+    n, l = sys.n, sys.l
+    tail = list(range(l - im_b.dim, l))
+    return (meet == _unit_span(n, range(z.n1))
+            and vstar == _unit_span(n, range(z.n1 + z.n2))
+            and meet.image_under(sys.E).sum(im_b) == _unit_span(l, list(range(z.l1)) + tail)
+            and vstar.image_under(sys.E).sum(im_b) == _unit_span(
+                l, list(range(z.l1 + z.l2)) + tail))
+
+
 def decoupled_wong_pattern_ok(sys: SystemTriple, sizes: QpffBlockSizes) -> bool:
     """The coordinate-aligned Wong limit pattern of a decoupled QPFF.
 
     Checks V* n W* = Q^{n1} x 0, V* = Q^{n1+n2} x 0, and their images
     E(V* n W*) = Q^{l1} x 0 and E V* = Q^{l1+l2} x 0.
     """
-    z = sizes
-    rep = wong_limits(sys)
-    vstar, wstar = rep.v_limit, rep.w_limit
-    meet = vstar.intersect(wstar)
-    return (meet == _unit_span(sys.n, range(z.n1))
-            and vstar == _unit_span(sys.n, range(z.n1 + z.n2))
-            and meet.image_under(sys.E) == _unit_span(sys.l, range(z.l1))
-            and vstar.image_under(sys.E) == _unit_span(sys.l, range(z.l1 + z.l2)))
+    return _wong_pattern_ok(sys, sizes, wong_limits(sys), Subspace.zero(sys.l))
 
 
 # --------------------------------------------------------------------------

@@ -204,11 +204,14 @@ def parse_pdff_data(doc: Document) -> PdffData:
 
 
 def _size_lists(doc: Document, lengths: tuple[int, ...], message: str) -> list[int]:
-    """l_sizes, n_sizes and m_sizes, concatenated, after checking their lengths."""
+    """l_sizes, n_sizes and m_sizes, concatenated, after checking their
+    lengths and signs."""
     lists = [(key, doc.require_ints(key)) for key in ("l_sizes", "n_sizes", "m_sizes")]
     for (key, vals), length in zip(lists, lengths):
         if len(vals) != length:
             raise doc.error(key, message)
+        if any(v < 0 for v in vals):
+            raise doc.error(key, "block sizes must be non-negative")
     return [v for _, vals in lists for v in vals]
 
 

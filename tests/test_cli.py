@@ -5,10 +5,12 @@ import os
 
 import pytest
 
-from daeforms import Mat, pdfeedback, pfeedback, sysio, wong
+from daeforms import (Mat, PDTransform, PTransform, SystemTriple, pdfeedback, pfeedback,
+                      sysio, wong)
 from daeforms.cli import main
 from daeforms.sysio import ParseError, parse_document, parse_system, parse_witness
-from golden import SYS763
+from golden import (PDFF_A, PDFF_B, PDFF_E, PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E,
+                    QPDFF_SIZES, SYS763)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -62,6 +64,10 @@ class TestParsing:
         base = ("S: 1x1\n1\nT: 1x1\n1\nV: 1x1\n1\nF_P: 1x1\n0\n")
         assert isinstance(parse_witness(base), PTransform)
         assert isinstance(parse_witness(base + "F_D: 1x1\n0\n"), PDTransform)
+
+    def test_p_witness_is_written_without_f_d(self):
+        assert "F_D" not in sysio.format_witness(PTransform.identity(2, 2, 1))
+        assert "F_D: 1x2" in sysio.format_witness(PDTransform.identity(2, 2, 1))
 
     def test_missing_key(self):
         with pytest.raises(ParseError):
@@ -141,6 +147,19 @@ class TestSemanticErrorLines:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: line 3: QPFF sizes need three entries per dimension\n")
+
+    @pytest.mark.parametrize("form,text", [
+        ("qpff", "# sizes\nl_sizes: -1 4 4\nn_sizes: 3 1 2\nm_sizes: 1 0 2\n"),
+        ("qpdff", "# sizes\nl_sizes: -1 3 2\nn_sizes: 3 1 2\nm_sizes: 0 3\n"),
+    ], ids=["qpff", "qpdff"])
+    def test_cli_negative_block_size(self, form, text, tmp_path, capsys):
+        data = tmp_path / "sizes.data"
+        data.write_text(text)
+        code, _ = run_cli("verify", path("sigma763.system"),
+                          "--witness", path("sigma763_pff.witness"),
+                          "--form", form, "--data", str(data))
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: block sizes must be non-negative\n"
 
     def test_cli_pd_witness_for_p_form(self, capsys):
         with open(path("sigma763_pdff.witness"), encoding="utf-8") as fh:
@@ -315,6 +334,50 @@ class TestVerifyCommand:
                              "--data", str(out))
         assert code == 0
         assert "verify qpdff: pass" in text
+
+
+class TestPWitnessForPdForms:
+    """A P witness checks a PD form exactly as the same witness with an
+    explicit zero F_D does."""
+
+    @pytest.mark.parametrize("form,system,witness,data,code", [
+        ("pdff", SystemTriple(PDFF_E, PDFF_A, PDFF_B), None, "sigma763_pdff.data", 0),
+        ("pdff", SYS763, PFF_WITNESS, "sigma763_pdff.data", 1),
+        ("qpdff", SystemTriple(QPDFF_E, QPDFF_A, QPDFF_B), None, None, 0),
+        ("qpdff", SYS763, PFF_WITNESS, None, 1),
+    ], ids=["pdff-pass", "pdff-fail", "qpdff-pass", "qpdff-fail"])
+    def test_same_stdout_as_explicit_zero_f_d(self, form, system, witness, data, code,
+                                              tmp_path):
+        if witness is None:
+            witness = PTransform.identity(system.l, system.n, system.m)
+        if data is None:
+            data = tmp_path / "sizes.data"
+            data.write_text("\n".join(sysio.format_int_list(key, vals) for key, vals in (
+                ("l_sizes", QPDFF_SIZES[:3]), ("n_sizes", QPDFF_SIZES[3:6]),
+                ("m_sizes", QPDFF_SIZES[6:]))) + "\n")
+        else:
+            data = path(data)
+        sys_file = tmp_path / "x.system"
+        sys_file.write_text(sysio.format_system(system))
+        results = []
+        for w in (witness, PDTransform(witness.S, witness.T, witness.V, witness.F_P,
+                                       Mat.zeros(system.m, system.n))):
+            w_file = tmp_path / "x.witness"
+            w_file.write_text(sysio.format_witness(w))
+            results.append(run_cli("verify", str(sys_file), "--witness", str(w_file),
+                                   "--form", form, "--data", str(data)))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+
+    @pytest.mark.parametrize("form,data", [("pff", "sigma763_pff.data"),
+                                           ("pdff", "sigma763_pdff.data")])
+    def test_misfit_p_witness_gives_one_message(self, form, data, tmp_path, capsys):
+        w_file = tmp_path / "small.witness"
+        w_file.write_text(sysio.format_witness(PTransform.identity(1, 1, 1)))
+        code, _ = run_cli("verify", path("sigma763.system"), "--witness", str(w_file),
+                          "--form", form, "--data", path(data))
+        assert code == 2
+        assert capsys.readouterr().err == "error: witness dimensions do not fit the system\n"
 
 
 class TestInternalError:

@@ -276,6 +276,31 @@ class TestConstantConstructors:
             build()
 
 
+class TestTrustedResults:
+    """sub, +, -, unary - and solve_right skip re-validating their results;
+    those must equal what the validating constructor builds."""
+
+    M = Mat.from_rows([[1, F(1, 2), 0], [F(-3, 4), 2, 5]])
+    N = Mat.from_rows([[F(1, 3), 0, -1], [1, 1, F(1, 4)]])
+
+    def test_match_validated_constructor(self):
+        m, n = self.M, self.N
+        assert m.sub(0, 2, 1, 3) == Mat(2, 2, [[F(1, 2), 0], [2, 5]])
+        assert m.sub(1, 1, 0, 3) == Mat(0, 3) and m.sub(0, 2, 2, 2) == Mat(2, 0)
+        pairs = [list(zip(r, s)) for r, s in zip(m.data, n.data)]
+        assert m + n == Mat(2, 3, [[a + b for a, b in row] for row in pairs])
+        assert m - n == Mat(2, 3, [[a - b for a, b in row] for row in pairs])
+        assert -m == Mat(2, 3, [[-a for a in row] for row in m.data])
+        x = solve_right(Mat.from_rows([[1, 1, 0], [0, 0, 2]]), Mat.from_rows([[2], [1]]))
+        assert x == Mat(3, 1, [[2], [0], [F(1, 2)]])
+
+    @pytest.mark.parametrize("bounds", [(1, 0, 0, 1), (0, 1, 2, 1), (-1, 1, 0, 1),
+                                        (0, 1, -1, 1), (0, 3, 0, 1), (0, 1, 0, 4)])
+    def test_sub_rejects_bad_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            self.M.sub(*bounds)
+
+
 class TestZeroDimensionMatrices:
     def test_shapes(self):
         z1 = Mat.zeros(0, 3)

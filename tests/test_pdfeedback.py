@@ -2,10 +2,10 @@
 
 import pytest
 
-from daeforms import (Mat, PdffData, PDTransform, PffData, QpdffBlockSizes,
+from daeforms import (Mat, PdffData, PDTransform, PffData, PTransform, QpdffBlockSizes,
                       SystemTriple, apply_p_transform, apply_pd_transform,
-                      compose_pd, compute_qpdff, compute_qpff, decouple_qpdff,
-                      decoupled_wong_pattern_ok, invert_pd, make_canonical_blocks,
+                      compose_p, compute_qpdff, compute_qpff, decouple_qpdff,
+                      decoupled_wong_pattern_ok, invert_p, make_canonical_blocks,
                       make_pdff_template, pff_to_pdff, v_sequence, verify_pdff,
                       verify_qpdff, w_sequence)
 from daeforms.pfeedback import lower_shift
@@ -49,8 +49,24 @@ class TestApplyPdTransform:
         w1 = rand_pd_transform(rng, sys.l, sys.n, sys.m)
         w2 = rand_pd_transform(rng, sys.l, sys.n, sys.m)
         assert (apply_pd_transform(apply_pd_transform(sys, w1), w2)
-                == apply_pd_transform(sys, compose_pd(w1, w2)))
-        assert apply_pd_transform(apply_pd_transform(sys, w1), invert_pd(w1)) == sys
+                == apply_pd_transform(sys, compose_p(w1, w2)))
+        assert apply_pd_transform(apply_pd_transform(sys, w1), invert_p(w1)) == sys
+
+
+    def test_algebra_keeps_the_witness_kind(self):
+        from randgen import rand_p_transform
+        rng = make_rng(69)
+        w1 = rand_pd_transform(rng, 3, 4, 2)
+        w2 = rand_pd_transform(rng, 3, 4, 2)
+        wp = rand_p_transform(rng, 3, 4, 2)
+        assert type(compose_p(w1, w2)) is PDTransform
+        assert type(invert_p(w1)) is PDTransform
+        for w in (compose_p(wp, wp), invert_p(wp)):
+            assert type(w) is PTransform and not hasattr(w, "F_D")
+        with pytest.raises(TypeError):
+            compose_p(wp, w1)
+        with pytest.raises(TypeError):
+            compose_p(w1, wp)
 
 
 class TestComputeQpdff:
@@ -121,6 +137,15 @@ class TestVerifyQpdff:
         broken = SystemTriple(got.E, Mat(got.l, got.n, data), got.B)
         report = verify_qpdff(broken, QPDFF_SIZES)
         assert "zero_pattern" in report.failures()
+
+    def test_entry_under_the_last_column_block_fails(self):
+        # the input block row lies below the E/A block triangle in every
+        # column block, the last one included
+        got = apply_pd_transform(SYS763, QPDFF_WITNESS)
+        data = [list(row) for row in got.E.data]
+        data[got.l - 1][got.n - 1] = 1
+        broken = SystemTriple(Mat(got.l, got.n, data), got.A, got.B)
+        assert "zero_pattern" in verify_qpdff(broken, QPDFF_SIZES).failures()
 
     def test_sizes_must_sum(self):
         with pytest.raises(ValueError):

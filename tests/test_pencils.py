@@ -114,20 +114,19 @@ class TestDeterminant:
 
 class TestFullRankAllFinite:
     def test_drop_at_zero(self):
-        p = PolyMat(1, 1, [[Poly((0, 1))]])
-        assert not full_rank_all_finite(p, 1)
+        assert not full_rank_all_finite(Mat.identity(1), Mat.zeros(1, 1), 1)
 
     def test_constant_minor_wins(self):
-        p = PolyMat(1, 2, [[Poly((0, 1)), Poly((-1,))]])
-        assert full_rank_all_finite(p, 1, "row")
+        # [s, -1]
+        assert full_rank_all_finite(Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]]), 1, "row")
 
     def test_golden_leading_block(self):
         z = QPFF_SIZES
         e11 = QPFF_E.sub(0, z.l1, 0, z.n1)
         a11 = QPFF_A.sub(0, z.l1, 0, z.n1)
         b11 = QPFF_B.sub(0, z.l1, 0, z.m1)
-        aug = pencil(Mat.hstack(e11, Mat.zeros(z.l1, z.m1)), Mat.hstack(a11, b11))
-        assert full_rank_all_finite(aug, z.l1, "row")
+        assert full_rank_all_finite(Mat.hstack(e11, Mat.zeros(z.l1, z.m1)),
+                                    Mat.hstack(a11, b11), z.l1, "row")
 
     def test_invertible_e_always_fails(self):
         # a square pencil with invertible E always has finite eigenvalues
@@ -136,15 +135,16 @@ class TestFullRankAllFinite:
             k = rng.randint(1, 4)
             e = rand_invertible(rng, k)
             a = rand_mat(rng, k, k)
-            assert not full_rank_all_finite(pencil(e, a), k, "row")
+            assert not full_rank_all_finite(e, a, k, "row")
 
     def test_sampling_agrees_with_gcd_route(self):
         rng = make_rng(23)
         for _ in range(40):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             target = min(rows, cols)
-            p = pencil(rand_mat(rng, rows, cols), rand_mat(rng, rows, cols))
-            got = full_rank_all_finite(p, target)
+            e, a = rand_mat(rng, rows, cols), rand_mat(rng, rows, cols)
+            p = pencil(e, a)
+            got = full_rank_all_finite(e, a, target)
             # sampling oracle at more points than the minor degrees allow roots
             bound = target + 2
             sampled = all(p.eval_at(x).rank() == target for x in range(-bound, bound + 1))
@@ -154,16 +154,20 @@ class TestFullRankAllFinite:
                 assert not got
 
     def test_orientation_validation(self):
-        p = pencil(Mat.identity(2), Mat.zeros(2, 2))
+        e, a = Mat.identity(2), Mat.zeros(2, 2)
         with pytest.raises(ValueError):
-            full_rank_all_finite(p, 1, "row")
+            full_rank_all_finite(e, a, 1, "row")
         with pytest.raises(ValueError):
-            full_rank_all_finite(p, 3)
+            full_rank_all_finite(e, a, 3)
 
     def test_zero_target_degenerate(self):
-        assert full_rank_all_finite(PolyMat(3, 0, [(), (), ()]), 0)
-        assert full_rank_all_finite(PolyMat(0, 3, []), 0)
-        assert not full_rank_all_finite(pencil(Mat.identity(1), Mat.zeros(1, 1)), 0)
+        assert full_rank_all_finite(Mat.zeros(3, 0), Mat.zeros(3, 0), 0)
+        assert full_rank_all_finite(Mat.zeros(0, 3), Mat.zeros(0, 3), 0)
+        assert not full_rank_all_finite(Mat.identity(1), Mat.zeros(1, 1), 0)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            full_rank_all_finite(Mat.zeros(2, 2), Mat.zeros(2, 3), 2)
 
 
 class TestMinorGcd:
@@ -217,7 +221,7 @@ def kronecker_pencil(blocks) -> tuple[Mat, Mat]:
     return Mat.block_diag(*es), Mat.block_diag(*as_)
 
 
-def rand_kronecker_pencil(rng) -> PolyMat:
+def rand_kronecker_pencil(rng) -> tuple[Mat, Mat]:
     blocks = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.choice(("L", "LT", "N", "J"))
@@ -225,15 +229,15 @@ def rand_kronecker_pencil(rng) -> PolyMat:
         blocks.append((kind, k, rng.randint(-2, 2)))
     e, a = kronecker_pencil(blocks)
     s, t = rand_invertible(rng, e.rows), rand_invertible(rng, e.cols)
-    return pencil(s @ e @ t, s @ a @ t)
+    return s @ e @ t, s @ a @ t
 
 
-def rand_sparse_pencil(rng, rows: int, cols: int, zero_share: float) -> PolyMat:
+def rand_sparse_pencil(rng, rows: int, cols: int, zero_share: float) -> tuple[Mat, Mat]:
     def entry():
         return 0 if rng.random() < zero_share else rng.randint(-2, 2)
     e = Mat(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
     a = Mat(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
-    return pencil(e, a)
+    return e, a
 
 
 def seeded_pencils():
@@ -255,15 +259,16 @@ def small_pencils(draw):
     grid = st.lists(st.lists(entry, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
     e, a = draw(grid), draw(grid)
-    return pencil(Mat(rows, cols, e), Mat(rows, cols, a))
+    return Mat(rows, cols, e), Mat(rows, cols, a)
 
 
 class TestWongDecision:
     def test_agrees_with_minor_gcd_on_seeded_pencils(self):
         decided = positive = 0
-        for p in seeded_pencils():
+        for e, a in seeded_pencils():
+            p = pencil(e, a)
             for target in range(min(p.rows, p.cols) + 1):
-                got = full_rank_all_finite(p, target)
+                got = full_rank_all_finite(e, a, target)
                 assert got == minor_gcd_decision(p, target), (p, target)
                 decided += 1
                 positive += got
@@ -271,18 +276,20 @@ class TestWongDecision:
 
     @settings(max_examples=150, deadline=None)
     @given(small_pencils(), st.data())
-    def test_agrees_with_minor_gcd_property(self, p, data):
-        target = data.draw(st.integers(0, min(p.rows, p.cols)))
-        assert full_rank_all_finite(p, target) == minor_gcd_decision(p, target)
+    def test_agrees_with_minor_gcd_property(self, ea, data):
+        e, a = ea
+        target = data.draw(st.integers(0, min(e.rows, e.cols)))
+        assert full_rank_all_finite(e, a, target) == minor_gcd_decision(pencil(e, a), target)
 
     def test_normal_rank_formula_matches_bareiss(self):
-        for p in seeded_pencils():
-            assert _rank_from_limits(p)[0] == normal_rank(p)
+        for e, a in seeded_pencils():
+            assert _rank_from_limits(e, a)[0] == normal_rank(pencil(e, a))
 
     @settings(max_examples=150, deadline=None)
     @given(small_pencils())
-    def test_normal_rank_formula_property(self, p):
-        assert _rank_from_limits(p)[0] == normal_rank(p)
+    def test_normal_rank_formula_property(self, ea):
+        e, a = ea
+        assert _rank_from_limits(e, a)[0] == normal_rank(pencil(e, a))
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 12, 20])
     def test_stacked_pencil_and_its_twin(self, k):
@@ -292,14 +299,8 @@ class TestWongDecision:
         ident, zero = Mat.identity(k), Mat.zeros(k, k)
         shift = Mat(k, k, [[int(j == i + 1) for j in range(k)] for i in range(k)])
         e = Mat.vstack(ident, zero)
-        stacked = pencil(e, Mat.vstack(zero, ident))
-        twin = pencil(e, Mat.vstack(ident * 9, shift))
-        assert full_rank_all_finite(stacked, k, "column")
-        assert not full_rank_all_finite(twin, k, "column")
-        assert full_rank_all_finite(pencil(e.T, Mat.vstack(zero, ident).T), k, "row")
-        assert not full_rank_all_finite(pencil(e.T, Mat.vstack(ident * 9, shift).T), k, "row")
-
-    def test_degree_two_raises(self):
-        p = PolyMat(1, 2, [[Poly((0, 0, 1)), Poly.ONE]])
-        with pytest.raises(ValueError):
-            full_rank_all_finite(p, 1, "row")
+        stacked, twin = Mat.vstack(zero, ident), Mat.vstack(ident * 9, shift)
+        assert full_rank_all_finite(e, stacked, k, "column")
+        assert not full_rank_all_finite(e, twin, k, "column")
+        assert full_rank_all_finite(e.T, stacked.T, k, "row")
+        assert not full_rank_all_finite(e.T, twin.T, k, "row")
