@@ -2,7 +2,7 @@
 
 The package decomposes triples [E, A, B] over Q into quasi P-feedback and
 quasi PD-feedback forms via augmented Wong sequences, decouples those forms
-by solving generalized Sylvester equations, and verifies fully canonical
+by solving coupled Sylvester equations, and verifies fully canonical
 P/PD-feedback forms against explicit transformation witnesses.  All
 arithmetic is exact rational.
 """
@@ -12,9 +12,7 @@ from .linalg import (Mat, Q, Subspace, complement, image_basis, kernel_basis,
 from .pencils import Poly, PolyMat, full_rank_all_finite, minor_gcd, normal_rank, pencil
 from .wong import (SystemTriple, WongReport, augmented_projection_check,
                    check_limit_identities, v_sequence, w_sequence, wong_limits)
-from .sylvester import (TwoEqInstance, find_reduction_lambda,
-                        gen_sylvester_always_solvable, reduce_to_gen_sylvester,
-                        solve_gen_sylvester, solve_two_equations)
+from .sylvester import TwoEqInstance, solve_two_equations
 from .pfeedback import (BasisSelection, PffData, PDTransform, PTransform, QpffBlockSizes,
                         QpffDecomposition, apply_p_transform, classify_controllability,
                         compose_p, compute_qpff, decouple_qpff, invert_p,

@@ -52,9 +52,33 @@ def cmd_wong(args, out) -> int:
     return 0
 
 
-def _write_output(path: str, chunks: list[str]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(chunks))
+def _finish_quasi_form(args, out, title: str, dec, m_sizes: tuple[int, ...],
+                       decouple, decoupled_ok) -> int:
+    """The common end of ``qpff`` and ``qpdff``: with --decouple, decouple
+    the form, print whether ``decoupled_ok`` accepts the result and add the
+    decoupled triple to the --output file.  A failed decoupling returns 1
+    and writes no file; otherwise the exit code is that of the form's own
+    check."""
+    z = dec.block_sizes
+    chunks = [f"# {title} of {args.input}",
+              sysio.format_int_list("l_sizes", (z.l1, z.l2, z.l3)),
+              sysio.format_int_list("n_sizes", (z.n1, z.n2, z.n3)),
+              sysio.format_int_list("m_sizes", m_sizes),
+              sysio.format_system(dec.transformed).rstrip("\n"),
+              sysio.format_witness(dec.witness).rstrip("\n")]
+    if args.decouple:
+        decoupled = decouple(dec.transformed, z, dec.report)[0]
+        ok = decoupled_ok(decoupled, z)
+        print(f"decoupled: {'ok' if ok else 'FAILED'}", file=out)
+        chunks.append("# decoupled triple")
+        for key, mat in (("E_dec", decoupled.E), ("A_dec", decoupled.A), ("B_dec", decoupled.B)):
+            chunks.append(sysio.format_matrix(key, mat))
+        if not ok:
+            return 1
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(chunks + [""]))
+    return 0 if dec.report.ok else 1
 
 
 def cmd_qpff(args, out) -> int:
@@ -73,24 +97,9 @@ def cmd_qpff(args, out) -> int:
             print(f"  Sigma_{{{li},{ni},{mi}}}: {label}", file=out)
         print(f"  redundant input directions (dim ker B): {cls.m_kernel}", file=out)
         print(f"  constrained input directions: {cls.m_constrained}", file=out)
-    chunks = [f"# quasi P-feedback form of {args.input}",
-              sysio.format_int_list("l_sizes", (z.l1, z.l2, z.l3)),
-              sysio.format_int_list("n_sizes", (z.n1, z.n2, z.n3)),
-              sysio.format_int_list("m_sizes", (z.m1, z.m2, z.m3)),
-              sysio.format_system(dec.transformed).rstrip("\n"),
-              sysio.format_witness(dec.witness).rstrip("\n")]
-    if args.decouple:
-        decoupled, extra = pfeedback.decouple_qpff(dec.transformed, z, report)
-        dec_report = pfeedback.verify_qpff(decoupled, z)
-        print(f"decoupled: {'ok' if dec_report.ok else 'FAILED'}", file=out)
-        chunks.append("# decoupled triple")
-        for key, mat in (("E_dec", decoupled.E), ("A_dec", decoupled.A), ("B_dec", decoupled.B)):
-            chunks.append(sysio.format_matrix(key, mat))
-        if not dec_report.ok:
-            return 1
-    if args.output:
-        _write_output(args.output, chunks + [""])
-    return 0 if report.ok else 1
+    return _finish_quasi_form(
+        args, out, "quasi P-feedback form", dec, (z.m1, z.m2, z.m3), pfeedback.decouple_qpff,
+        lambda decoupled, sizes: pfeedback.verify_qpff(decoupled, sizes).ok)
 
 
 def cmd_qpdff(args, out) -> int:
@@ -103,24 +112,9 @@ def cmd_qpdff(args, out) -> int:
     print(f"n_sizes: {z.n1} {z.n2} {z.n3}", file=out)
     print(f"m_sizes: {z.m1} {z.m2}", file=out)
     print(f"verified: {'ok' if report.ok else 'FAILED'}", file=out)
-    chunks = [f"# quasi PD-feedback form of {args.input}",
-              sysio.format_int_list("l_sizes", (z.l1, z.l2, z.l3)),
-              sysio.format_int_list("n_sizes", (z.n1, z.n2, z.n3)),
-              sysio.format_int_list("m_sizes", (z.m1, z.m2)),
-              sysio.format_system(dec.transformed).rstrip("\n"),
-              sysio.format_witness(dec.witness).rstrip("\n")]
-    if args.decouple:
-        decoupled, _extra = pdfeedback.decouple_qpdff(dec.transformed, z, report)
-        pattern_ok = pdfeedback.decoupled_wong_pattern_ok(decoupled, z)
-        print(f"decoupled: {'ok' if pattern_ok else 'FAILED'}", file=out)
-        chunks.append("# decoupled triple")
-        for key, mat in (("E_dec", decoupled.E), ("A_dec", decoupled.A), ("B_dec", decoupled.B)):
-            chunks.append(sysio.format_matrix(key, mat))
-        if not pattern_ok:
-            return 1
-    if args.output:
-        _write_output(args.output, chunks + [""])
-    return 0 if report.ok else 1
+    return _finish_quasi_form(
+        args, out, "quasi PD-feedback form", dec, (z.m1, z.m2), pdfeedback.decouple_qpdff,
+        pdfeedback.decoupled_wong_pattern_ok)
 
 
 def cmd_verify(args, out) -> int:

@@ -313,6 +313,30 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     return pivots
 
 
+def _back_substitute(work: list[list[int]], pivots: list[int], n: int) -> list[Fraction]:
+    """The solution x of row[:n] . x = row[n], as Fractions with the free
+    variables zero, for the echelon rows ``work`` that
+    ``_echelon(work, n + 1, back=False)`` left with ``pivots``, all left of
+    column n.
+
+    Each row is zero left of its pivot, so working up from the last pivot a
+    row fixes the unknown at its pivot from the ones below it.  The terms of
+    a value are summed over their common denominator, so each value is
+    normalised once.
+    """
+    x = [_ZERO] * n
+    known: list[tuple[int, int, int]] = []  # (column, numerator, denominator)
+    for i in range(len(pivots) - 1, -1, -1):
+        row, pc = work[i], pivots[i]
+        terms = [(row[j], u, d) for j, u, d in known if row[j]]
+        den = lcm(*(d for _, _, d in terms))
+        num = row[n] * den - sum(a * u * (den // d) for a, u, d in terms)
+        if num:
+            v = x[pc] = Q(num, den * row[pc])
+            known.append((pc, v.numerator, v.denominator))
+    return x
+
+
 def _reduced_rows(work: list[list[int]], pivots: list[int]) -> list[tuple[Fraction, ...]]:
     """The nonzero RREF rows as Fractions: each echelon row over its pivot."""
     zero = _ZERO

@@ -1,25 +1,29 @@
-"""Exact solvers for generalized Sylvester equations and coupled pairs.
+"""Exact solver for the coupled Sylvester pair of the decouplings.
 
-Two problem shapes appear in the decoupling of quasi feedback forms:
+Decoupling a quasi feedback form solves the coupled pair
 
-* the generalized Sylvester equation  A X B - C X D = E, and
-* the coupled pair  0 = E + A Y + Z D,  0 = F + C Y + Z B.
+    0 = E + A Y + Z D,  0 = F + C Y + Z B
 
-Both are solved by flattening into one linear system over Q and zeroing the
-free variables, so solutions are deterministic and residuals are exactly
-zero.  The coupled pair additionally admits a classical reduction to a
-single generalized Sylvester equation once some real lambda makes
-lambda*B - D left invertible; that reduction is exposed for cross-checking
-the direct route, not as the primary solver.
+for Y and Z.  The two matrix equations are flattened into one linear system
+in the entries of Y and Z, built directly as primitive integer rows (each
+equation cleared by the lcm of its denominators).  One forward elimination
+(``linalg._echelon`` without back elimination) decides solvability, and one
+back substitution of the right-hand side column gives the solution with the
+free variables zeroed, so solutions are deterministic and residuals are
+exactly zero.
+
+The result is bit-identical to a Gauss-Jordan solve of the same system:
+forward elimination takes the columns left to right, so its pivot columns
+are those of the RREF, the lexicographically first column basis P; with
+the free variables zero the solution is x_P = M_P^-1 b, which is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .linalg import Mat, Q, solve_right
-from .pencils import Poly, minor_gcd, normal_rank, pencil
+from .linalg import Mat, _back_substitute, _echelon, _primitive
 
 
 @dataclass(frozen=True)
@@ -52,155 +56,37 @@ class TwoEqInstance:
                 self.F + self.C @ y + z @ self.B)
 
 
-def solve_gen_sylvester(a: Mat, b: Mat, c: Mat, d: Mat, e: Mat) -> Mat | None:
-    """Some X with a X b - c X d = e, or None when unsolvable.
-
-    Flattened into one linear system in the n*p unknowns of X; free variables
-    are zeroed for determinism.
-    """
-    if a.shape != c.shape or b.shape != d.shape:
-        raise ValueError("coefficient pairs must share shapes")
-    m, n = a.shape
-    p, q = b.shape
-    if e.shape != (m, q):
-        raise ValueError("right-hand side must be m x q")
-    nunk = n * p
-    rows = []
-    rhs = []
-    for i in range(m):
-        for j in range(q):
-            coeff = [Q(0)] * nunk
-            for k in range(n):
-                aik, cik = a.data[i][k], c.data[i][k]
-                if aik == 0 and cik == 0:
-                    continue
-                base = k * p
-                for l in range(p):
-                    coeff[base + l] += aik * b.data[l][j] - cik * d.data[l][j]
-            rows.append(coeff)
-            rhs.append([e.data[i][j]])
-    system = Mat(m * q, nunk, rows)
-    flat = solve_right(system, Mat(m * q, 1, rhs))
-    if flat is None:
-        return None
-    return Mat(n, p, [[flat.data[k * p + l][0] for l in range(p)] for k in range(n)])
-
-
 def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     """Some (Y, Z) satisfying both equations exactly, or None.
 
-    Direct joint flattening of both matrix equations into one linear system
-    in the unknowns of Y and Z.
+    The unknowns are Y row-major (entry (k, j) at k*q + j), then Z row-major
+    (entry (i, l) at n*q + i*p + l); the right-hand side is the last column.
+    Equation (i, j) of 0 = const + coef_Y Y + Z coef_Z reads
+    sum_k coef_Y[i][k] Y[k][j] + sum_l Z[i][l] coef_Z[l][j] = -const[i][j].
     """
     m, n = inst.A.shape
     p, q = inst.B.shape
-    ny, nz = n * q, m * p
-    rows = []
-    rhs = []
-
-    def emit(coefY: Mat, coefZ_right: Mat, const: Mat):
-        # equations 0 = const + coefY . Y + Z . coefZ_right, entrywise
-        for i in range(m):
-            for j in range(q):
-                coeff = [Q(0)] * (ny + nz)
-                for k in range(n):
-                    v = coefY.data[i][k]
-                    if v != 0:
-                        coeff[k * q + j] += v
-                for l in range(p):
-                    v = coefZ_right.data[l][j]
-                    if v != 0:
-                        coeff[ny + i * p + l] += v
-                rows.append(coeff)
-                rhs.append([-const.data[i][j]])
-
-    emit(inst.A, inst.D, inst.E)
-    emit(inst.C, inst.B, inst.F)
-    system = Mat(2 * m * q, ny + nz, rows)
-    flat = solve_right(system, Mat(2 * m * q, 1, rhs))
-    if flat is None:
+    ny = n * q
+    nunk = ny + m * p
+    work = []
+    for coef_y, coef_z, const in ((inst.A, inst.D, inst.E), (inst.C, inst.B, inst.F)):
+        z_cols = [[(l, coef_z.data[l][j]) for l in range(p) if coef_z.data[l][j]]
+                  for j in range(q)]
+        for i, (y_row, c_row) in enumerate(zip(coef_y.data, const.data)):
+            y_terms = [(k * q, v) for k, v in enumerate(y_row) if v]
+            for j, c in enumerate(c_row):
+                terms = ([(base + j, v) for base, v in y_terms]
+                         + [(ny + i * p + l, v) for l, v in z_cols[j]])
+                den = lcm(c.denominator, *(v.denominator for _, v in terms))
+                row = [0] * (nunk + 1)
+                for idx, v in terms:
+                    row[idx] = v.numerator * (den // v.denominator)
+                row[nunk] = -c.numerator * (den // c.denominator)
+                work.append(_primitive(row))
+    pivots = _echelon(work, nunk + 1, back=False)
+    if pivots and pivots[-1] == nunk:
         return None
-    y = Mat(n, q, [[flat.data[k * q + j][0] for j in range(q)] for k in range(n)])
-    z = Mat(m, p, [[flat.data[ny + i * p + l][0] for l in range(p)] for i in range(m)])
+    x = _back_substitute(work, pivots, nunk)
+    y = Mat._trusted(n, q, tuple(tuple(x[k * q:(k + 1) * q]) for k in range(n)))
+    z = Mat._trusted(m, p, tuple(tuple(x[ny + i * p:ny + (i + 1) * p]) for i in range(m)))
     return y, z
-
-
-def left_inverse(m: Mat) -> Mat:
-    """The left inverse (M^T M)^-1 M^T of a full-column-rank matrix."""
-    gram = m.T @ m
-    if not gram.is_invertible():
-        raise ValueError("matrix has no left inverse (column rank deficient)")
-    return gram.inv() @ m.T
-
-
-def right_inverse(m: Mat) -> Mat:
-    """The right inverse M^T (M M^T)^-1 of a full-row-rank matrix."""
-    gram = m @ m.T
-    if not gram.is_invertible():
-        raise ValueError("matrix has no right inverse (row rank deficient)")
-    return m.T @ gram.inv()
-
-
-def reduce_to_gen_sylvester(inst: TwoEqInstance, lam,
-                            transposed: bool = False) -> tuple[Mat, Mat, Mat, Mat, Mat]:
-    """The single generalized Sylvester instance whose solvability implies
-    solvability of the coupled pair.
-
-    Standard route (requires lam*B - D left invertible):
-        A X B - C X D = -E + (lam*E - F) (lam*B - D)^+ D.
-    Transposed route (requires lam*C - A right invertible):
-        A X B - C X D = -F + C (lam*C - A)^+ (lam*F - E).
-
-    Returns the tuple (A, B, C, D, rhs) ready for solve_gen_sylvester.
-    """
-    lam = Fraction(lam)
-    if transposed:
-        pinv = right_inverse(lam * inst.C - inst.A)
-        rhs = -inst.F + inst.C @ pinv @ (lam * inst.F - inst.E)
-    else:
-        pinv = left_inverse(lam * inst.B - inst.D)
-        rhs = -inst.E + (lam * inst.E - inst.F) @ pinv @ inst.D
-    return inst.A, inst.B, inst.C, inst.D, rhs
-
-
-def find_reduction_lambda(inst: TwoEqInstance, transposed: bool = False,
-                          search_limit: int = 64) -> Fraction | None:
-    """The first lambda in 0, 1, -1, 2, -2, ... making the reduction legal."""
-    for k in range(search_limit + 1):
-        for lam in ({0} if k == 0 else (k, -k)):
-            lam = Fraction(lam)
-            if transposed:
-                cand = lam * inst.C - inst.A
-                if cand.rank() == cand.rows:
-                    return lam
-            else:
-                cand = lam * inst.B - inst.D
-                if cand.rank() == cand.cols:
-                    return lam
-    return None
-
-
-def gen_sylvester_always_solvable(a: Mat, b: Mat, c: Mat, d: Mat) -> bool:
-    """Sufficient condition for A X B - C X D = E to be solvable for every E.
-
-    Requires s*C - A to have full polynomial row rank, s*B - D to have full
-    polynomial column rank, and the two pencils to never lose rank at a
-    common point of C u {inf}; rank at infinity uses the convention
-    rank(inf*M - N) = rank(M).  The orientation matters: without it the
-    flattened operator need not be surjective even when both pencils have
-    full normal rank and disjoint drop sets.
-    """
-    m = a.rows
-    q = b.cols
-    pc = pencil(c, a)
-    pb = pencil(b, d)
-    if normal_rank(pc) != m or normal_rank(pb) != q:
-        return False
-    g1 = minor_gcd(pc, m)
-    g2 = minor_gcd(pb, q)
-    common = Poly.gcd(g1, g2)
-    if not (common.is_constant() and not common.is_zero()):
-        return False
-    drop_inf_c = c.rank() < m
-    drop_inf_b = b.rank() < q
-    return not (drop_inf_c and drop_inf_b)

@@ -18,7 +18,10 @@ A matrix header is followed by exactly ROWS data lines of COLS entries each;
 matrices with zero rows or zero columns have no data lines at all.  Entries
 are exact rationals written as an optional minus sign, digits, and an
 optional /denominator with positive denominator ("7", "-2", "5/3").  Floats
-are rejected, as is any denominator of zero.
+are rejected, as is any denominator of zero.  Digits are the ASCII digits
+0-9 only, and a number may have no more digits than the interpreter
+converts to an int (sys.get_int_max_str_digits); anything else is a parse
+error at its line.
 
 Systems use the keys E, A, B.  Witnesses use S, T, V, F_P and, for the PD
 kind, F_D.  Form data files use alpha/beta/gamma/delta/kappa, A_cbar, r, and
@@ -45,11 +48,23 @@ class ParseError(ValueError):
         self.line = line
 
 
-_MATRIX_HEADER = re.compile(r"^(\w+):\s*(\d+)x(\d+)\s*$")
+_MATRIX_HEADER = re.compile(r"^(\w+):\s*([0-9]+)x([0-9]+)\s*$")
 _KEY_LINE = re.compile(r"^(\w+):(.*)$")
-_RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+_INTEGER = re.compile(r"^-?[0-9]+$")
 
 _TEXT_KEYS = ("name", "description")
+
+
+def _int(digits: str, lineno: int) -> int:
+    """int(digits) for ASCII digits with an optional minus sign, or a
+    ParseError at ``lineno`` when there are more digits than the interpreter
+    converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(lineno, f"number with {len(digits.lstrip('-'))} digits "
+                                 f"is too long") from None
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -57,10 +72,11 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"not an exact rational: {token!r}")
     if "/" in token:
         num, den = token.split("/")
-        if int(den) == 0:
+        den = _int(den, lineno)
+        if den == 0:
             raise ParseError(lineno, f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(_int(num, lineno), den)
+    return Fraction(_int(token, lineno))
 
 
 class Document:
@@ -122,7 +138,8 @@ def parse_document(text: str) -> Document:
             continue
         header = _MATRIX_HEADER.match(stripped)
         if header and header.group(1) not in _TEXT_KEYS:
-            key, rows, cols = header.group(1), int(header.group(2)), int(header.group(3))
+            key = header.group(1)
+            rows, cols = _int(header.group(2), lineno), _int(header.group(3), lineno)
             claim(key, lineno)
             i += 1
             grid = []
@@ -154,9 +171,9 @@ def parse_document(text: str) -> Document:
                 continue
             values = []
             for tok in rest.split():
-                if not re.match(r"^-?\d+$", tok):
+                if not _INTEGER.match(tok):
                     raise ParseError(lineno, f"expected integers after {key!r}, got {tok!r}")
-                values.append(int(tok))
+                values.append(_int(tok, lineno))
             doc.int_lists[key] = tuple(values)
             continue
         raise ParseError(lineno, f"unrecognized line: {stripped!r}")

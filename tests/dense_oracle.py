@@ -10,11 +10,17 @@ columns gives, and kernels, intersections, images, preimages, complements
 and inverses are composed from dense RREFs and dense products.  The library
 runs the lattice on canonical integer rows; its ``Subspace.basis`` must
 equal these bases exactly.
+
+The coupled Sylvester pair is solved here by flattening both equations into
+one Fraction system and reading the solution off ``solve_right``'s
+Gauss-Jordan elimination.  The library builds the same system as integer
+rows and back-substitutes after a forward elimination; its (Y, Z) must
+equal this pair exactly.
 """
 
 from fractions import Fraction
 
-from daeforms import Mat
+from daeforms import Mat, solve_right
 
 
 def dense_rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
@@ -132,3 +138,35 @@ def dense_inverse(a: Mat) -> Mat | None:
     if pivots[:n] != tuple(range(n)):
         return None
     return r.sub(0, n, n, 2 * n)
+
+
+def dense_solve_two_equations(inst) -> tuple[Mat, Mat] | None:
+    """(Y, Z) with 0 = E + A Y + Z D and 0 = F + C Y + Z B, free variables
+    zero, through ``solve_right`` on the flattened Fraction system; None
+    when it is unsolvable."""
+    m, n = inst.A.shape
+    p, q = inst.B.shape
+    ny, nz = n * q, m * p
+    rows = []
+    rhs = []
+
+    def emit(coef_y: Mat, coef_z: Mat, const: Mat):
+        # equations 0 = const + coef_y . Y + Z . coef_z, entrywise
+        for i in range(m):
+            for j in range(q):
+                coeff = [Fraction(0)] * (ny + nz)
+                for k in range(n):
+                    coeff[k * q + j] += coef_y.data[i][k]
+                for l in range(p):
+                    coeff[ny + i * p + l] += coef_z.data[l][j]
+                rows.append(coeff)
+                rhs.append([-const.data[i][j]])
+
+    emit(inst.A, inst.D, inst.E)
+    emit(inst.C, inst.B, inst.F)
+    flat = solve_right(Mat(2 * m * q, ny + nz, rows), Mat(2 * m * q, 1, rhs))
+    if flat is None:
+        return None
+    y = Mat(n, q, [[flat.data[k * q + j][0] for j in range(q)] for k in range(n)])
+    z = Mat(m, p, [[flat.data[ny + i * p + l][0] for l in range(p)] for i in range(m)])
+    return y, z

@@ -6,9 +6,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 from daeforms import (Mat, apply_p_transform, apply_pd_transform,
                       check_limit_identities, augmented_projection_check,
-                      compute_qpff, compute_qpdff, decouple_qpff,
-                      gen_sylvester_always_solvable, image_basis, kernel_basis,
-                      pff_to_pdff, solve_gen_sylvester, v_sequence, verify_pdff,
+                      compute_qpff, compute_qpdff, decouple_qpff, image_basis,
+                      kernel_basis, pff_to_pdff, v_sequence, verify_pdff,
                       verify_pff, verify_qpdff, verify_qpff, w_sequence,
                       wong_limits)
 from daeforms.pdfeedback import decouple_qpdff, decoupled_wong_pattern_ok
@@ -17,6 +16,7 @@ from golden import (PDFF_A, PDFF_B, PDFF_DATA, PDFF_E, PDFF_WITNESS, PFF_A,
                     QPDFF_E, QPDFF_SIZES, QPDFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763, V1_BASIS,
                     W1_BASIS, W2_BASIS)
+from oracles import gen_sylvester_always_solvable, solve_gen_sylvester
 from randgen import (make_rng, rand_mat, rand_p_transform, rand_pd_transform,
                      rand_system)
 

@@ -172,6 +172,54 @@ class TestSemanticErrorLines:
             f"error: line {f_d_line}: P-feedback forms need a witness without F_D\n")
 
 
+LONG = "7" * 5000  # more digits than the interpreter converts to an int by default
+
+
+class TestNumberTokens:
+    """Numbers are ASCII digits only, and a number too long to convert is a
+    parse error at its line."""
+
+    @pytest.mark.parametrize("text,err", [
+        ("E: 1x1\n\u0663\nA: 1x1\n0\nB: 1x0\n",
+         "line 2: not an exact rational: '\u0663'"),
+        ("E: 1x1\n\uff12/3\nA: 1x1\n0\nB: 1x0\n",
+         "line 2: not an exact rational: '\uff12/3'"),
+        ("E: 1x1\n1/\u0663\nA: 1x1\n0\nB: 1x0\n",
+         "line 2: not an exact rational: '1/\u0663'"),
+        ("E: 1x1\n1\nA: 1x1\n0\nB: 1x\u0661\n0\n",
+         "line 5: expected integers after 'B', got '1x\u0661'"),
+        ("E: 1x1\n1\nA: \u0661x1\n0\nB: 1x0\n",
+         "line 3: expected integers after 'A', got '\u0661x1'"),
+        (f"E: 1x1\n{LONG}\nA: 1x1\n0\nB: 1x0\n",
+         "line 2: number with 5000 digits is too long"),
+        (f"E: 1x1\n-1/{LONG}\nA: 1x1\n0\nB: 1x0\n",
+         "line 2: number with 5000 digits is too long"),
+        (f"E: 1x1\n1\nA: 1x1\n0\nB: 1x{LONG}\n",
+         "line 5: number with 5000 digits is too long"),
+    ], ids=["arabic-indic", "fullwidth", "denominator", "header-cols", "header-rows",
+            "long-entry", "long-denominator", "long-header"])
+    def test_system_file(self, text, err, tmp_path, capsys):
+        f = tmp_path / "bad.system"
+        f.write_text(text, encoding="utf-8")
+        code, out = run_cli("wong", str(f))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("token,err", [
+        ("\u0662", "expected integers after 'n_sizes', got '\u0662'"),
+        (f"-{LONG}", "number with 5000 digits is too long"),
+    ], ids=["arabic-indic", "long"])
+    def test_integer_list(self, token, err, tmp_path, capsys):
+        data = tmp_path / "sizes.data"
+        data.write_text(f"l_sizes: 2 1 4\nn_sizes: 3 {token} 2\nm_sizes: 1 0 2\n",
+                        encoding="utf-8")
+        code, _ = run_cli("verify", path("sigma763.system"),
+                          "--witness", path("sigma763_pff.witness"),
+                          "--form", "qpff", "--data", str(data))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 2: {err}\n"
+
+
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     code = main(list(argv), out=buf)

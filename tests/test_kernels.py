@@ -1,5 +1,5 @@
 """The integer kernels against the dense Fraction oracle: rref, the matrix
-product, the inverse and the subspace lattice."""
+product, the inverse, the subspace lattice and the coupled Sylvester solve."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -7,10 +7,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daeforms import Mat, Subspace, complement, kernel_basis, preimage, rref
+from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
+                      rref, solve_two_equations)
 from dense_oracle import (dense_complement, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
-                          dense_rref, dense_span, dense_sum)
+                          dense_rref, dense_solve_two_equations, dense_span, dense_sum)
 from randgen import make_rng, rand_invertible
 
 ZERO_SHARES = (0.0, 0.3, 0.6, 0.9)
@@ -232,3 +233,149 @@ class TestLatticeAgainstDense:
         assert_lattice_matches(n, mat(n, data.draw(st.integers(0, n + 1))),
                                mat(n, data.draw(st.integers(0, n + 1))),
                                mat(data.draw(st.integers(0, 4)), n), mat(n, 2))
+
+
+def coupled_instance(rng, m, n, p, q, zero_share, big=False, solvable=True) -> TwoEqInstance:
+    """Random coefficients; with ``solvable`` the right-hand sides come from
+    a random (Y0, Z0), else they are drawn on their own."""
+    a, c = sparse_mat(rng, m, n, zero_share, big), sparse_mat(rng, m, n, zero_share, big)
+    b, d = sparse_mat(rng, p, q, zero_share, big), sparse_mat(rng, p, q, zero_share, big)
+    if solvable:
+        y0, z0 = sparse_mat(rng, n, q, zero_share, big), sparse_mat(rng, m, p, zero_share, big)
+        e = -(dense_matmul(a, y0) + dense_matmul(z0, d))
+        f = -(dense_matmul(c, y0) + dense_matmul(z0, b))
+    else:
+        e, f = sparse_mat(rng, m, q, zero_share, big), sparse_mat(rng, m, q, zero_share, big)
+    return TwoEqInstance(A=a, B=b, C=c, D=d, E=e, F=f)
+
+
+def assert_same_solution(inst: TwoEqInstance):
+    """The integer solve returns exactly the oracle's Fractions, and a
+    solution has zero residuals."""
+    got = solve_two_equations(inst)
+    assert got == dense_solve_two_equations(inst)
+    if got is not None:
+        y, z = got
+        assert all(type(x) is F for mat in got for row in mat.data for x in row)
+        r1, r2 = inst.residual(y, z)
+        assert r1.is_zero() and r2.is_zero()
+    return got
+
+
+class TestCoupledSolveAgainstDense:
+    """The integer-row coupled solve against the Fraction flatten and
+    ``solve_right``: unique solutions, free variables, unsolvable systems,
+    empty dimensions, large denominators, negative pivots and a hypothesis
+    property."""
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_unique_solutions(self, zero_share):
+        # A and B invertible with D = 0: A Y = -E fixes Y, then Z B = -F - C Y
+        # fixes Z, so the manufactured (Y0, Z0) is the only solution
+        rng = make_rng(int(zero_share * 100) + 900)
+        for _ in range(20):
+            k, j = rng.randint(1, 3), rng.randint(1, 3)
+            a, b = rand_invertible(rng, k), rand_invertible(rng, j)
+            c, d = sparse_mat(rng, k, k, zero_share), Mat.zeros(j, j)
+            y0, z0 = sparse_mat(rng, k, j, zero_share), sparse_mat(rng, k, j, zero_share)
+            inst = TwoEqInstance(A=a, B=b, C=c, D=d, E=-(a @ y0),
+                                 F=-(c @ y0 + z0 @ b))
+            assert assert_same_solution(inst) == (y0, z0)
+            # m = n = p = q: as many equations as unknowns, generic coefficients
+            assert assert_same_solution(coupled_instance(rng, k, k, k, k, zero_share)) is not None
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_free_variables(self, zero_share):
+        # fewer equations (2mq) than unknowns (nq + mp)
+        rng = make_rng(int(zero_share * 100) + 910)
+        for _ in range(20):
+            m, q = rng.randint(1, 2), rng.randint(1, 2)
+            inst = coupled_instance(rng, m, rng.randint(2 * m, 4), rng.randint(2 * q, 4), q,
+                                    zero_share)
+            assert assert_same_solution(inst) is not None
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_random_right_hand_sides(self, zero_share):
+        rng = make_rng(int(zero_share * 100) + 920)
+        unsolvable = 0
+        for _ in range(30):
+            m, n, p, q = (rng.randint(1, 3) for _ in range(4))
+            unsolvable += assert_same_solution(
+                coupled_instance(rng, m, n, p, q, zero_share, solvable=False)) is None
+        assert unsolvable
+
+    def test_contradicting_equations(self):
+        # A = C and D = B make both left sides equal, so E != F is unsolvable
+        rng = make_rng(930)
+        for _ in range(10):
+            m, n, p, q = (rng.randint(1, 3) for _ in range(4))
+            a, b = sparse_mat(rng, m, n, 0.3), sparse_mat(rng, p, q, 0.3)
+            e = sparse_mat(rng, m, q, 0.3)
+            f = e + Mat(m, q, [[int(i == j == 0) for j in range(q)] for i in range(m)])
+            inst = TwoEqInstance(A=a, B=b, C=a, D=b, E=e, F=f)
+            assert assert_same_solution(inst) is None
+
+    @pytest.mark.parametrize("m,n,p,q", [(0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2),
+                                         (2, 2, 2, 0), (0, 0, 0, 0), (1, 0, 3, 0),
+                                         (0, 3, 0, 1)])
+    def test_empty_dimensions(self, m, n, p, q):
+        rng = make_rng(940)
+        for solvable in (True, False):
+            got = assert_same_solution(coupled_instance(rng, m, n, p, q, 0.3,
+                                                        solvable=solvable))
+            if got is not None:
+                assert got[0].shape == (n, q) and got[1].shape == (m, p)
+
+    @pytest.mark.parametrize("m,q", [(1, 1), (2, 3)])
+    def test_no_unknowns(self, m, q):
+        # n = p = 0: no unknowns, so only a zero right-hand side is solvable
+        rhs = Mat(m, q, [[F(j - i + 1, 3) for j in range(q)] for i in range(m)])
+        assert not rhs.is_zero()
+        empty_y, empty_z = Mat.zeros(m, 0), Mat.zeros(0, q)
+        inst = TwoEqInstance(A=empty_y, B=empty_z, C=empty_y, D=empty_z, E=rhs,
+                             F=Mat.zeros(m, q))
+        assert assert_same_solution(inst) is None
+        inst = TwoEqInstance(A=empty_y, B=empty_z, C=empty_y, D=empty_z, E=Mat.zeros(m, q),
+                             F=Mat.zeros(m, q))
+        assert assert_same_solution(inst) == (Mat.zeros(0, q), Mat.zeros(m, 0))
+
+    def test_large_denominators(self):
+        rng = make_rng(950)
+        for _ in range(10):
+            m, n, p, q = (rng.randint(1, 3) for _ in range(4))
+            for solvable in (True, False):
+                assert_same_solution(coupled_instance(rng, m, n, p, q, 0.3, big=True,
+                                                      solvable=solvable))
+
+    def test_negative_pivots(self):
+        # every leading coefficient negative, on unit and on random blocks
+        def flip(x):
+            return Mat(x.rows, x.cols, [[-abs(v) for v in row] for row in x.data])
+        rng = make_rng(960)
+        for _ in range(20):
+            m, n, p, q = (rng.randint(1, 3) for _ in range(4))
+            inst = coupled_instance(rng, m, n, p, q, 0.3)
+            assert_same_solution(TwoEqInstance(A=flip(inst.A), B=flip(inst.B), C=flip(inst.C),
+                                               D=flip(inst.D), E=inst.E, F=inst.F))
+            k = rng.randint(1, 3)
+            minus = -Mat(k, k, [[int(i == j) for j in range(k)] for i in range(k)])
+            e, f = sparse_mat(rng, k, k, 0.3), sparse_mat(rng, k, k, 0.3)
+            assert assert_same_solution(TwoEqInstance(A=minus, B=minus, C=minus + minus,
+                                                      D=minus, E=e, F=f)) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        m, n, p, q = (data.draw(st.integers(0, 3)) for _ in range(4))
+        entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=9))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        a, b, c, d = mat(m, n), mat(p, q), mat(m, n), mat(p, q)
+        if data.draw(st.booleans()):
+            y0, z0 = mat(n, q), mat(m, p)
+            e, f = -(a @ y0 + z0 @ d), -(c @ y0 + z0 @ b)
+        else:
+            e, f = mat(m, q), mat(m, q)
+        assert_same_solution(TwoEqInstance(A=a, B=b, C=c, D=d, E=e, F=f))

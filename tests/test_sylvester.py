@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from daeforms import (Mat, TwoEqInstance, find_reduction_lambda,
-                      gen_sylvester_always_solvable, reduce_to_gen_sylvester,
-                      solve_gen_sylvester, solve_two_equations)
+from daeforms import Mat, TwoEqInstance, solve_two_equations
+from oracles import (find_reduction_lambda, gen_sylvester_always_solvable,
+                     reduce_to_gen_sylvester, solve_gen_sylvester)
 from randgen import make_rng, rand_mat, rand_invertible
 
 
