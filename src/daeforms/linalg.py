@@ -543,14 +543,11 @@ def preimage(m: Mat, s: Subspace) -> Subspace:
     return _row_kernel(_forward(work, s.dim), m.cols)
 
 
-def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None,
-               *, variant: int = 0) -> Mat:
+def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None) -> Mat:
     """A full-column-rank C with im(inner) (+) im(C) = outer.
 
     Columns are chosen greedily from ``preferred`` first (candidates outside
-    ``outer`` are skipped), then from the canonical basis of ``outer``.  With
-    ``variant=1`` the fill-up candidates are tried in reverse order, which
-    yields a different but equally valid complement.
+    ``outer`` are skipped), then from the canonical basis of ``outer``.
     """
     if not outer.contains(inner):
         raise ValueError("inner subspace is not contained in the outer one")
@@ -571,10 +568,7 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None,
         if preferred.rows != outer.ambient_dim:
             raise ValueError("preferred columns have wrong ambient dimension")
         try_candidates([c for c in preferred.columns() if outer.contains_vector(c)])
-    fill = outer.basis.columns()
-    if variant:
-        fill = fill[::-1]
-    try_candidates(fill)
+    try_candidates(outer.basis.columns())
     if len(chosen) != want:
         raise AssertionError("complement construction failed to fill the outer space")
     return Mat.hstack(Mat.zeros(outer.ambient_dim, 0), *chosen)

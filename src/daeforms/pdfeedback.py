@@ -26,18 +26,17 @@ data pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
-from .linalg import Mat, Q, Subspace, complement, image_basis, kernel_basis, solve_right
+from .linalg import Mat, Subspace, complement, image_basis, kernel_basis, solve_right
 from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance
 from .wong import FieldError, SystemTriple, wong_limits
 from .pfeedback import (FormReport, PDTransform, PffData, compose_p, head_sel, lower_shift,
                         tail_sel, verify_pff, _blocks, _below_triangle_zero,
-                        _check_decoupled, _check_template_data, _cuts, _multi,
-                        _solve_coupling, _state_split, _unitriangular, _unit_span,
-                        _wong_pattern_ok)
+                        _check_decoupled, _check_template_data, _cuts, _driven_chains,
+                        _multi, _pff_chains, _solve_coupling, _state_split, _unitriangular,
+                        _unit_span, _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
@@ -97,10 +96,8 @@ def make_pdff_template(data: PdffData, m: int | None = None) -> SystemTriple:
     )
     e = Mat.vstack(e_top, Mat.zeros(data.r, n))
     amat = Mat.vstack(a_top, Mat.zeros(data.r, n))
-    bgrid = [[Q(0)] * m for _ in range(l)]
-    for i in range(data.r):
-        bgrid[l - data.r + i][m - data.r + i] = Q(1)
-    return SystemTriple(e, amat, Mat(l, m, bgrid))
+    bmat = Mat.block_diag(Mat.zeros(l - data.r, m - data.r), Mat.identity(data.r))
+    return SystemTriple(e, amat, bmat)
 
 
 def verify_pdff(sys: SystemTriple, data: PdffData) -> bool:
@@ -146,7 +143,7 @@ class QpdffDecomposition:
     report: FormReport  # verify_qpdff of the transformed triple; always ok
 
 
-def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
+def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     """Decompose sys into quasi PD-feedback form.
 
     The state bases are the same Wong-limit splittings as for the QPFF; on
@@ -157,16 +154,16 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
     carries.
     """
     rep = wong_limits(sys)
-    meet, u_t, r_t, o_t = _state_split(sys, rep, variant)
+    meet, u_t, r_t, o_t = _state_split(sys, rep)
     im_b = image_basis(sys.B)
     n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
 
     q_s = im_b.basis
     outer1 = meet.image_under(sys.E).sum(im_b)
-    u_s = complement(im_b, outer1, variant=variant)
+    u_s = complement(im_b, outer1)
     outer2 = rep.v_limit.image_under(sys.E).sum(im_b)
-    r_s = complement(outer1, outer2, variant=variant)
-    o_s = complement(outer2, Subspace.full(sys.l), variant=variant)
+    r_s = complement(outer1, outer2)
+    o_s = complement(outer2, Subspace.full(sys.l))
     l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
     m2 = q_s.cols
     m1 = sys.m - m2
@@ -181,7 +178,7 @@ def compute_qpdff(sys: SystemTriple, variant: int = 0) -> QpdffDecomposition:
 
     ker_b = kernel_basis(sys.B)
     v1 = ker_b.basis
-    v2 = complement(ker_b, Subspace.full(sys.m), variant=variant)
+    v2 = complement(ker_b, Subspace.full(sys.m))
     v = Mat.hstack(v1, v2)
 
     witness = PDTransform(s, t, v, f_p, f_d)
@@ -298,89 +295,42 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
     """
     if not verify_pff(sys, data):
         raise ValueError("input system is not in P-feedback form for the given data")
-    a, b, g, d, k = data.alpha, data.beta, data.gamma, data.delta, data.kappa
-    ncbar = data.a_cbar.rows
     l, n, m = sys.l, sys.n, sys.m
-    n_beta, n_kappa = len(b), len(k)
-    m_free = m - n_beta - n_kappa
-
-    # row/column offsets of every block in the template layout
-    row_widths = ([ai - 1 for ai in a] + [bi for bi in b] + [ncbar]
-                  + [gi for gi in g] + [di for di in d] + [ki for ki in k])
-    col_widths = ([ai for ai in a] + [bi for bi in b] + [ncbar]
-                  + [gi for gi in g] + [di - 1 for di in d] + [ki - 1 for ki in k])
-    row_off = list(accumulate(row_widths, initial=0))[:-1]
-    col_off = list(accumulate(col_widths, initial=0))[:-1]
-    na = len(a)
-    beta_rows = row_off[na:na + n_beta]
-    beta_cols = col_off[na:na + n_beta]
-    kappa_rows = row_off[na + n_beta + 1 + len(g) + len(d):]
-    kappa_cols = col_off[na + n_beta + 1 + len(g) + len(d):]
+    nb, nk = len(data.beta), len(data.kappa)
 
     # derivative feedback replacing each chain-end input by its derivative
-    fd = [[Q(0)] * n for _ in range(m)]
-    for i, bi in enumerate(b):
-        fd[i][beta_cols[i] + bi - 1] = Q(-1)
-    for i, ki in enumerate(k):
-        if ki >= 2:
-            fd[m - n_kappa + i][kappa_cols[i] + ki - 2] = Q(-1)
-    first = PDTransform(Mat.identity(l), Mat.identity(n), Mat.identity(m),
-                        Mat.zeros(m, n), Mat(m, n, fd))
+    fd_at = {j: cols[-1] for j, (_, cols) in _driven_chains(data, m) if cols}
+    first = PDTransform(Mat.identity(l), Mat.identity(n), Mat.identity(m), Mat.zeros(m, n),
+                        Mat(m, n, [[-int(fd_at.get(i) == j) for j in range(n)]
+                                   for i in range(m)]))
 
     # permutation into the PDFF layout: alpha and rewritten beta chains first,
     # then the ODE block, nilpotent chains from gamma and shortened kappa,
     # overdetermined delta chains, and all constrained input rows at the bottom.
     # Original alpha chains carry the derivative on the trailing states, so
     # their rows and states are reversed to match the PDFF orientation.
-    row_order: list[int] = []
-    for i, ai in enumerate(a):
-        row_order.extend(reversed(range(row_off[i], row_off[i] + ai - 1)))
-    for i, bi in enumerate(b):
-        row_order.extend(range(beta_rows[i], beta_rows[i] + bi - 1))
-    cbar_row = row_off[na + n_beta]
-    row_order.extend(range(cbar_row, cbar_row + ncbar))
-    for i, gi in enumerate(g):
-        off = row_off[na + n_beta + 1 + i]
-        row_order.extend(range(off, off + gi))
-    for i, ki in enumerate(k):
-        row_order.extend(range(kappa_rows[i], kappa_rows[i] + ki - 1))
-    for i, di in enumerate(d):
-        off = row_off[na + n_beta + 1 + len(g) + i]
-        row_order.extend(range(off, off + di))
-    for i, bi in enumerate(b):
-        row_order.append(beta_rows[i] + bi - 1)
-    for i, ki in enumerate(k):
-        row_order.append(kappa_rows[i] + ki - 1)
-
-    col_order: list[int] = []
-    for i, ai in enumerate(a):
-        col_order.extend(reversed(range(col_off[i], col_off[i] + ai)))
-    for i, bi in enumerate(b):
-        col_order.extend(range(beta_cols[i], beta_cols[i] + bi))
-    cbar_col = col_off[na + n_beta]
-    col_order.extend(range(cbar_col, cbar_col + ncbar))
-    for i, gi in enumerate(g):
-        off = col_off[na + n_beta + 1 + i]
-        col_order.extend(range(off, off + gi))
-    for i, ki in enumerate(k):
-        col_order.extend(range(kappa_cols[i], kappa_cols[i] + ki - 1))
-    for i, di in enumerate(d):
-        off = col_off[na + n_beta + 1 + len(g) + i]
-        col_order.extend(range(off, off + di - 1))
-
-    input_order = (list(range(n_beta, n_beta + m_free))
-                   + list(range(n_beta))
-                   + list(range(m - n_kappa, m)))
+    chains = _pff_chains(data).items()
+    row = {kind: [rows for rows, _ in kind_chains] for kind, kind_chains in chains}
+    col = {kind: [cols for _, cols in kind_chains] for kind, kind_chains in chains}
+    row_order = [i for rows in ([r[::-1] for r in row["alpha"]]
+                                + [r[:-1] for r in row["beta"]] + row["cbar"] + row["gamma"]
+                                + [r[:-1] for r in row["kappa"]] + row["delta"]
+                                + [r[-1:] for r in row["beta"] + row["kappa"]])
+                 for i in rows]
+    col_order = [j for cols in ([c[::-1] for c in col["alpha"]] + col["beta"] + col["cbar"]
+                                + col["gamma"] + col["kappa"] + col["delta"])
+                 for j in cols]
+    input_order = [*range(nb, m - nk), *range(nb), *range(m - nk, m)]
 
     second = PDTransform(_perm_matrix(row_order), _perm_matrix(col_order).T,
                          _perm_matrix(input_order).T, Mat.zeros(m, n), Mat.zeros(m, n))
     witness = compose_p(first, second)
     new_data = PdffData(
-        alpha=a + b,
+        alpha=data.alpha + data.beta,
         a_cbar=data.a_cbar,
-        beta=g + tuple(ki - 1 for ki in k if ki >= 2),
-        gamma=d,
-        r=n_beta + n_kappa,
+        beta=data.gamma + tuple(ki - 1 for ki in data.kappa if ki >= 2),
+        gamma=data.delta,
+        r=nb + nk,
     )
     out = apply_pd_transform(sys, witness)
     if not verify_pdff(out, new_data):

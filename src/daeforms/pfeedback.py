@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .linalg import (Mat, Q, Subspace, complement, image_basis, kernel_basis,
+from .linalg import (Mat, Subspace, complement, image_basis, kernel_basis,
                      solve_right)
 from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance, solve_two_equations
@@ -92,16 +92,42 @@ class PffData:
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         """Total (l, n, m) of the template; m defaults to the minimal width."""
-        a, b, g, d, k = self.alpha, self.beta, self.gamma, self.delta, self.kappa
-        ncbar = self.a_cbar.rows
-        l = (sum(a) - len(a)) + sum(b) + ncbar + sum(g) + sum(d) + sum(k)
-        n = sum(a) + sum(b) + ncbar + sum(g) + (sum(d) - len(d)) + (sum(k) - len(k))
-        m_min = len(b) + len(k)
+        chains = [chain for kind in _pff_chains(self).values() for chain in kind]
+        l = sum(len(rows) for rows, _ in chains)
+        n = sum(len(cols) for _, cols in chains)
+        m_min = len(self.beta) + len(self.kappa)
         if m is None:
             m = m_min
         if m < m_min:
             raise ValueError("input count is too small for the beta and kappa blocks")
         return l, n, m
+
+
+# A chain of length k spans k + dr rows and k + dc columns, (dr, dc) by kind,
+# in template order; A_cbar is one chain of kind cbar.
+_PFF_CHAIN_SHAPES = {"alpha": (-1, 0), "beta": (0, 0), "cbar": (0, 0),
+                     "gamma": (0, 0), "delta": (0, -1), "kappa": (0, -1)}
+
+
+def _pff_chains(data: PffData) -> dict[str, list[tuple[range, range]]]:
+    """The row range and column range of every chain of the PFF template,
+    by kind in template order."""
+    r = c = 0
+    chains: dict[str, list[tuple[range, range]]] = {}
+    for kind, (dr, dc) in _PFF_CHAIN_SHAPES.items():
+        chains[kind] = []
+        for k in (data.a_cbar.rows,) if kind == "cbar" else getattr(data, kind):
+            chains[kind].append((range(r, r + k + dr), range(c, c + k + dc)))
+            r, c = r + k + dr, c + k + dc
+    return chains
+
+
+def _driven_chains(data: PffData, m: int) -> list[tuple[int, tuple[range, range]]]:
+    """(input column, chain) of every chain driven by an input: the beta
+    chains by the first inputs, the kappa chains by the last ones."""
+    chains = _pff_chains(data)
+    inputs = [*range(len(data.beta)), *range(m - len(data.kappa), m)]
+    return list(zip(inputs, chains["beta"] + chains["kappa"]))
 
 
 def make_canonical_blocks(data: PffData, m: int | None = None) -> SystemTriple:
@@ -128,18 +154,9 @@ def make_canonical_blocks(data: PffData, m: int | None = None) -> SystemTriple:
         _multi([head_sel(di).T for di in d]),
         _multi([head_sel(ki).T for ki in k]),
     )
-    e_beta = _multi([last_unit(bi) for bi in b])
-    e_kappa = _multi([last_unit(ki) for ki in k])
-    r_beta = sum(a) - len(a)
-    r_kappa = l - sum(k)
-    bgrid = [[Q(0)] * m for _ in range(l)]
-    for i in range(e_beta.rows):
-        for j in range(e_beta.cols):
-            bgrid[r_beta + i][j] = e_beta.data[i][j]
-    for i in range(e_kappa.rows):
-        for j in range(e_kappa.cols):
-            bgrid[r_kappa + i][m - len(k) + j] = e_kappa.data[i][j]
-    return SystemTriple(e, amat, Mat(l, m, bgrid))
+    input_at = {rows[-1]: j for j, (rows, _) in _driven_chains(data, m)}
+    bmat = Mat(l, m, [[int(input_at.get(i) == j) for j in range(m)] for i in range(l)])
+    return SystemTriple(e, amat, bmat)
 
 
 def verify_pff(sys: SystemTriple, data: PffData) -> bool:
@@ -279,34 +296,31 @@ class BasisSelection:
         return Mat.hstack(self.U_S, self.R_S, self.O_S)
 
 
-def _state_split(sys: SystemTriple, rep: WongReport,
-                 variant: int) -> tuple[Subspace, Mat, Mat, Mat]:
+def _state_split(sys: SystemTriple, rep: WongReport) -> tuple[Subspace, Mat, Mat, Mat]:
     """V* n W* and the state bases U_T, R_T, O_T of both quasi forms:
     im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n."""
     vstar = rep.v_limit
     meet = vstar.intersect(rep.w_limit)
-    return (meet, meet.basis, complement(meet, vstar, variant=variant),
-            complement(vstar, Subspace.full(sys.n), variant=variant))
+    return meet, meet.basis, complement(meet, vstar), complement(vstar, Subspace.full(sys.n))
 
 
-def select_bases(sys: SystemTriple, variant: int = 0) -> BasisSelection:
+def select_bases(sys: SystemTriple) -> BasisSelection:
     """Choose the six splitting bases from the augmented Wong limits.
 
     im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n, and on
     the equation side im U_S = E V* n (A W* + im B), im [U_S, R_S] = E V*,
     with O_S drawn from the columns of B first so that
-    im B <= im [U_S, O_S].  ``variant`` switches to a second deterministic
-    complement choice (used to exercise block-size invariance).
+    im B <= im [U_S, O_S].
     """
     rep = wong_limits(sys)
     vstar, wstar = rep.v_limit, rep.w_limit
-    _, u_t, r_t, o_t = _state_split(sys, rep, variant)
+    _, u_t, r_t, o_t = _state_split(sys, rep)
     ev = vstar.image_under(sys.E)
     awb = wstar.image_under(sys.A).sum(image_basis(sys.B))
     us_space = ev.intersect(awb)
     u_s = us_space.basis
-    r_s = complement(us_space, ev, variant=variant)
-    o_s = complement(ev, Subspace.full(sys.l), preferred=sys.B, variant=variant)
+    r_s = complement(us_space, ev)
+    o_s = complement(ev, Subspace.full(sys.l), preferred=sys.B)
     sel = BasisSelection(u_t, r_t, o_t, u_s, r_s, o_s)
     if Mat.hstack(sel.U_S, sel.O_S, sys.B).rank() != sel.U_S.cols + sel.O_S.cols:
         raise AssertionError("im B escaped im [U_S, O_S]")
@@ -335,7 +349,7 @@ class QpffDecomposition:
     report: FormReport  # verify_qpff of the transformed triple; always ok
 
 
-def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
+def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     """Decompose sys into quasi P-feedback form.
 
     T gathers the state bases, S inverts the equation bases, the feedback
@@ -343,7 +357,7 @@ def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
     sorts the inputs into (effective, redundant, constrained).  The result
     always passes verify_qpff, whose report it carries.
     """
-    sel = select_bases(sys, variant)
+    sel = select_bases(sys)
     l1, l2, l3 = sel.U_S.cols, sel.R_S.cols, sel.O_S.cols
     n1, n2, n3 = sel.U_T.cols, sel.R_T.cols, sel.O_T.cols
     t = sel.state_map
@@ -361,8 +375,8 @@ def compute_qpff(sys: SystemTriple, variant: int = 0) -> QpffDecomposition:
     ker_b = kernel_basis(sys.B)
     ker_bottom = kernel_basis(sb.sub(l1 + l2, sys.l, 0, sys.m))
     v2 = ker_b.basis
-    v1 = complement(ker_b, ker_bottom, variant=variant)
-    v3 = complement(ker_bottom, Subspace.full(sys.m), variant=variant)
+    v1 = complement(ker_b, ker_bottom)
+    v3 = complement(ker_bottom, Subspace.full(sys.m))
     v = Mat.hstack(v1, v2, v3)
     m1, m2, m3 = v1.cols, v2.cols, v3.cols
 

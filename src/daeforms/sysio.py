@@ -13,9 +13,16 @@ Grammar (one construct per line, order of blocks is free):
     r: 3                           -- single integer
     i_star: 1                      -- single integer
 
-Each key may appear only once per document, whatever its kind.
+Each key may appear only once per document, whatever its kind.  Keys are
+ASCII letters, digits and underscores.  Lines end at LF, CR LF or CR.  In
+matrix headers, data lines and integer lists, tokens are separated by ASCII
+spaces and tabs only; any other whitespace character is a parse error at
+its line.  Comment lines and the free text of name and description are not
+checked.
 A matrix header is followed by exactly ROWS data lines of COLS entries each;
-matrices with zero rows or zero columns have no data lines at all.  Entries
+matrices with zero rows or zero columns have no data lines at all.  Neither
+ROWS nor COLS may exceed the length of the document in characters, so a
+header alone cannot ask for work out of proportion to its input.  Entries
 are exact rationals written as an optional minus sign, digits, and an
 optional /denominator with positive denominator ("7", "-2", "5/3").  Floats
 are rejected, as is any denominator of zero.  Digits are the ASCII digits
@@ -48,8 +55,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-_MATRIX_HEADER = re.compile(r"^(\w+):\s*([0-9]+)x([0-9]+)\s*$")
-_KEY_LINE = re.compile(r"^(\w+):(.*)$")
+_MATRIX_HEADER = re.compile(r"^([A-Za-z0-9_]+):[ \t]*([0-9]+)x([0-9]+)$")
+_KEY_LINE = re.compile(r"^([A-Za-z0-9_]+):(.*)$")
+_FOREIGN_SPACE = re.compile(r"[^\S \t]")  # whitespace other than ASCII space and tab
 _RATIONAL = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 _INTEGER = re.compile(r"^-?[0-9]+$")
 
@@ -65,6 +73,15 @@ def _int(digits: str, lineno: int) -> int:
     except ValueError:
         raise ParseError(lineno, f"number with {len(digits.lstrip('-'))} digits "
                                  f"is too long") from None
+
+
+def _ascii_spaced(line: str, lineno: int) -> str:
+    """``line``, or a ParseError at ``lineno`` when it holds whitespace other
+    than ASCII spaces and tabs (so that str.split() splits on those only)."""
+    foreign = _FOREIGN_SPACE.search(line)
+    if foreign:
+        raise ParseError(lineno, f"U+{ord(foreign.group()):04X} is not an ASCII space or tab")
+    return line
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -119,7 +136,7 @@ class Document:
 
 def parse_document(text: str) -> Document:
     doc = Document()
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     first_seen = doc.first_seen
 
     def claim(key: str, lineno: int):
@@ -132,14 +149,23 @@ def parse_document(text: str) -> Document:
     while i < len(lines):
         raw = lines[i]
         lineno = i + 1
-        stripped = raw.strip()
+        stripped = raw.strip(" \t")
         if not stripped or stripped.startswith("#"):
             i += 1
             continue
-        header = _MATRIX_HEADER.match(stripped)
-        if header and header.group(1) not in _TEXT_KEYS:
+        keyed = _KEY_LINE.match(stripped)
+        if keyed and keyed.group(1) in _TEXT_KEYS:
+            claim(keyed.group(1), lineno)
+            doc.meta[keyed.group(1)] = keyed.group(2).strip()
+            i += 1
+            continue
+        header = _MATRIX_HEADER.match(_ascii_spaced(stripped, lineno))
+        if header:
             key = header.group(1)
             rows, cols = _int(header.group(2), lineno), _int(header.group(3), lineno)
+            if max(rows, cols) > len(text):
+                raise ParseError(lineno, f"matrix {key!r} has more rows or columns than "
+                                         f"the document has characters")
             claim(key, lineno)
             i += 1
             grid = []
@@ -148,12 +174,12 @@ def parse_document(text: str) -> Document:
                 while collected < rows:
                     if i >= len(lines):
                         raise ParseError(lineno, f"matrix {key!r} is missing data rows")
-                    row_line = lines[i].strip()
+                    row_line = lines[i].strip(" \t")
                     row_no = i + 1
                     i += 1
                     if not row_line or row_line.startswith("#"):
                         continue
-                    tokens = row_line.split()
+                    tokens = _ascii_spaced(row_line, row_no).split()
                     if len(tokens) != cols:
                         raise ParseError(row_no,
                                          f"expected {cols} entries for {key!r}, got {len(tokens)}")
@@ -161,16 +187,12 @@ def parse_document(text: str) -> Document:
                     collected += 1
             doc.matrices[key] = Mat(rows, cols, grid)
             continue
-        keyed = _KEY_LINE.match(stripped)
         if keyed:
-            key, rest = keyed.group(1), keyed.group(2).strip()
+            key = keyed.group(1)
             claim(key, lineno)
             i += 1
-            if key in _TEXT_KEYS:
-                doc.meta[key] = rest
-                continue
             values = []
-            for tok in rest.split():
+            for tok in keyed.group(2).split():
                 if not _INTEGER.match(tok):
                     raise ParseError(lineno, f"expected integers after {key!r}, got {tok!r}")
                 values.append(_int(tok, lineno))

@@ -110,19 +110,18 @@ def dense_preimage(m: Mat, x: Mat) -> Mat:
     return dense_span(m.cols, ker.sub(0, m.cols, 0, ker.cols))
 
 
-def dense_complement(inner: Mat, outer: Mat, preferred: Mat | None = None,
-                     variant: int = 0) -> Mat:
+def dense_complement(inner: Mat, outer: Mat, preferred: Mat | None = None) -> Mat:
     """The greedy complement on canonical bases ``inner`` within ``outer``:
     ``preferred`` columns inside ``outer`` first, then the columns of
-    ``outer`` (reversed for ``variant`` 1), each taken when it raises the
-    rank of the columns taken so far."""
+    ``outer``, each taken when it raises the rank of the columns taken so
+    far."""
     n = outer.rows
     cands = [] if preferred is None else [
         preferred.col(j) for j in range(preferred.cols)
         if dense_rank(Mat.hstack(outer, preferred.col(j))) == outer.cols]
     fill = [outer.col(j) for j in range(outer.cols)]
     chosen, current = [], inner
-    for cand in cands + (fill[::-1] if variant else fill):
+    for cand in cands + fill:
         stacked = Mat.hstack(current, cand)
         if len(chosen) < outer.cols - inner.cols and dense_rank(stacked) > current.cols:
             chosen.append(cand)

@@ -169,12 +169,14 @@ def test_criterion_7_property_suite():
                 assert ours == theirs.image_under(t_inv)
     print("  7d (chain invariance under feedback): ok")
 
-    # (e) block sizes do not depend on the deterministic basis choice
+    # (e) block sizes are shared by P-, resp. PD-equivalent systems
     qpdff_cache = {}
     for idx, sys in enumerate(systems):
-        assert compute_qpff(sys, 0).block_sizes == compute_qpff(sys, 1).block_sizes
-        d0 = compute_qpdff(sys, 0)
-        assert d0.block_sizes == compute_qpdff(sys, 1).block_sizes
+        moved_p = apply_p_transform(sys, rand_p_transform(rng, sys.l, sys.n, sys.m))
+        assert compute_qpff(sys).block_sizes == compute_qpff(moved_p).block_sizes
+        d0 = compute_qpdff(sys)
+        moved_pd = apply_pd_transform(sys, rand_pd_transform(rng, sys.l, sys.n, sys.m))
+        assert d0.block_sizes == compute_qpdff(moved_pd).block_sizes
         qpdff_cache[idx] = d0
     print("  7e (block-size invariance): ok")
 

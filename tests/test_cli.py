@@ -2,8 +2,10 @@
 
 import io
 import os
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, PDTransform, PTransform, SystemTriple, pdfeedback, pfeedback,
                       sysio, wong)
@@ -84,6 +86,20 @@ class TestParsing:
             parse_document(text)
         assert err.value.line == line
         assert "duplicate key" in str(err.value)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_round_trip(self, data):
+        l, n, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+        entry = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=10 ** 12),
+                          st.integers(-10 ** 30, 10 ** 30))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        sys = SystemTriple(mat(l, n), mat(l, n), mat(l, m))
+        assert parse_system(sysio.format_system(sys))[0] == sys
 
 
 class TestSemanticErrorLines:
@@ -218,6 +234,56 @@ class TestNumberTokens:
                           "--form", "qpff", "--data", str(data))
         assert code == 2
         assert capsys.readouterr().err == f"error: line 2: {err}\n"
+
+
+class TestSeparators:
+    """Tokens of headers, data lines and integer lists are separated by ASCII
+    spaces and tabs only, and keys are ASCII; comments and free text are not
+    checked."""
+
+    @pytest.mark.parametrize("sep", ["\u00a0", "\u2003", "\x1c"],
+                             ids=["no-break-space", "em-space", "file-separator"])
+    @pytest.mark.parametrize("text,line", [
+        ("E: 1x2\n1{sep}2\nA: 1x2\n0 0\nB: 1x0\n", 2),
+        ("E: 2x1\n1{sep}2\nA: 2x1\n0\n0\nB: 2x0\n", 2),
+        ("E: 1x1\n1\nA: 1x1\n0\nB:{sep}1x0\n", 5),
+    ], ids=["row", "row-as-two-lines", "header"])
+    def test_system_file(self, sep, text, line, tmp_path, capsys):
+        f = tmp_path / "bad.system"
+        f.write_text(text.format(sep=sep), encoding="utf-8")
+        code, out = run_cli("wong", str(f))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: line {line}: U+{ord(sep):04X} is not an ASCII space or tab\n")
+
+    def test_integer_list(self):
+        with pytest.raises(ParseError) as err:
+            parse_document("alpha: 1\nbeta: 2\u00a03\n")
+        assert str(err.value) == "line 2: U+00A0 is not an ASCII space or tab"
+
+    def test_non_ascii_key(self):
+        with pytest.raises(ParseError) as err:
+            parse_document("E: 1x1\n1\n\u00c9: 1x1\n0\n")
+        assert str(err.value) == "line 3: unrecognized line: '\u00c9: 1x1'"
+
+    def test_tabs_crlf_comments_and_free_text(self):
+        text = ("# a\u00a0comment\r\nname: x\u2003y\r\nE:\t1x2\r\n1\t 2\r"
+                "A: 1x2\n0 0\nB: 1x0\n")
+        sys, meta = parse_system(text)
+        assert sys.E == Mat.from_rows([[1, 2]])
+        assert meta["name"] == "x\u2003y"
+
+
+class TestHeaderBound:
+    def test_zero_width_header_beyond_the_document_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_document("E: 3000000x0\n")
+        assert time.perf_counter() - start < 1.0
+        assert err.value.line == 1
+
+    def test_small_zero_width_header_parses(self):
+        assert parse_document("B: 2x0\n").matrices["B"].shape == (2, 0)
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -430,7 +496,7 @@ class TestPWitnessForPdForms:
 
 class TestInternalError:
     def test_assertion_maps_to_exit_code_3(self, monkeypatch, capsys):
-        def broken(system, variant=0):
+        def broken(system):
             raise AssertionError("constructed QPFF failed verification")
         monkeypatch.setattr(pfeedback, "compute_qpff", broken)
         code, text = run_cli("qpff", path("sigma763.system"))

@@ -155,10 +155,8 @@ def assert_lattice_matches(n: int, x: Mat, y: Mat, m: Mat, preferred: Mat):
     image = t.image_under(m)
     assert preimage(m, image).basis == dense_preimage(m, dense_image(m, y))
     outer = s.sum(t)
-    for variant in (0, 1):
-        for pref in (None, preferred):
-            want = dense_complement(s.basis, outer.basis, pref, variant)
-            assert complement(s, outer, pref, variant=variant) == want
+    for pref in (None, preferred):
+        assert complement(s, outer, pref) == dense_complement(s.basis, outer.basis, pref)
     for space in (s.sum(t), s.intersect(t), s.image_under(m), kernel_basis(m),
                   preimage(m, image)):
         assert_canonical(space)
@@ -217,8 +215,8 @@ class TestLatticeAgainstDense:
         outer = Subspace.full(3)
         inner = Subspace(3, Mat.from_rows([[1], [1], [1]]))
         preferred = Mat.from_rows([[2, 0], [2, 0], [2, 1]])
-        got = complement(inner, outer, preferred, variant=1)
-        assert got == dense_complement(inner.basis, outer.basis, preferred, 1)
+        got = complement(inner, outer, preferred)
+        assert got == dense_complement(inner.basis, outer.basis, preferred)
         assert got.col(0) == preferred.col(1)
 
     @settings(max_examples=200, deadline=None)

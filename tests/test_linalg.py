@@ -225,13 +225,6 @@ class TestComplement:
             assert Mat.hstack(inner.basis, c).rank() == outer.dim
             assert inner.intersect(image_basis(c)).dim == 0
 
-    def test_variant_changes_choice_not_size(self):
-        inner = image_basis(Mat.from_rows([[1], [1], [1]]))
-        c0 = complement(inner, Subspace.full(3), variant=0)
-        c1 = complement(inner, Subspace.full(3), variant=1)
-        assert c0.cols == c1.cols == 2
-        assert c0 != c1
-
 
 class TestSolveRight:
     def test_identity(self):
