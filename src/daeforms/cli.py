@@ -10,6 +10,7 @@ is a bug, never a property of the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 
 from . import pdfeedback, pfeedback, sysio, wong
@@ -24,8 +25,8 @@ def _read(path: str) -> str:
 
 def _print_subspace(label: str, space: Subspace, out):
     print(f"{label}: dim {space.dim} in Q^{space.ambient_dim}", file=out)
-    for row in space.basis.data:
-        print("    " + " ".join(sysio.format_rational(x) for x in row), file=out)
+    for row in sysio.format_rows(space.basis):
+        print("    " + row, file=out)
 
 
 def cmd_wong(args, out) -> int:
@@ -149,7 +150,9 @@ def cmd_verify(args, out) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="daeforms",
         description="Exact feedback-form decompositions of descriptor systems [E, A, B]")

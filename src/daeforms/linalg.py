@@ -1,20 +1,22 @@
 """Exact rational matrices and the subspace lattice built on top of them.
 
 Everything here works over Q, so ranks, kernels and echelon forms are exact
-decisions, never tolerance calls.  Matrix entries are fractions.Fraction,
-but every elimination runs on primitive integer rows in ``_echelon``.  That
-kernel is fraction-free like Bareiss's elimination (Math. Comp. 22, 1968),
-except that it keeps rows small by dividing out their gcd rather than the
-previous pivot.  Fractions are built only at the Mat/Subspace boundary, for
-the rows an elimination returns.  Zero-dimension matrices (0 x k and k x 0)
-are first-class citizens because the canonical feedback-form templates
-contain blocks like 0_{1x0}.
+decisions, never tolerance calls.  A Mat holds each row as a tuple of
+integers over one positive denominator, the smallest one, so the form is
+unique.  Every operation runs on these integers, and every elimination on
+primitive integer rows in ``_echelon``.  That kernel is fraction-free like
+Bareiss's elimination (Math. Comp. 22, 1968), except that it keeps rows
+small by dividing out their gcd rather than the previous pivot.  Fractions
+are made only when an entry is read (``Mat.data``, ``m[i, j]``,
+``Mat.row``).  Zero-dimension matrices (0 x k and k x 0) are first-class
+citizens because the canonical feedback-form templates contain blocks like
+0_{1x0}.
 
 A Subspace is stored as the nonzero RREF rows of a spanning set, each a
 primitive integer tuple with a positive pivot: a unique form, so equal
-spans compare equal.  The lattice runs on these rows without Fractions: a
-sum or an intersection (Zassenhaus) is one elimination, and a kernel is read
-off canonically from one elimination of the reversed columns.
+spans compare equal.  The lattice runs on these rows: a sum or an
+intersection (Zassenhaus) is one elimination, and a kernel is read off
+canonically from one elimination of the reversed columns.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ from typing import Iterable, Sequence
 
 Q = Fraction
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# Tuples are built from lists, tuple([...]), never from generators: a tuple
+# grown from a generator is resized from 10 entries, which moves blocks
+# between the interpreter's per-size tuple free lists, and those then keep
+# growing between full garbage collections.
 
 
 def _q(x) -> Fraction:
@@ -37,22 +43,43 @@ def _q(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class Mat:
-    """Immutable dense matrix over Q, row-major."""
+def _row_from_entries(row) -> tuple[tuple[int, ...], int]:
+    """(ints, den) with ``row`` = ints / den and den the smallest such:
+    the lcm of the reduced denominators of the entries."""
+    if all(type(x) is int for x in row):
+        return row, 1
+    pairs = [(x.numerator, x.denominator) for x in map(_q, row)]
+    den = lcm(*[d for _, d in pairs])
+    return tuple([x * (den // d) for x, d in pairs]), den
 
-    __slots__ = ("rows", "cols", "data")
+
+class Mat:
+    """Immutable dense matrix over Q, row-major.
+
+    Row i is ``ints[i] / dens[i]``: a tuple of integers over a positive
+    denominator, the smallest one, so equal matrices have equal rows.
+    ``data`` is the same matrix as a grid of reduced Fractions, built once
+    on first read; the arithmetic never reads it.
+    """
+
+    __slots__ = ("rows", "cols", "ints", "dens", "_view")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        grid = tuple(tuple(_q(x) for x in row) for row in entries)
+        grid = [_row_from_entries(tuple(row)) for row in entries]
         if rows == 0 or cols == 0:
-            grid = tuple(() for _ in range(rows))
-        if len(grid) != rows or any(len(r) != cols for r in grid):
+            grid = [((), 1)] * rows
+        if len(grid) != rows or any(len(r) != cols for r, _ in grid):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
-        super().__setattr__("rows", rows)
-        super().__setattr__("cols", cols)
-        super().__setattr__("data", grid)
+        self._set(rows, cols, tuple([r for r, _ in grid]), tuple([d for _, d in grid]))
+
+    def _set(self, rows: int, cols: int, ints: tuple, dens: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "dens", dens)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -60,14 +87,28 @@ class Mat:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, data: tuple) -> "Mat":
-        """Wrap a grid built inside this module without re-checking it:
-        ``rows`` tuples of ``cols`` Fractions each."""
+    def _trusted(cls, rows: int, cols: int, ints: tuple, dens: tuple) -> "Mat":
+        """Wrap rows built inside the package without re-checking them:
+        ``rows`` tuples of ``cols`` ints, each over its smallest positive
+        denominator in ``dens``."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
+        m._set(rows, cols, ints, dens)
         return m
+
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, int_rows, dens) -> "Mat":
+        """The matrix with rows ``int_rows[i] / dens[i]`` for any positive
+        denominators: each row is divided by its gcd with its denominator."""
+        ints, smallest = [], []
+        for row, den in zip(int_rows, dens):
+            if den != 1:
+                g = gcd(den, *row)
+                if g != 1:
+                    row = [x // g for x in row]
+                    den //= g
+            ints.append(tuple(row))
+            smallest.append(den)
+        return cls._trusted(rows, cols, tuple(ints), tuple(smallest))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -82,14 +123,14 @@ class Mat:
     def zeros(cls, rows: int, cols: int) -> "Mat":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        return cls._trusted(rows, cols, ((_ZERO,) * cols,) * rows)
+        return cls._trusted(rows, cols, ((0,) * cols,) * rows, (1,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
         if n < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        return cls._trusted(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                                        for i in range(n)))
+        return cls._trusted(n, n, tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]),
+                            (1,) * n)
 
     @classmethod
     def col_vec(cls, entries: Sequence) -> "Mat":
@@ -101,6 +142,16 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as reduced Fractions, row-major; built on first read."""
+        view = self._view
+        if view is None:
+            view = tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
+                          for row, den in zip(self.ints, self.dens)])
+            object.__setattr__(self, "_view", view)
+        return view
+
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]
@@ -109,10 +160,7 @@ class Mat:
         return self.data[i]
 
     def col(self, j: int) -> "Mat":
-        return Mat._trusted(self.rows, 1, tuple((row[j],) for row in self.data))
-
-    def columns(self) -> list["Mat"]:
-        return [self.col(j) for j in range(self.cols)]
+        return self.sub(0, self.rows, j, j + 1)
 
     def sub(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
         """Submatrix with rows r0:r1 and columns c0:c1 (half-open); needs
@@ -120,21 +168,25 @@ class Mat:
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError(f"slice [{r0}:{r1}, {c0}:{c1}] is outside a "
                              f"{self.rows}x{self.cols} matrix")
-        return Mat._trusted(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.data[r0:r1]))
+        ints, dens = self.ints[r0:r1], self.dens[r0:r1]
+        if (c0, c1) == (0, self.cols):
+            return Mat._trusted(r1 - r0, c1 - c0, ints, dens)
+        return Mat._reduced(r1 - r0, c1 - c0, [row[c0:c1] for row in ints], dens)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.ints))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.ints == other.ints
+            and self.dens == other.dens
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.ints, self.dens))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -148,54 +200,59 @@ class Mat:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _combine(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, row by row over the lcm of the denominators."""
         self._same_shape(other)
-        return Mat._trusted(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+        rows, dens = [], []
+        for r, d, s, e in zip(self.ints, self.dens, other.ints, other.dens):
+            den = lcm(d, e)
+            f, g = den // d, sign * (den // e)
+            rows.append([f * a + g * b for a, b in zip(r, s)])
+            dens.append(den)
+        return Mat._reduced(self.rows, self.cols, rows, dens)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._trusted(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat._trusted(self.rows, self.cols, tuple(tuple(-a for a in row)
-                                                        for row in self.data))
+        return Mat._trusted(self.rows, self.cols,
+                            tuple([tuple([-a for a in row]) for row in self.ints]), self.dens)
 
     def __mul__(self, scalar) -> "Mat":
         s = _q(scalar)
-        return Mat(self.rows, self.cols, [[a * s for a in row] for row in self.data])
+        p, q = s.numerator, s.denominator
+        return Mat._reduced(self.rows, self.cols, [[p * a for a in row] for row in self.ints],
+                            [q * d for d in self.dens])
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        # With row i of self scaled to integers by the lcm d_i of its
-        # denominators and column j of other by e_j, entry (i, j) of the
-        # product is (integer row i . integer column j) / (d_i e_j).  Only
-        # nonzero factors are multiplied.
-        col_dens = [lcm(*(row[j].denominator for row in other.data))
-                    for j in range(other.cols)]
-        sparse = [[(j, b.numerator * (col_dens[j] // b.denominator))
-                   for j, b in enumerate(orow) if b] for orow in other.data]
-        zero = _ZERO
+        # With other = B / e over one common denominator e, row i of the
+        # product is (ints_i . B) / (d_i e).  Only nonzero factors are
+        # multiplied.
+        e, b_rows = _scaled(other)
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in b_rows]
         out = []
-        for row in self.data:
-            den, ints = _integer_row(row)
+        for row in self.ints:
             acc = [0] * other.cols
-            for a, nonzeros in zip(ints, sparse):
+            for a, nonzeros in zip(row, sparse):
                 if a:
                     for j, b in nonzeros:
                         acc[j] += a * b
-            out.append(tuple(Q(x, den * col_dens[j]) if x else zero
-                             for j, x in enumerate(acc)))
-        return Mat._trusted(self.rows, other.cols, tuple(out))
+            out.append(acc)
+        return Mat._reduced(self.rows, other.cols, out, [d * e for d in self.dens])
 
     @property
     def T(self) -> "Mat":
-        return Mat._trusted(self.cols, self.rows,
-                            tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
+        if not self.rows:
+            return Mat.zeros(self.cols, 0)
+        den, rows = _scaled(self)
+        return Mat._reduced(self.cols, self.rows, list(zip(*rows)), (den,) * self.cols)
 
     # -- stacking ----------------------------------------------------------------
 
@@ -206,8 +263,14 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("hstack: row counts differ")
-        data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
-        return Mat._trusted(rows, sum(m.cols for m in mats), data)
+        # The smallest denominator of a row is the lcm of those of its parts.
+        ints, dens = [], []
+        for parts in zip(*[zip(m.ints, m.dens) for m in mats]):
+            den = lcm(*[d for _, d in parts])
+            ints.append(sum([r if d == den else tuple([x * (den // d) for x in r])
+                             for r, d in parts], ()))
+            dens.append(den)
+        return Mat._trusted(rows, sum(m.cols for m in mats), tuple(ints), tuple(dens))
 
     @staticmethod
     def vstack(*mats: "Mat") -> "Mat":
@@ -216,26 +279,24 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack: column counts differ")
-        data = tuple(row for m in mats for row in m.data)
-        return Mat._trusted(len(data), cols, data)
+        ints = sum((m.ints for m in mats), ())
+        return Mat._trusted(len(ints), cols, ints, sum((m.dens for m in mats), ()))
 
     @staticmethod
     def block_diag(*mats: "Mat") -> "Mat":
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = [[_ZERO] * cols for _ in range(rows)]
-        r = c = 0
+        ints = []
+        c = 0
         for m in mats:
-            for i in range(m.rows):
-                out[r + i][c:c + m.cols] = m.data[i]
-            r += m.rows
+            left, right = (0,) * c, (0,) * (cols - c - m.cols)
+            ints.extend(left + row + right for row in m.ints)
             c += m.cols
-        return Mat._trusted(rows, cols, tuple(map(tuple, out)))
+        return Mat._trusted(len(ints), cols, tuple(ints), sum((m.dens for m in mats), ()))
 
     # -- rank and inversion --------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(_integer_rows(self.data), self.cols, back=False))
+        return len(_echelon(_integer_rows(self), self.cols, back=False))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -250,12 +311,12 @@ class Mat:
         return x
 
 
-def _integer_row(row) -> tuple[int, list[int]]:
-    """(d, ints) with row = ints / d, d the lcm of the row's denominators."""
-    den = lcm(*(x.denominator for x in row))
-    if den == 1:
-        return 1, [x.numerator for x in row]
-    return den, [x.numerator * (den // x.denominator) for x in row]
+def _scaled(m: Mat) -> tuple[int, Sequence[Sequence[int]]]:
+    """(e, rows) with m = rows / e over one common denominator e."""
+    e = lcm(*m.dens)
+    if e == 1:
+        return 1, m.ints
+    return e, [row if d == e else [x * (e // d) for x in row] for row, d in zip(m.ints, m.dens)]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -264,9 +325,9 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Each row cleared of denominators and made primitive."""
-    return [_primitive(_integer_row(row)[1]) for row in rows]
+def _integer_rows(m: Mat) -> list[list[int]]:
+    """The rows of m, each made primitive: a fresh list per row."""
+    return [_primitive(list(row)) for row in m.ints]
 
 
 def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
@@ -313,49 +374,71 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     return pivots
 
 
-def _back_substitute(work: list[list[int]], pivots: list[int], n: int) -> list[Fraction]:
-    """The solution x of row[:n] . x = row[n], as Fractions with the free
-    variables zero, for the echelon rows ``work`` that
-    ``_echelon(work, n + 1, back=False)`` left with ``pivots``, all left of
-    column n.
+def _back_substitute(work: list[list[int]], pivots: list[int],
+                     n: int) -> list[tuple[int, int]]:
+    """The solution x of row[:n] . x = row[n], as reduced (numerator,
+    denominator) pairs with the free variables zero, for the echelon rows
+    ``work`` that ``_echelon(work, n + 1, back=False)`` left with
+    ``pivots``, all left of column n.
 
     Each row is zero left of its pivot, so working up from the last pivot a
     row fixes the unknown at its pivot from the ones below it.  The terms of
     a value are summed over their common denominator, so each value is
-    normalised once.
+    reduced once.
     """
-    x = [_ZERO] * n
+    x = [(0, 1)] * n
     known: list[tuple[int, int, int]] = []  # (column, numerator, denominator)
     for i in range(len(pivots) - 1, -1, -1):
         row, pc = work[i], pivots[i]
         terms = [(row[j], u, d) for j, u, d in known if row[j]]
-        den = lcm(*(d for _, _, d in terms))
+        den = lcm(*[d for _, _, d in terms])
         num = row[n] * den - sum(a * u * (den // d) for a, u, d in terms)
         if num:
-            v = x[pc] = Q(num, den * row[pc])
-            known.append((pc, v.numerator, v.denominator))
+            den *= row[pc]
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            x[pc] = num // g, den // g
+            known.append((pc, *x[pc]))
     return x
 
 
-def _reduced_rows(work: list[list[int]], pivots: list[int]) -> list[tuple[Fraction, ...]]:
-    """The nonzero RREF rows as Fractions: each echelon row over its pivot."""
-    zero = _ZERO
-    return [tuple(Q(x, row[pc]) if x else zero for x in row)
-            for row, pc in zip(work, pivots)]
+def _pair_rows(rows: int, cols: int, pairs: list[tuple[int, int]]) -> Mat:
+    """The rows x cols matrix of the reduced (numerator, denominator)
+    ``pairs``, row-major."""
+    ints, dens = [], []
+    for i in range(rows):
+        row = pairs[i * cols:(i + 1) * cols]
+        den = lcm(*[d for _, d in row])
+        ints.append(tuple([x * (den // d) for x, d in row]))
+        dens.append(den)
+    return Mat._trusted(rows, cols, tuple(ints), tuple(dens))
+
+
+def _positive(work, pivots) -> tuple[tuple[int, ...], ...]:
+    """The echelon rows ``work`` with ``pivots``, each negated where its
+    pivot is negative."""
+    return tuple([tuple(r) if r[p] > 0 else tuple([-x for x in r])
+                  for r, p in zip(work, pivots)])
+
+
+def _over_pivots(rows: int, cols: int, work, pivots) -> Mat:
+    """The matrix of the echelon rows ``work`` divided by their pivots: each
+    row primitive, so its pivot's absolute value is its denominator."""
+    return Mat._trusted(rows, cols, _positive(work, pivots),
+                        tuple([abs(r[p]) for r, p in zip(work, pivots)]))
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     """Reduced row echelon form of ``m`` over Q.
 
     Returns (R, pivot_columns, rank).  R is unique for the row space of ``m``.
-    The rows are cleared of denominators, eliminated by ``_echelon`` and
-    divided by their pivots.
+    The rows are made primitive, eliminated by ``_echelon`` and divided by
+    their pivots.
     """
-    work = _integer_rows(m.data)
+    work = _integer_rows(m)
     pivots = _echelon(work, m.cols)
-    out = _reduced_rows(work, pivots)
-    out.extend([(_ZERO,) * m.cols] * (m.rows - len(pivots)))
-    return Mat._trusted(m.rows, m.cols, tuple(out)), tuple(pivots), len(pivots)
+    rank = len(pivots)
+    r = Mat.vstack(_over_pivots(rank, m.cols, work, pivots), Mat.zeros(m.rows - rank, m.cols))
+    return r, tuple(pivots), rank
 
 
 class Subspace:
@@ -364,7 +447,7 @@ class Subspace:
     ``rows`` are the nonzero RREF rows of any spanning set, each a primitive
     integer tuple with a positive pivot, so equality is a syntactic check.
     ``basis`` is the reduced column echelon basis: the rows over their
-    pivots, as Fraction columns.
+    pivots, as columns.
     """
 
     __slots__ = ("ambient_dim", "rows")
@@ -372,7 +455,8 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: Mat):
         if basis.rows != ambient_dim:
             raise ValueError("basis rows must equal the ambient dimension")
-        self._set(ambient_dim, _span(ambient_dim, _integer_rows(zip(*basis.data))).rows)
+        vecs = [_primitive(list(col)) for col in zip(*_scaled(basis)[1])]
+        self._set(ambient_dim, _span(ambient_dim, vecs).rows)
 
     def _set(self, ambient_dim: int, rows: tuple):
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -402,10 +486,10 @@ class Subspace:
 
     @property
     def basis(self) -> Mat:
-        """The canonical basis as a full-column-rank Fraction matrix."""
-        n = self.ambient_dim
-        cols = _reduced_rows(self.rows, [_lead(row) for row in self.rows])
-        return Mat._trusted(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
+        """The canonical basis as a full-column-rank matrix: the rows over
+        their pivots, as columns."""
+        return _over_pivots(self.dim, self.ambient_dim, self.rows,
+                            [_lead(row) for row in self.rows]).T
 
     def __eq__(self, other) -> bool:
         return (
@@ -457,8 +541,7 @@ class Subspace:
         if m.cols != self.ambient_dim:
             raise ValueError("matrix does not act on this ambient space")
         # One common denominator for all of m leaves the image as it is.
-        den = lcm(*(x.denominator for row in m.data for x in row))
-        ints = [[x.numerator * (den // x.denominator) for x in row] for row in m.data]
+        ints = _scaled(m)[1]
         return _span(m.rows, [_primitive([sum(map(mul, row, v)) for row in ints])
                               for v in self.rows])
 
@@ -472,8 +555,7 @@ def _span(ambient_dim: int, work: list[list[int]]) -> Subspace:
     """The span of the primitive integer vectors ``work`` (overwritten):
     their echelon rows with positive pivots."""
     pivots = _echelon(work, ambient_dim)
-    return Subspace._from_rows(ambient_dim, tuple(
-        tuple(row) if row[p] > 0 else tuple(-x for x in row) for row, p in zip(work, pivots)))
+    return Subspace._from_rows(ambient_dim, _positive(work, pivots))
 
 
 def _forward(work: list[list[int]], d: int) -> list[list[int]]:
@@ -511,7 +593,7 @@ def _row_kernel(work: list[list[int]], n: int) -> Subspace:
         if f in pivots:
             continue
         coeffs = [(p, row[f], row[p]) for row, p in zip(work, pivots) if row[f]]
-        scale = lcm(*(piv for _, _, piv in coeffs))
+        scale = lcm(*[piv for _, _, piv in coeffs])
         vec = [0] * n
         vec[n - 1 - f] = scale
         for p, x, piv in coeffs:
@@ -522,7 +604,7 @@ def _row_kernel(work: list[list[int]], n: int) -> Subspace:
 
 def kernel_basis(m: Mat) -> Subspace:
     """The kernel {x : m x = 0} as a canonical subspace of Q^cols."""
-    return _row_kernel([row[::-1] for row in _integer_rows(m.data)], m.cols)
+    return _row_kernel([row[::-1] for row in _integer_rows(m)], m.cols)
 
 
 def image_basis(m: Mat) -> Subspace:
@@ -538,8 +620,8 @@ def preimage(m: Mat, s: Subspace) -> Subspace:
     """
     if s.ambient_dim != m.rows:
         raise ValueError("subspace must live in the codomain of m")
-    work = [_primitive([v[i] * den for v in s.rows] + ints[::-1])
-            for i, (den, ints) in enumerate(map(_integer_row, m.data))]
+    work = [_primitive([*(v[i] * den for v in s.rows), *ints[::-1]])
+            for i, (ints, den) in enumerate(zip(m.ints, m.dens))]
     return _row_kernel(_forward(work, s.dim), m.cols)
 
 
@@ -552,41 +634,47 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None) -
     if not outer.contains(inner):
         raise ValueError("inner subspace is not contained in the outer one")
     want = outer.dim - inner.dim
-    chosen: list[Mat] = []
+    chosen: list[tuple[Sequence[int], int]] = []  # (integer column, denominator)
     current = list(inner.rows)
 
     def try_candidates(cands):
-        for cand in cands:
+        for vec, den in cands:
             if len(chosen) == want:
                 return
-            rest = _reduce(_integer_row([x for x, in cand.data])[1], current)
+            rest = _reduce(vec, current)
             if any(rest):
-                chosen.append(cand)
+                chosen.append((vec, den))
                 current.append(_primitive(rest))
 
     if preferred is not None:
         if preferred.rows != outer.ambient_dim:
             raise ValueError("preferred columns have wrong ambient dimension")
-        try_candidates([c for c in preferred.columns() if outer.contains_vector(c)])
-    try_candidates(outer.basis.columns())
+        den, rows = _scaled(preferred)
+        try_candidates([(col, den) for col in zip(*rows) if not any(_reduce(col, outer.rows))])
+    try_candidates([(row, row[_lead(row)]) for row in outer.rows])
     if len(chosen) != want:
         raise AssertionError("complement construction failed to fill the outer space")
-    return Mat.hstack(Mat.zeros(outer.ambient_dim, 0), *chosen)
+    return Mat._reduced(want, outer.ambient_dim, [vec for vec, _ in chosen],
+                        [den for _, den in chosen]).T
 
 
 def solve_right(a: Mat, b_rhs: Mat) -> Mat | None:
     """Some X with a X = b_rhs, or None when no solution exists.
 
-    Free variables are set to zero after the RREF, so the result is
-    deterministic.
+    Free variables are set to zero after the Gauss-Jordan elimination of
+    [a | b_rhs], so the result is deterministic: pivot row i gives the
+    unknowns of its pivot column as its b_rhs part over its pivot.
     """
     if a.rows != b_rhs.rows:
         raise ValueError("row counts differ")
-    r, pivots, _ = rref(Mat.hstack(a, b_rhs))
-    n = a.cols
+    n, k = a.cols, b_rhs.cols
+    work = _integer_rows(Mat.hstack(a, b_rhs))
+    pivots = _echelon(work, n + k)
     if any(p >= n for p in pivots):
         return None
-    out = [(_ZERO,) * b_rhs.cols] * n
-    for i, p in enumerate(pivots):
-        out[p] = r.data[i][n:]
-    return Mat._trusted(n, b_rhs.cols, tuple(out))
+    rows, dens = [(0,) * k] * n, [1] * n
+    for row, p in zip(work, pivots):
+        rows[p], dens[p] = row[n:], row[p]
+        if dens[p] < 0:
+            rows[p], dens[p] = [-x for x in rows[p]], -dens[p]
+    return Mat._reduced(n, k, rows, dens)

@@ -199,8 +199,8 @@ def pencil(e: Mat, a: Mat) -> PolyMat:
     if e.shape != a.shape:
         raise ValueError("pencil requires matrices of the same shape")
     return PolyMat(e.rows, e.cols,
-                   [[Poly((-a.data[i][j], e.data[i][j])) for j in range(e.cols)]
-                    for i in range(e.rows)])
+                   [[Poly((-x, y)) for x, y in zip(a_row, e_row)]
+                    for a_row, e_row in zip(a.data, e.data)])
 
 
 def _bareiss(grid: list[list[Poly]], need_det: bool) -> tuple[int, Poly]:

@@ -54,11 +54,6 @@ def head_sel(k: int) -> Mat:
     return Mat(k - 1, k, [[1 if j == i else 0 for j in range(k)] for i in range(k - 1)])
 
 
-def last_unit(k: int) -> Mat:
-    """The k-th standard basis column of Q^k."""
-    return Mat(k, 1, [[1 if i == k - 1 else 0] for i in range(k)])
-
-
 def _multi(mats) -> Mat:
     return Mat.block_diag(*mats) if mats else Mat.zeros(0, 0)
 

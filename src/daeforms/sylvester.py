@@ -5,10 +5,10 @@ Decoupling a quasi feedback form solves the coupled pair
     0 = E + A Y + Z D,  0 = F + C Y + Z B
 
 for Y and Z.  The two matrix equations are flattened into one linear system
-in the entries of Y and Z, built directly as primitive integer rows (each
-equation cleared by the lcm of its denominators).  One forward elimination
-(``linalg._echelon`` without back elimination) decides solvability, and one
-back substitution of the right-hand side column gives the solution with the
+in the entries of Y and Z, built directly as primitive integer rows from
+the integer rows of the data (each equation over a common multiple of its
+denominators).  One forward elimination (``linalg._echelon`` without back
+elimination) decides solvability, and one back substitution of the right-hand side column gives the solution with the
 free variables zeroed, so solutions are deterministic and residuals are
 exactly zero.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import Mat, _back_substitute, _echelon, _primitive
+from .linalg import Mat, _back_substitute, _echelon, _pair_rows, _primitive
 
 
 @dataclass(frozen=True)
@@ -70,23 +70,30 @@ def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     nunk = ny + m * p
     work = []
     for coef_y, coef_z, const in ((inst.A, inst.D, inst.E), (inst.C, inst.B, inst.F)):
-        z_cols = [[(l, coef_z.data[l][j]) for l in range(p) if coef_z.data[l][j]]
-                  for j in range(q)]
-        for i, (y_row, c_row) in enumerate(zip(coef_y.data, const.data)):
+        # column j of coef_z over one denominator: (that denominator, nonzeros)
+        z_cols = []
+        for j in range(q):
+            den = lcm(*[d for row, d in zip(coef_z.ints, coef_z.dens) if row[j]])
+            z_cols.append((den, [(l, row[j] * (den // d))
+                                 for l, (row, d) in enumerate(zip(coef_z.ints, coef_z.dens))
+                                 if row[j]]))
+        rows = zip(coef_y.ints, coef_y.dens, const.ints, const.dens)
+        for i, (y_row, y_den, c_row, c_den) in enumerate(rows):
             y_terms = [(k * q, v) for k, v in enumerate(y_row) if v]
-            for j, c in enumerate(c_row):
-                terms = ([(base + j, v) for base, v in y_terms]
-                         + [(ny + i * p + l, v) for l, v in z_cols[j]])
-                den = lcm(c.denominator, *(v.denominator for _, v in terms))
+            for j, (c, (z_den, z_terms)) in enumerate(zip(c_row, z_cols)):
+                # each equation over a common multiple of its denominators
+                den = lcm(y_den, z_den, c_den)
                 row = [0] * (nunk + 1)
-                for idx, v in terms:
-                    row[idx] = v.numerator * (den // v.denominator)
-                row[nunk] = -c.numerator * (den // c.denominator)
+                f = den // y_den
+                for base, v in y_terms:
+                    row[base + j] = f * v
+                f = den // z_den
+                for l, v in z_terms:
+                    row[ny + i * p + l] = f * v
+                row[nunk] = -c * (den // c_den)
                 work.append(_primitive(row))
     pivots = _echelon(work, nunk + 1, back=False)
     if pivots and pivots[-1] == nunk:
         return None
     x = _back_substitute(work, pivots, nunk)
-    y = Mat._trusted(n, q, tuple(tuple(x[k * q:(k + 1) * q]) for k in range(n)))
-    z = Mat._trusted(m, p, tuple(tuple(x[ny + i * p:ny + (i + 1) * p]) for i in range(m)))
-    return y, z
+    return _pair_rows(n, q, x[:ny]), _pair_rows(m, p, x[ny:])

@@ -38,7 +38,7 @@ the size triples l_sizes/n_sizes/m_sizes for the quasi forms.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import Mat
 from .pfeedback import PffData, PTransform, QpffBlockSizes
@@ -59,6 +59,7 @@ _MATRIX_HEADER = re.compile(r"^([A-Za-z0-9_]+):[ \t]*([0-9]+)x([0-9]+)$")
 _KEY_LINE = re.compile(r"^([A-Za-z0-9_]+):(.*)$")
 _FOREIGN_SPACE = re.compile(r"[^\S \t]")  # whitespace other than ASCII space and tab
 _RATIONAL = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+_DATA_LINE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:[ \t]+-?[0-9]+(?:/[0-9]+)?)*")
 _INTEGER = re.compile(r"^-?[0-9]+$")
 
 _TEXT_KEYS = ("name", "description")
@@ -84,7 +85,8 @@ def _ascii_spaced(line: str, lineno: int) -> str:
     return line
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
+def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
+    """(numerator, denominator) of ``token``, not necessarily reduced."""
     if not _RATIONAL.match(token):
         raise ParseError(lineno, f"not an exact rational: {token!r}")
     if "/" in token:
@@ -92,8 +94,27 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         den = _int(den, lineno)
         if den == 0:
             raise ParseError(lineno, f"zero denominator in {token!r}")
-        return Fraction(_int(num, lineno), den)
-    return Fraction(_int(token, lineno))
+        return _int(num, lineno), den
+    return _int(token, lineno), 1
+
+
+def _parse_row(line: str, lineno: int, key: str, cols: int) -> tuple[list[int], int]:
+    """(ints, den) with the data line ``line`` of matrix ``key`` equal to
+    ints / den.  A line of well-formed tokens is converted with int() alone,
+    and needs an lcm only when it holds a fraction; any other line is
+    checked token by token for its first error."""
+    well_formed = _DATA_LINE.fullmatch(line) is not None
+    tokens = (line if well_formed else _ascii_spaced(line, lineno)).split()
+    if len(tokens) != cols:
+        raise ParseError(lineno, f"expected {cols} entries for {key!r}, got {len(tokens)}")
+    if well_formed and "/" not in line:
+        try:
+            return list(map(int, tokens)), 1
+        except ValueError:
+            pass  # a number too long to convert, located below
+    pairs = [_parse_rational(t, lineno) for t in tokens]
+    den = lcm(*[d for _, d in pairs])
+    return [x * (den // d) for x, d in pairs], den
 
 
 class Document:
@@ -168,24 +189,20 @@ def parse_document(text: str) -> Document:
                                          f"the document has characters")
             claim(key, lineno)
             i += 1
-            grid = []
+            ints, dens = [], []
             if rows > 0 and cols > 0:
-                collected = 0
-                while collected < rows:
+                while len(ints) < rows:
                     if i >= len(lines):
                         raise ParseError(lineno, f"matrix {key!r} is missing data rows")
                     row_line = lines[i].strip(" \t")
-                    row_no = i + 1
                     i += 1
                     if not row_line or row_line.startswith("#"):
                         continue
-                    tokens = _ascii_spaced(row_line, row_no).split()
-                    if len(tokens) != cols:
-                        raise ParseError(row_no,
-                                         f"expected {cols} entries for {key!r}, got {len(tokens)}")
-                    grid.append([_parse_rational(t, row_no) for t in tokens])
-                    collected += 1
-            doc.matrices[key] = Mat(rows, cols, grid)
+                    row, den = _parse_row(row_line, i, key, cols)
+                    ints.append(row)
+                    dens.append(den)
+            doc.matrices[key] = (Mat._reduced(rows, cols, ints, dens) if ints
+                                 else Mat.zeros(rows, cols))
             continue
         if keyed:
             key = keyed.group(1)
@@ -265,15 +282,23 @@ def parse_qpdff_sizes(doc: Document) -> QpdffBlockSizes:
 
 # -- writing -----------------------------------------------------------------
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def format_rows(m: Mat) -> list[str]:
+    """Each row of m as its entries in lowest terms ("7", "-2", "5/3"),
+    separated by single spaces; read off the integer rows."""
+    lines = []
+    for row, den in zip(m.ints, m.dens):
+        if den == 1:
+            lines.append(" ".join(map(str, row)))
+        else:
+            lines.append(" ".join(str(x // g) if (g := gcd(x, den)) == den
+                                  else f"{x // g}/{den // g}" for x in row))
+    return lines
 
 
 def format_matrix(key: str, m: Mat) -> str:
     lines = [f"{key}: {m.rows}x{m.cols}"]
     if m.rows and m.cols:
-        for row in m.data:
-            lines.append(" ".join(format_rational(x) for x in row))
+        lines.extend(format_rows(m))
     return "\n".join(lines)
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import (Mat, Subspace, _forward, _integer_row, _primitive, _row_kernel,
-                     image_basis)
+from .linalg import Mat, Subspace, _forward, _primitive, _row_kernel, image_basis
 
 
 class FieldError(ValueError):
@@ -94,11 +93,10 @@ class WongReport:
 def _chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
     """The integer rows [P_B O | P_B M reversed], P_B spanning the left
     kernel of B; (M, O) is (A, E) for ``main`` 0 and (E, A) for ``main`` 1.
-    Clearing each row of [B | O | M] of denominators keeps its row space."""
-    work = []
-    for a, e, b in zip(sys.A.data, sys.E.data, sys.B.data):
-        m_part, o_part = (e, a) if main else (a, e)
-        work.append(_primitive(_integer_row(b + o_part + m_part[::-1])[1]))
+    Clearing each row of [B | O | M] of its denominator keeps its row space."""
+    o, m = (sys.A, sys.E) if main else (sys.E, sys.A)
+    k = sys.m + sys.n
+    work = [_primitive([*row[:k], *reversed(row[k:])]) for row in Mat.hstack(sys.B, o, m).ints]
     return _forward(work, sys.m)
 
 

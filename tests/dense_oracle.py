@@ -1,8 +1,10 @@
 """Dense reference kernels for the differential tests of linalg.
 
-These are the plain row-update RREF and inner-product matrix product that
-touch every entry, zeros included.  The library kernels skip zero entries;
-on every input they must return exactly the same Fractions.
+These are the plain row-update RREF, the inner-product matrix product and
+the entrywise sums, scalings, transposes, slices and stacks, on the
+Fraction entries ``Mat.data``, touching every entry, zeros included.  The
+library runs them on integer rows and skips zero entries; on every input
+they must give exactly the same Fractions.
 
 The subspace lattice is kept here in its Fraction form too: every span is
 the reduced column echelon basis that the dense RREF of the spanning
@@ -60,6 +62,44 @@ def dense_matmul(a: Mat, b: Mat) -> Mat:
         out.append([sum(x * y for x, y in zip(row, bc)) for bc in bcols]
                    if b.rows else [Fraction(0)] * b.cols)
     return Mat(a.rows, b.cols, out)
+
+
+def dense_add(a: Mat, b: Mat, sign: int = 1) -> Mat:
+    """a + sign * b, entry by entry."""
+    return Mat(a.rows, a.cols, [[x + sign * y for x, y in zip(r, s)]
+                                for r, s in zip(a.data, b.data)])
+
+
+def dense_scale(a: Mat, s) -> Mat:
+    return Mat(a.rows, a.cols, [[x * Fraction(s) for x in row] for row in a.data])
+
+
+def dense_transpose(a: Mat) -> Mat:
+    return Mat(a.cols, a.rows, [[a.data[i][j] for i in range(a.rows)] for j in range(a.cols)])
+
+
+def dense_block(a: Mat, r0: int, r1: int, c0: int, c1: int) -> Mat:
+    return Mat(r1 - r0, c1 - c0, [row[c0:c1] for row in a.data[r0:r1]])
+
+
+def dense_hstack(*mats: Mat) -> Mat:
+    rows = mats[0].rows
+    return Mat(rows, sum(m.cols for m in mats),
+               [[x for m in mats for x in m.data[i]] for i in range(rows)])
+
+
+def dense_vstack(*mats: Mat) -> Mat:
+    return Mat(sum(m.rows for m in mats), mats[0].cols, [row for m in mats for row in m.data])
+
+
+def dense_block_diag(*mats: Mat) -> Mat:
+    cols = sum(m.cols for m in mats)
+    out, c = [], 0
+    for m in mats:
+        out.extend([Fraction(0)] * c + list(row) + [Fraction(0)] * (cols - c - m.cols)
+                   for row in m.data)
+        c += m.cols
+    return Mat(len(out), cols, out)
 
 
 def columns(n: int, vecs) -> Mat:

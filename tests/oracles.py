@@ -3,7 +3,8 @@
 Besides the Wong-limit properties, this holds the generalized Sylvester
 equation A X B - C X D = E: its solver, the classical reduction of the
 coupled pair to it, and a sufficient condition for its solvability.  The
-tests use them to cross-check the library's direct coupled solve.
+tests use them to cross-check the library's direct coupled solve.  It also
+holds ``last_unit``, a PFF template atom that only the tests use.
 """
 
 from fractions import Fraction
@@ -11,6 +12,12 @@ from fractions import Fraction
 from daeforms import (Mat, Poly, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
 from daeforms.pfeedback import QpffBlockSizes
+
+
+def last_unit(k: int) -> Mat:
+    """The k-th standard basis column of Q^k: the input column of a driven
+    chain of length k in the PFF template."""
+    return Mat(k, 1, [[1 if i == k - 1 else 0] for i in range(k)])
 
 
 def kernel_in_w_limit(sys: SystemTriple) -> bool:

@@ -286,6 +286,63 @@ class TestHeaderBound:
         assert parse_document("B: 2x0\n").matrices["B"].shape == (2, 0)
 
 
+class TestIntegerRowParsing:
+    """Data lines become integer rows over their smallest denominator; the
+    values, their formatting and every error match the token-by-token
+    reading."""
+
+    def test_mixed_integers_and_fractions(self):
+        from fractions import Fraction as F
+        doc = parse_document("E: 3x3\n1 -2/4 3\n0/5 7 -6/3\n4/6 -1/9 2\n")
+        m = doc.matrices["E"]
+        assert m == Mat.from_rows([[1, F(-1, 2), 3], [0, 7, -2], [F(2, 3), F(-1, 9), 2]])
+        assert m.ints == ((2, -1, 6), (0, 7, -2), (6, -1, 18)) and m.dens == (2, 1, 9)
+        assert sysio.format_matrix("E", m) == "E: 3x3\n1 -1/2 3\n0 7 -2\n2/3 -1/9 2"
+
+    @pytest.mark.parametrize("token,formatted", [
+        ("-0", "0"), ("0/3", "0"), ("-0/7", "0"), ("000", "0"), ("6/4", "3/2"),
+        ("-6/4", "-3/2"), ("10/5", "2"), ("-10/5", "-2"), ("007", "7"), ("-007/014", "-1/2"),
+        ("12345678901234567890/10", "1234567890123456789"), ("3/1", "3"), ("-1/1", "-1"),
+    ])
+    def test_tokens_are_normalised(self, token, formatted):
+        from fractions import Fraction as F
+        m = parse_document(f"E: 1x2\n{token} 1\n").matrices["E"]
+        assert m.data == ((F(token), F(1)),)
+        assert sysio.format_matrix("E", m) == f"E: 1x2\n{formatted} 1"
+        m = parse_document(f"E: 1x2\n1/2 {token}\n").matrices["E"]
+        assert sysio.format_matrix("E", m) == f"E: 1x2\n1/2 {formatted}"
+
+    @pytest.mark.parametrize("row,err", [
+        ("1 2/0 3", "zero denominator in '2/0'"),
+        ("1/0 2 3", "zero denominator in '1/0'"),
+        ("1 1.5 3", "not an exact rational: '1.5'"),
+        ("1 2 1e3", "not an exact rational: '1e3'"),
+        ("1 \u0663 2/0", "not an exact rational: '\u0663'"),
+        ("1 2/0 \u0663", "zero denominator in '2/0'"),
+        ("1/2 x 3", "not an exact rational: 'x'"),
+        ("1 --2 3", "not an exact rational: '--2'"),
+        ("1 2/3/4 3", "not an exact rational: '2/3/4'"),
+        ("1 +2 3", "not an exact rational: '+2'"),
+        ("1 1_000 3", "not an exact rational: '1_000'"),
+        ("1 2\u00a03", "U+00A0 is not an ASCII space or tab"),
+        ("1.5 2\u2003x", "U+2003 is not an ASCII space or tab"),
+        (f"1 {LONG} 3", "number with 5000 digits is too long"),
+        (f"1 2/{LONG} 3", "number with 5000 digits is too long"),
+        (f"1 {LONG}/2 3", "number with 5000 digits is too long"),
+        (f"1/2 2/0 {LONG}", "zero denominator in '2/0'"),
+        (f"{LONG}/0 1 2", "zero denominator in '{LONG}/0'"),
+        ("1 2", "expected 3 entries for 'E', got 2"),
+        ("1 2 3 4/5", "expected 3 entries for 'E', got 4"),
+        ("1 x", "expected 3 entries for 'E', got 2"),
+        ("1.5", "expected 3 entries for 'E', got 1"),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else v)
+    def test_errors_keep_message_and_line(self, row, err):
+        with pytest.raises(ParseError) as exc:
+            parse_document(f"E: 2x3\n# a comment\n\n1 2 3\n{row}\n")
+        assert str(exc.value) == "line 5: " + err.replace("{LONG}", LONG)
+        assert exc.value.line == 5
+
+
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     code = main(list(argv), out=buf)

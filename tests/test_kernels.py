@@ -1,5 +1,6 @@
-"""The integer kernels against the dense Fraction oracle: rref, the matrix
-product, the inverse, the subspace lattice and the coupled Sylvester solve."""
+"""The integer kernels against the dense Fraction oracle: the canonical
+integer-row form of Mat and its arithmetic, rref, the matrix product, the
+inverse, the subspace lattice and the coupled Sylvester solve."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
                       rref, solve_two_equations)
-from dense_oracle import (dense_complement, dense_image, dense_intersect, dense_inverse,
+from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
+                          dense_hstack, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
-                          dense_rref, dense_solve_two_equations, dense_span, dense_sum)
+                          dense_rref, dense_scale, dense_solve_two_equations, dense_span,
+                          dense_sum, dense_transpose, dense_vstack)
 from randgen import make_rng, rand_invertible
 
 ZERO_SHARES = (0.0, 0.3, 0.6, 0.9)
@@ -40,6 +43,136 @@ def assert_same_rref(m: Mat):
     assert got == want
     assert m.rank() == want[2]
     assert all(type(x) is F for row in got[0].data for x in row)
+
+
+def assert_canonical_mat(m: Mat):
+    """Each row of m is its integer tuple over the smallest positive
+    denominator, and the Fraction view holds the same reduced entries."""
+    assert len(m.ints) == len(m.dens) == m.rows
+    for row, den in zip(m.ints, m.dens):
+        assert len(row) == m.cols and den > 0 and gcd(den, *row) == 1
+        assert all(type(x) is int for x in row)
+    assert m.data is m.data
+    assert all(type(x) is F and gcd(x.numerator, x.denominator) == 1
+               for row in m.data for x in row)
+    assert m.data == tuple(tuple(F(x, den) for x in row) for row, den in zip(m.ints, m.dens))
+
+
+def assert_same(got: Mat, want: Mat):
+    assert_canonical_mat(got)
+    assert got == want and hash(got) == hash(want)
+    assert got.data == want.data
+
+
+def assert_ops_match_dense(a: Mat, b: Mat, c: Mat, s):
+    """Every Mat operation on a, b (same shape) and c (a.cols x any) and the
+    scalar s against the dense Fraction oracle."""
+    assert_same(a + b, dense_add(a, b))
+    assert_same(a - b, dense_add(a, b, -1))
+    assert_same(-a, dense_scale(a, -1))
+    assert_same(a * s, dense_scale(a, s))
+    assert_same(s * a, dense_scale(a, s))
+    assert_same(a @ c, dense_matmul(a, c))
+    assert_same(a.T, dense_transpose(a))
+    for r0, r1, c0, c1 in ((0, a.rows, 0, a.cols), (a.rows // 2, a.rows, 0, a.cols // 2),
+                           (0, a.rows // 2, a.cols // 2, a.cols)):
+        assert_same(a.sub(r0, r1, c0, c1), dense_block(a, r0, r1, c0, c1))
+    assert_same(Mat.hstack(a, a @ c, b), dense_hstack(a, dense_matmul(a, c), b))
+    assert_same(Mat.vstack(a, c.T, b), dense_vstack(a, dense_transpose(c), b))
+    assert_same(Mat.block_diag(a, c, b), dense_block_diag(a, c, b))
+
+
+class TestCanonicalMat:
+    """A Mat holds integer rows over their smallest positive denominators, so
+    one matrix is == and hashes alike however it was built."""
+
+    WANT = [[F(3, 2), 0, -2], [F(-1, 3), 5, F(1, 6)]]
+
+    def test_every_route_gives_one_form(self):
+        want = Mat(2, 3, self.WANT)
+        sixfold = Mat(2, 3, [[9, 0, -12], [-2, 30, 1]])
+        routes = [
+            Mat(2, 3, [["3/2", "0", "-2"], ["-1/3", "5", "1/6"]]),
+            Mat(2, 3, [["6/4", "0/3", "-4/2"], ["-2/6", "10/2", "2/12"]]),
+            Mat(2, 3, [["06/4", "-0", "-8/4"], ["-4/12", "-0/5", F(2, 12)]]) + Mat(2, 3, [
+                [0, 0, 0], [0, 5, 0]]),
+            Mat.from_rows([[F(6, 4), F(0, 3), -2], ["-1/3", F(5), "3/18"]]),
+            sixfold * F(1, 6),
+            F(1, 6) * sixfold,
+            (want * 2) * "1/2",
+            Mat.identity(2) @ want,
+            want @ Mat.identity(3),
+            Mat(2, 2, [[F(1, 2), 0], [0, F(1, 3)]]) @ Mat(2, 3, [[3, 0, -4], [-1, 15, F(1, 2)]]),
+            want + Mat.zeros(2, 3),
+            want - Mat.zeros(2, 3),
+            -(-want),
+            (want + want) * F(1, 2),
+            Mat(2, 3, [[F(1, 2), F(1, 3), -1], [F(2, 3), 2, 0]])
+            + Mat(2, 3, [[1, F(-1, 3), -1], [-1, 3, F(1, 6)]]),
+            want.T.T,
+            Mat.hstack(want.sub(0, 2, 0, 1), want.sub(0, 2, 1, 3)),
+            Mat.vstack(want.sub(0, 1, 0, 3), want.sub(1, 2, 0, 3)),
+            Mat.block_diag(Mat.zeros(0, 0), want, Mat.zeros(0, 0)),
+        ]
+        for m in routes:
+            assert_same(m, want)
+        assert want.ints == ((3, 0, -4), (-2, 30, 1)) and want.dens == (2, 6)
+        assert len({hash(m) for m in routes}) == 1
+
+    def test_zero_and_integer_rows_have_denominator_one(self):
+        m = Mat(3, 2, [["0/7", "-0"], ["4/2", "-6/3"], [F(0), "0/1"]])
+        assert m.ints == ((0, 0), (2, -2), (0, 0)) and m.dens == (1, 1, 1)
+        assert m == Mat.from_rows([[0, 0], [2, -2], [0, 0]])
+        assert (m * 0).dens == (1, 1, 1) and (m - m) == Mat.zeros(3, 2)
+
+    def test_view_entries_are_reduced_fractions(self):
+        m = Mat(2, 2, [["6/4", "-10/15"], ["-0", "9/3"]])
+        assert_canonical_mat(m)
+        assert m.data == ((F(3, 2), F(-2, 3)), (F(0), F(3)))
+        assert m[0, 1] == F(-2, 3) and m.row(1) == (F(0), F(3))
+        assert type(m[1, 1]) is F
+
+    def test_unequal_matrices_differ(self):
+        m = Mat(1, 2, [[F(1, 2), 1]])
+        for other in (Mat(1, 2, [[1, 2]]), Mat(1, 2, [[F(1, 2), F(1, 2)]]),
+                      Mat(2, 1, [[F(1, 2)], [1]]), Mat(1, 3, [[F(1, 2), 1, 0]])):
+            assert m != other
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_zero_dimension_shapes(self, k):
+        rng = make_rng(1000 + k)
+        for rows, cols in ((0, k), (k, 0), (0, 0)):
+            a = Mat(rows, cols)
+            assert a == Mat.zeros(rows, cols) == Mat(rows, cols, [[] for _ in range(rows)])
+            assert hash(a) == hash(Mat.zeros(rows, cols))
+            assert a.data == ((),) * rows and a.is_zero()
+            assert a.T.shape == (cols, rows) and a.T == Mat.zeros(cols, rows)
+            assert_ops_match_dense(a, Mat.zeros(rows, cols), sparse_mat(rng, cols, 2, 0.3),
+                                   F(-3, 4))
+            assert_same(sparse_mat(rng, 2, rows, 0.3) @ a, Mat.zeros(2, cols))
+        assert Mat(0, 3) != Mat(0, 2) and Mat(3, 0) != Mat(2, 0)
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_operations_against_dense(self, zero_share):
+        rng = make_rng(int(zero_share * 100) + 1100)
+        for _ in range(40):
+            r, c, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+            big = rng.random() < 0.2
+            a, b = sparse_mat(rng, r, c, zero_share, big), sparse_mat(rng, r, c, zero_share, big)
+            s = F(rng.randint(-9, 9), rng.randint(1, 9))
+            assert_ops_match_dense(a, b, sparse_mat(rng, c, k, zero_share, big), s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        r, c, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+        entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12),
+                          st.integers(-10 ** 20, 10 ** 20))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        assert_ops_match_dense(mat(r, c), mat(r, c), mat(c, k), data.draw(entry))
 
 
 class TestRrefAgainstDense:

@@ -1,16 +1,19 @@
 """P-feedback machinery: witnesses, QPFF construction, decoupling, templates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from daeforms import (Mat, PffData, PTransform, QpffBlockSizes, SystemTriple,
+from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, SystemTriple,
                       apply_p_transform, classify_controllability, compose_p,
                       compute_qpff, decouple_qpff, image_basis, invert_p,
                       kernel_basis, make_canonical_blocks, select_bases,
                       v_sequence, verify_pff, verify_qpff, w_sequence,
                       wong_limits)
-from daeforms.pfeedback import head_sel, last_unit, lower_shift, tail_sel
+from daeforms.pfeedback import head_sel, lower_shift, tail_sel
 from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
+from dense_oracle import dense_add, dense_matmul
+from oracles import last_unit
 from randgen import make_rng, rand_mat, rand_p_transform, rand_system
 
 
@@ -131,6 +134,83 @@ class TestWitnessAlgebra:
                 assert ours == theirs.image_under(t_inv)
             for ours, theirs in zip(w_sequence(moved), w_sequence(sys)):
                 assert ours == theirs.image_under(t_inv)
+
+
+def _entries():
+    return st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def _mats(draw, rows: int, cols: int) -> Mat:
+    return Mat(rows, cols, draw(st.lists(st.lists(_entries(), min_size=cols, max_size=cols),
+                                         min_size=rows, max_size=rows)))
+
+
+@st.composite
+def _invertibles(draw, k: int) -> Mat:
+    """Unit lower triangular times upper triangular with a nonzero diagonal."""
+    entries, nonzero = _entries(), _entries().filter(bool)
+    lower = [[1 if i == j else draw(entries) if i > j else 0 for j in range(k)]
+             for i in range(k)]
+    upper = [[draw(nonzero) if i == j else draw(entries) if i < j else 0 for j in range(k)]
+             for i in range(k)]
+    return Mat(k, k, lower) @ Mat(k, k, upper)
+
+
+@st.composite
+def _systems(draw):
+    """A random triple, or the stacked pencil s[I_k; 0] - [0; I_k] with no
+    input (m = 0)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        zero, ident = Mat.zeros(k, k), Mat.identity(k)
+        return SystemTriple(Mat.vstack(ident, zero), Mat.vstack(zero, ident),
+                            Mat.zeros(2 * k, 0))
+    l, n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    return SystemTriple(draw(_mats(l, n)), draw(_mats(l, n)), draw(_mats(l, m)))
+
+
+@st.composite
+def _witnesses(draw, kind, sys: SystemTriple) -> PTransform:
+    l, n, m = sys.l, sys.n, sys.m
+    feedback = [draw(_mats(m, n)) for _ in kind._FEEDBACK]
+    return kind(draw(_invertibles(l)), draw(_invertibles(n)), draw(_invertibles(m)),
+                *feedback)
+
+
+@pytest.mark.parametrize("kind", [PTransform, PDTransform], ids=["P", "PD"])
+class TestWitnessAlgebraProperties:
+    """apply, compose and invert on random witnesses of both kinds, zero
+    dimensions included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_apply_is_the_dense_product(self, kind, data):
+        sys = data.draw(_systems())
+        w = data.draw(_witnesses(kind, sys))
+        f_d = w.F_D if kind is PDTransform else Mat.zeros(sys.m, sys.n)
+        got = apply_p_transform(sys, w)
+        assert got.E == dense_matmul(w.S, dense_add(dense_matmul(sys.E, w.T),
+                                                    dense_matmul(sys.B, f_d)))
+        assert got.A == dense_matmul(w.S, dense_add(dense_matmul(sys.A, w.T),
+                                                    dense_matmul(sys.B, w.F_P)))
+        assert got.B == dense_matmul(dense_matmul(w.S, sys.B), w.V)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_compose_is_apply_twice(self, kind, data):
+        sys = data.draw(_systems())
+        w1, w2 = data.draw(_witnesses(kind, sys)), data.draw(_witnesses(kind, sys))
+        both = compose_p(w1, w2)
+        assert type(both) is kind
+        assert apply_p_transform(apply_p_transform(sys, w1), w2) == apply_p_transform(sys, both)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_invert_undoes_apply(self, kind, data):
+        sys = data.draw(_systems())
+        w = data.draw(_witnesses(kind, sys))
+        assert apply_p_transform(apply_p_transform(sys, w), invert_p(w)) == sys
 
 
 class TestSelectBases:
