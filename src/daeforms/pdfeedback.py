@@ -15,7 +15,11 @@ diagonal blocks into shift and nilpotent chains.
 The PD group contains the P group, so the witness algebra is the one of
 ``pfeedback``: a P witness acts as a PD witness with F_D = 0, and
 ``apply_pd_transform`` is ``pfeedback.apply_p_transform``.  The QPDFF
-shares the QPFF's state-basis split, block slicing and decoupling skeleton.
+shares the QPFF's state-basis split, block slicing and decoupling skeleton,
+and its diagonal blocks pass the same conditions (i) to (iii),
+``pfeedback._diagonal_checks``, with no input columns.  The PDFF template
+is read from its own chain-layout table ``_PDFF_LAYOUT``, in the format of
+``pfeedback._PFF_LAYOUT``.
 
 Chain orientation differs between the two template families on purpose: the
 PDFF writes its underdetermined chains with the derivative on the leading
@@ -29,20 +33,29 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import Mat, Subspace, complement, image_basis, kernel_basis, solve_right
-from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance
 from .wong import FieldError, SystemTriple, wong_limits
 from .pfeedback import (FormReport, PDTransform, PffData, compose_p, head_sel, lower_shift,
-                        tail_sel, verify_pff, _blocks, _below_triangle_zero,
-                        _check_decoupled, _check_template_data, _cuts, _driven_chains,
-                        _multi, _pff_chains, _solve_coupling, _state_split, _unitriangular,
-                        _unit_span, _wong_pattern_ok)
+                        tail_sel, verify_pff, _blocks, _below_triangle_zero, _chain_diagonal,
+                        _chain_extent, _chains, _check_decoupled, _check_template_data, _cuts,
+                        _diagonal_checks, _driven_chains, _matches_template, _solve_coupling,
+                        _state_split, _unitriangular, _unit_span, _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
 # --------------------------------------------------------------------------
 # PD-feedback form template
 # --------------------------------------------------------------------------
+
+# kind: (row delta, column delta, E atom, A atom), in template order, as in
+# ``pfeedback._PFF_LAYOUT``; the r input rows follow all chains.
+_PDFF_LAYOUT = {
+    "alpha": (-1, 0, head_sel, tail_sel),
+    "cbar": (0, 0, Mat.identity, None),
+    "beta": (0, 0, lower_shift, Mat.identity),
+    "gamma": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+}
+
 
 @dataclass(frozen=True)
 class PdffData:
@@ -54,21 +67,20 @@ class PdffData:
     gamma: tuple[int, ...]
     r: int
 
+    _LAYOUT = _PDFF_LAYOUT
+
     def __post_init__(self):
-        _check_template_data(self, ("alpha", "beta", "gamma"))
+        _check_template_data(self)
         if self.r < 0:
             raise FieldError("r", "rank of B cannot be negative")
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
-        a, b, g = self.alpha, self.beta, self.gamma
-        ncbar = self.a_cbar.rows
-        l = (sum(a) - len(a)) + ncbar + sum(b) + sum(g) + self.r
-        n = sum(a) + ncbar + sum(b) + (sum(g) - len(g))
+        l, n = _chain_extent(self)
         if m is None:
             m = self.r
         if m < self.r:
             raise ValueError("input count is smaller than the rank of B")
-        return l, n, m
+        return l + self.r, n, m
 
 
 def make_pdff_template(data: PdffData, m: int | None = None) -> SystemTriple:
@@ -80,20 +92,7 @@ def make_pdff_template(data: PdffData, m: int | None = None) -> SystemTriple:
     the effective inputs to zero through an identity block in B.
     """
     l, n, m = data.dims(m)
-    a, b, g = data.alpha, data.beta, data.gamma
-    ncbar = data.a_cbar.rows
-    e_top = Mat.block_diag(
-        _multi([head_sel(ai) for ai in a]),
-        Mat.identity(ncbar),
-        _multi([lower_shift(bi) for bi in b]),
-        _multi([tail_sel(gi).T for gi in g]),
-    )
-    a_top = Mat.block_diag(
-        _multi([tail_sel(ai) for ai in a]),
-        data.a_cbar,
-        Mat.identity(sum(b)),
-        _multi([head_sel(gi).T for gi in g]),
-    )
+    e_top, a_top = _chain_diagonal(data)
     e = Mat.vstack(e_top, Mat.zeros(data.r, n))
     amat = Mat.vstack(a_top, Mat.zeros(data.r, n))
     bmat = Mat.block_diag(Mat.zeros(l - data.r, m - data.r), Mat.identity(data.r))
@@ -108,11 +107,7 @@ def verify_pdff(sys: SystemTriple, data: PdffData) -> bool:
     """
     if data.r != sys.B.rank():
         return False
-    l, n, _ = data.dims(sys.m)
-    if (l, n) != (sys.l, sys.n):
-        raise ValueError("template dimensions are inconsistent with the system")
-    tpl = make_pdff_template(data, sys.m)
-    return sys.E == tpl.E and sys.A == tpl.A and sys.B == tpl.B
+    return _matches_template(sys, data, make_pdff_template)
 
 
 # --------------------------------------------------------------------------
@@ -191,34 +186,23 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
 
 
 def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
-    """Check the QPDFF zero pattern and the four block conditions."""
+    """Check the QPDFF zero pattern, the three diagonal block conditions of
+    ``_diagonal_checks`` without input columns, and the input block row."""
     if not sizes.fits(sys):
         raise ValueError("block sizes do not sum to the system dimensions")
     z = sizes
     rows, cols = _cuts(z)
-    blk = _blocks(sys, rows, cols)
     r3 = rows[3]
-    checks: list[tuple[str, bool]] = []
-
     pattern = (_below_triangle_zero(sys, rows, cols)
                and sys.B.sub(0, r3, 0, sys.m).is_zero()
                and sys.B.sub(r3, sys.l, 0, z.m1).is_zero())
-    checks.append(("zero_pattern", pattern))
-
-    if (z.l1, z.n1) == (0, 0):
-        checks.append(("block1_underdetermined", True))
-    else:
-        ok1 = (z.l1 < z.n1
-               and blk["E11"].rank() == z.l1
-               and full_rank_all_finite(blk["E11"], blk["A11"], z.l1, "row"))
-        checks.append(("block1_underdetermined", ok1))
-
-    checks.append(("block2_ode", blk["E22"].is_invertible()))
-    checks.append(("block3_trivial",
-                   full_rank_all_finite(blk["E33"], blk["A33"], z.n3, "column")))
-    checks.append(("input_block_invertible",
-                   sys.B.sub(r3, sys.l, z.m1, sys.m).is_invertible() and sys.B.rank() == z.m2))
-    return FormReport(tuple(checks))
+    return FormReport((
+        ("zero_pattern", pattern),
+        *_diagonal_checks(_blocks(sys, rows, cols), "block1_underdetermined",
+                          Mat.zeros(z.l1, 0), Mat.zeros(z.l3, 0)),
+        ("input_block_invertible",
+         sys.B.sub(r3, sys.l, z.m1, sys.m).is_invertible() and sys.B.rank() == z.m2),
+    ))
 
 
 def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
@@ -309,7 +293,7 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
     # overdetermined delta chains, and all constrained input rows at the bottom.
     # Original alpha chains carry the derivative on the trailing states, so
     # their rows and states are reversed to match the PDFF orientation.
-    chains = _pff_chains(data).items()
+    chains = _chains(data).items()
     row = {kind: [rows for rows, _ in kind_chains] for kind, kind_chains in chains}
     col = {kind: [cols for _, cols in kind_chains] for kind, kind_chains in chains}
     row_order = [i for rows in ([r[::-1] for r in row["alpha"]]

@@ -1,11 +1,11 @@
 """Univariate polynomial matrices over Q and exact pencil rank decisions.
 
-``full_rank_all_finite(E, A, ...)`` decides whether the pencil s*E - A keeps
-a prescribed rank at every finite complex point.  It reads the decision off the Wong
-limits V*, W* of the input-free triple [E, A, 0]: by the quasi-Kronecker
-form, the rank drops at no finite lambda exactly when V* is contained in
-W*, and the normal rank is n - dim(V* n W*) + dim E(V* n W*).  This is
-polynomial work in the pencil's size.
+``full_rank_all_finite(E, A, target)`` decides whether the pencil s*E - A
+keeps the rank ``target`` at every finite complex point.  It reads the
+decision off the Wong limits V*, W* of the input-free triple [E, A, 0]: by
+the quasi-Kronecker form, the rank drops at no finite lambda exactly when
+V* is contained in W*, and the normal rank is n - dim(V* n W*) +
+dim E(V* n W*).  This is polynomial work in the pencil's size.
 
 ``Poly``, ``PolyMat``, ``normal_rank``, ``determinant`` and ``minor_gcd``
 stay as the independent route: the rank drops at some finite lambda exactly
@@ -300,23 +300,17 @@ def _rank_from_limits(e: Mat, a: Mat) -> tuple[int, bool]:
     return e.cols - meet.dim + meet.image_under(e).dim, wstar.contains(vstar)
 
 
-def full_rank_all_finite(e: Mat, a: Mat, target: int, orientation: str | None = None) -> bool:
+def full_rank_all_finite(e: Mat, a: Mat, target: int) -> bool:
     """True iff rank of lambda*E - A equals ``target`` for every finite lambda.
 
-    E and A must have the same shape.  Decided exactly from the Wong limits
-    of [E, A, 0] (see ``_rank_from_limits``): the normal rank must equal
-    ``target`` and must not drop at any finite lambda.  ``orientation`` may
-    be "row" or "column" and is validated against the shape.
+    E and A must have the same shape, and ``target`` must not exceed either
+    dimension.  Decided exactly from the Wong limits of [E, A, 0] (see
+    ``_rank_from_limits``): the normal rank must equal ``target`` and must
+    not drop at any finite lambda.
     """
     if e.shape != a.shape:
         raise ValueError("a pencil needs E and A of the same shape")
     if target > min(e.rows, e.cols):
         raise ValueError("target rank exceeds the matrix dimensions")
-    if orientation == "row" and target != e.rows:
-        raise ValueError("row orientation requires target == rows")
-    if orientation == "column" and target != e.cols:
-        raise ValueError("column orientation requires target == cols")
-    if orientation not in (None, "row", "column"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     nrank, no_drop = _rank_from_limits(e, a)
     return nrank == target and no_drop

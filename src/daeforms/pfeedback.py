@@ -17,8 +17,12 @@ This module provides
 * decoupling of a QPFF into block diagonal shape by solving coupled
   Sylvester-type equations,
 * the fully canonical P-feedback form (PFF) as a template verifier built
-  from shift and nilpotent blocks indexed by multi-indices,
-* the block slicing, state-basis split and decoupling skeleton that
+  from shift and nilpotent chains indexed by multi-indices.  The layout
+  table ``_PFF_LAYOUT`` gives each chain kind its row and column deltas and
+  its E and A atoms; the chain ranges, the diagonal blocks and ``dims`` are
+  all read from it,
+* the block slicing, state-basis split, decoupling skeleton and the
+  diagonal block conditions (i) to (iii) (``_diagonal_checks``) that
   ``pdfeedback`` shares for the quasi PD-feedback form.
 """
 
@@ -36,7 +40,7 @@ from .wong import FieldError, SystemTriple, WongReport, wong_limits
 
 
 # --------------------------------------------------------------------------
-# canonical template atoms
+# canonical template atoms and chain layout
 # --------------------------------------------------------------------------
 
 def lower_shift(k: int) -> Mat:
@@ -54,20 +58,71 @@ def head_sel(k: int) -> Mat:
     return Mat(k - 1, k, [[1 if j == i else 0 for j in range(k)] for i in range(k - 1)])
 
 
-def _multi(mats) -> Mat:
-    return Mat.block_diag(*mats) if mats else Mat.zeros(0, 0)
+# kind: (row delta, column delta, E atom, A atom), in template order.  A
+# chain of length k spans k + row delta rows and k + column delta columns,
+# and its E and A blocks are the atoms at k.  The one cbar chain has length
+# dim A_cbar; its A atom None stands for A_cbar itself.
+_PFF_LAYOUT = {
+    "alpha": (-1, 0, tail_sel, head_sel),
+    "beta": (0, 0, Mat.identity, lambda k: lower_shift(k).T),
+    "cbar": (0, 0, Mat.identity, None),
+    "gamma": (0, 0, lower_shift, Mat.identity),
+    "delta": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+    "kappa": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+}
 
 
-def _check_template_data(data, names: tuple[str, ...]):
-    """Normalize the multi-indices ``names`` of frozen template data to int
-    tuples and check them and the square uncontrollable block A_cbar."""
-    for name in names:
+def _lengths(data, kind: str) -> tuple[int, ...]:
+    return (data.a_cbar.rows,) if kind == "cbar" else getattr(data, kind)
+
+
+def _chains(data) -> dict[str, list[tuple[range, range]]]:
+    """The row range and column range of every chain of the template of
+    ``data``, by kind in the template order of its ``_LAYOUT``."""
+    r = c = 0
+    chains: dict[str, list[tuple[range, range]]] = {}
+    for kind, (dr, dc, _, _) in data._LAYOUT.items():
+        chains[kind] = []
+        for k in _lengths(data, kind):
+            chains[kind].append((range(r, r + k + dr), range(c, c + k + dc)))
+            r, c = r + k + dr, c + k + dc
+    return chains
+
+
+def _chain_extent(data) -> tuple[int, int]:
+    """The number of rows and columns that the chains of ``data`` span."""
+    chains = [chain for kind in _chains(data).values() for chain in kind]
+    return sum(len(rows) for rows, _ in chains), sum(len(cols) for _, cols in chains)
+
+
+def _chain_diagonal(data) -> tuple[Mat, Mat]:
+    """The block diagonal E and A of the chains of ``data``."""
+    atoms = [(e_atom(k), data.a_cbar if a_atom is None else a_atom(k))
+             for kind, (_, _, e_atom, a_atom) in data._LAYOUT.items()
+             for k in _lengths(data, kind)]
+    return Mat.block_diag(*[e for e, _ in atoms]), Mat.block_diag(*[a for _, a in atoms])
+
+
+def _check_template_data(data):
+    """Normalize the multi-indices of frozen template data (every kind of
+    its layout but cbar) to int tuples and check them and the square
+    uncontrollable block A_cbar."""
+    for name in [kind for kind in data._LAYOUT if kind != "cbar"]:
         idx = tuple(int(k) for k in getattr(data, name))
         object.__setattr__(data, name, idx)
         if any(k < 1 for k in idx):
             raise FieldError(name, f"multi-index {name} must contain positive integers")
     if data.a_cbar.rows != data.a_cbar.cols:
         raise FieldError("A_cbar", "the uncontrollable block must be square")
+
+
+def _matches_template(sys: SystemTriple, data, make) -> bool:
+    """sys equals the template ``make(data, sys.m)``; raises ValueError when
+    the template dimensions cannot match sys at all."""
+    l, n, _ = data.dims(sys.m)
+    if (l, n) != (sys.l, sys.n):
+        raise ValueError("template dimensions are inconsistent with the system")
+    return make(data, sys.m) == sys
 
 
 @dataclass(frozen=True)
@@ -82,14 +137,14 @@ class PffData:
     kappa: tuple[int, ...]
     a_cbar: Mat
 
+    _LAYOUT = _PFF_LAYOUT
+
     def __post_init__(self):
-        _check_template_data(self, ("alpha", "beta", "gamma", "delta", "kappa"))
+        _check_template_data(self)
 
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         """Total (l, n, m) of the template; m defaults to the minimal width."""
-        chains = [chain for kind in _pff_chains(self).values() for chain in kind]
-        l = sum(len(rows) for rows, _ in chains)
-        n = sum(len(cols) for _, cols in chains)
+        l, n = _chain_extent(self)
         m_min = len(self.beta) + len(self.kappa)
         if m is None:
             m = m_min
@@ -98,29 +153,10 @@ class PffData:
         return l, n, m
 
 
-# A chain of length k spans k + dr rows and k + dc columns, (dr, dc) by kind,
-# in template order; A_cbar is one chain of kind cbar.
-_PFF_CHAIN_SHAPES = {"alpha": (-1, 0), "beta": (0, 0), "cbar": (0, 0),
-                     "gamma": (0, 0), "delta": (0, -1), "kappa": (0, -1)}
-
-
-def _pff_chains(data: PffData) -> dict[str, list[tuple[range, range]]]:
-    """The row range and column range of every chain of the PFF template,
-    by kind in template order."""
-    r = c = 0
-    chains: dict[str, list[tuple[range, range]]] = {}
-    for kind, (dr, dc) in _PFF_CHAIN_SHAPES.items():
-        chains[kind] = []
-        for k in (data.a_cbar.rows,) if kind == "cbar" else getattr(data, kind):
-            chains[kind].append((range(r, r + k + dr), range(c, c + k + dc)))
-            r, c = r + k + dr, c + k + dc
-    return chains
-
-
 def _driven_chains(data: PffData, m: int) -> list[tuple[int, tuple[range, range]]]:
     """(input column, chain) of every chain driven by an input: the beta
     chains by the first inputs, the kappa chains by the last ones."""
-    chains = _pff_chains(data)
+    chains = _chains(data)
     inputs = [*range(len(data.beta)), *range(m - len(data.kappa), m)]
     return list(zip(inputs, chains["beta"] + chains["kappa"]))
 
@@ -132,23 +168,7 @@ def make_canonical_blocks(data: PffData, m: int | None = None) -> SystemTriple:
     surplus becomes zero columns between the beta and kappa input blocks.
     """
     l, n, m = data.dims(m)
-    a, b, g, d, k = data.alpha, data.beta, data.gamma, data.delta, data.kappa
-    e = Mat.block_diag(
-        _multi([tail_sel(ai) for ai in a]),
-        Mat.identity(sum(b)),
-        Mat.identity(data.a_cbar.rows),
-        _multi([lower_shift(gi) for gi in g]),
-        _multi([tail_sel(di).T for di in d]),
-        _multi([tail_sel(ki).T for ki in k]),
-    )
-    amat = Mat.block_diag(
-        _multi([head_sel(ai) for ai in a]),
-        _multi([lower_shift(bi).T for bi in b]),
-        data.a_cbar,
-        Mat.identity(sum(g)),
-        _multi([head_sel(di).T for di in d]),
-        _multi([head_sel(ki).T for ki in k]),
-    )
+    e, amat = _chain_diagonal(data)
     input_at = {rows[-1]: j for j, (rows, _) in _driven_chains(data, m)}
     bmat = Mat(l, m, [[int(input_at.get(i) == j) for j in range(m)] for i in range(l)])
     return SystemTriple(e, amat, bmat)
@@ -161,11 +181,7 @@ def verify_pff(sys: SystemTriple, data: PffData) -> bool:
     invariance must permute the data themselves.  Raises ValueError when the
     template dimensions cannot match sys at all.
     """
-    l, n, _ = data.dims(sys.m)
-    if (l, n) != (sys.l, sys.n):
-        raise ValueError("template dimensions are inconsistent with the system")
-    tpl = make_canonical_blocks(data, sys.m)
-    return sys.E == tpl.E and sys.A == tpl.A and sys.B == tpl.B
+    return _matches_template(sys, data, make_canonical_blocks)
 
 
 # --------------------------------------------------------------------------
@@ -414,15 +430,37 @@ def _qpff_blocks(sys: SystemTriple, z: QpffBlockSizes) -> dict[str, Mat]:
             "B33": sys.B.sub(r2, sys.l, b2, sys.m)}
 
 
-def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
-    """Check the QPFF zero pattern and the three diagonal block conditions.
+def _diagonal_checks(blk: dict[str, Mat], first_name: str, b11: Mat,
+                     b33: Mat) -> list[tuple[str, bool]]:
+    """Conditions (i) to (iii) of both quasi forms on the diagonal blocks of
+    ``blk`` with the input blocks ``b11`` and ``b33``, zero-width for the
+    QPDFF.
 
-    (i) the leading block is a completely controllable underdetermined system
-    with unconstrained, non-redundant input; (ii) the middle E block is
-    square invertible; (iii) the trailing pencil with its input columns has
-    full column rank at every finite lambda.  An entirely empty leading or
-    trailing block passes its condition vacuously.
+    (i) ``first_name``: the leading block is a completely controllable
+    underdetermined system with unconstrained, non-redundant input; (ii) the
+    middle E block is square invertible; (iii) the trailing pencil with its
+    input columns has full column rank at every finite lambda, so it is at
+    least as tall as it is wide.  An entirely empty leading or trailing block
+    passes its condition vacuously.
     """
+    e11, e33 = blk["E11"], blk["E33"]
+    (l1, n1), m1 = e11.shape, b11.cols
+    (l3, n3), m3 = e33.shape, b33.cols
+    ok1 = (l1, n1, m1) == (0, 0, 0) or (
+        l1 < n1 + m1
+        and e11.rank() == l1
+        and b11.rank() == m1
+        and full_rank_all_finite(Mat.hstack(e11, Mat.zeros(l1, m1)),
+                                 Mat.hstack(blk["A11"], b11), l1))
+    ok3 = n3 + m3 <= l3 and full_rank_all_finite(
+        Mat.hstack(e33, Mat.zeros(l3, m3)), Mat.hstack(blk["A33"], b33), n3 + m3)
+    return [(first_name, ok1), ("block2_ode", blk["E22"].is_invertible()),
+            ("block3_trivial", ok3)]
+
+
+def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
+    """Check the QPFF zero pattern and the three diagonal block conditions
+    of ``_diagonal_checks``, with the input blocks B11 and B33."""
     if not sizes.fits(sys):
         raise ValueError("block sizes do not sum to the system dimensions")
     z = sizes
@@ -430,34 +468,14 @@ def verify_qpff(sys: SystemTriple, sizes: QpffBlockSizes) -> FormReport:
     blk = _qpff_blocks(sys, z)
     _, r1, r2, _ = rows
     b1, b2 = z.m1, z.m1 + z.m2
-    checks: list[tuple[str, bool]] = []
-
     pattern = (
         _below_triangle_zero(sys, rows, cols)
         and sys.B.sub(0, r1, b1, b2).is_zero()
         and sys.B.sub(r1, r2, 0, sys.m).is_zero()
         and sys.B.sub(r2, sys.l, 0, b2).is_zero()
     )
-    checks.append(("zero_pattern", pattern))
-
-    if (z.l1, z.n1, z.m1) == (0, 0, 0):
-        checks.append(("block1_controllable", True))
-    else:
-        aug_e = Mat.hstack(blk["E11"], Mat.zeros(z.l1, z.m1))
-        aug_a = Mat.hstack(blk["A11"], blk["B11"])
-        ok1 = (z.l1 < z.n1 + z.m1
-               and blk["E11"].rank() == z.l1
-               and blk["B11"].rank() == z.m1
-               and full_rank_all_finite(aug_e, aug_a, z.l1, "row"))
-        checks.append(("block1_controllable", ok1))
-
-    checks.append(("block2_ode", blk["E22"].is_invertible()))
-
-    aug_e3 = Mat.hstack(blk["E33"], Mat.zeros(z.l3, z.m3))
-    aug_a3 = Mat.hstack(blk["A33"], blk["B33"])
-    checks.append(("block3_trivial",
-                   full_rank_all_finite(aug_e3, aug_a3, z.n3 + z.m3, "column")))
-    return FormReport(tuple(checks))
+    return FormReport((("zero_pattern", pattern),
+                       *_diagonal_checks(blk, "block1_controllable", blk["B11"], blk["B33"])))
 
 
 def _solve_coupling(blocks: str, inst: TwoEqInstance) -> tuple[Mat, Mat]:
@@ -564,11 +582,10 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
 
 
 def _unit_span(dim: int, idx) -> Subspace:
-    cols = sorted(idx)
-    ident = Mat.identity(dim)
-    basis = (Mat.hstack(*[ident.col(j) for j in cols])
-             if cols else Mat.zeros(dim, 0))
-    return Subspace(dim, basis)
+    """The span of the unit vectors of Q^dim at ``idx``: its canonical rows
+    are those unit vectors, in order."""
+    return Subspace._from_rows(dim, tuple((0,) * j + (1,) + (0,) * (dim - 1 - j)
+                                          for j in sorted(set(idx))))
 
 
 def _wong_pattern_ok(sys: SystemTriple, z, rep: WongReport, im_b: Subspace) -> bool:

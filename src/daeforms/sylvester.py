@@ -51,10 +51,6 @@ class TwoEqInstance:
         if self.E.shape != (m, q) or self.F.shape != (m, q):
             raise ValueError("E and F must be m x q")
 
-    def residual(self, y: Mat, z: Mat) -> tuple[Mat, Mat]:
-        return (self.E + self.A @ y + z @ self.D,
-                self.F + self.C @ y + z @ self.B)
-
 
 def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     """Some (Y, Z) satisfying both equations exactly, or None.

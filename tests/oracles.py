@@ -4,7 +4,8 @@ Besides the Wong-limit properties, this holds the generalized Sylvester
 equation A X B - C X D = E: its solver, the classical reduction of the
 coupled pair to it, and a sufficient condition for its solvability.  The
 tests use them to cross-check the library's direct coupled solve.  It also
-holds ``last_unit``, a PFF template atom that only the tests use.
+holds ``residual`` of the coupled pair and ``last_unit``, a PFF template
+atom, which only the tests use.
 """
 
 from fractions import Fraction
@@ -18,6 +19,12 @@ def last_unit(k: int) -> Mat:
     """The k-th standard basis column of Q^k: the input column of a driven
     chain of length k in the PFF template."""
     return Mat(k, 1, [[1 if i == k - 1 else 0] for i in range(k)])
+
+
+def residual(inst: TwoEqInstance, y: Mat, z: Mat) -> tuple[Mat, Mat]:
+    """E + A Y + Z D and F + C Y + Z B: both zero exactly when (Y, Z) solves
+    the coupled pair ``inst``."""
+    return inst.E + inst.A @ y + z @ inst.D, inst.F + inst.C @ y + z @ inst.B
 
 
 def kernel_in_w_limit(sys: SystemTriple) -> bool:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import tempfile
 import time
 
 import pytest
@@ -505,6 +506,73 @@ class TestVerifyCommand:
                              "--data", str(out))
         assert code == 0
         assert "verify qpdff: pass" in text
+
+    @pytest.mark.parametrize("form,m_sizes", [("qpff", "0 0 0"), ("qpdff", "0 0")])
+    def test_wide_trailing_block_fails_its_check(self, form, m_sizes, tmp_path):
+        # one state and no equations: the trailing block is 0 x 1, wider than
+        # it is tall, so it cannot have full column rank
+        sys_file, w_file, data = (tmp_path / name for name in ("s", "w", "d"))
+        sys_file.write_text("E: 0x1\nA: 0x1\nB: 0x0\n")
+        w_file.write_text("S: 0x0\nT: 1x1\n1\nV: 0x0\nF_P: 0x1\n")
+        data.write_text(f"l_sizes: 0 0 0\nn_sizes: 0 0 1\nm_sizes: {m_sizes}\n")
+        code, text = run_cli("verify", str(sys_file), "--witness", str(w_file),
+                             "--form", form, "--data", str(data))
+        assert (code, text) == (1, f"verify {form}: FAIL\n"
+                                   "first failing condition: block3_trivial\n")
+
+
+QUASI_CHECKS = {
+    "qpff": {"zero_pattern", "block1_controllable", "block2_ode", "block3_trivial"},
+    "qpdff": {"zero_pattern", "block1_underdetermined", "block2_ode", "block3_trivial",
+              "input_block_invertible"},
+}
+
+
+def split(data, total: int, parts: int) -> list[int]:
+    """Any split of ``total`` into ``parts`` non-negative sizes."""
+    cuts = sorted(data.draw(st.integers(0, total)) for _ in range(parts - 1))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
+
+
+class TestVerifyQuasiFormProperty:
+    """verify --form qpff|qpdff on random small systems with the identity
+    witness and block sizes that fit: the sizes are valid input, so every
+    call is a mathematical check that passes (0) or names a failing
+    condition of that form (1)."""
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_condition(self, form, data):
+        l, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        m = data.draw(st.integers(0, 2))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        system = SystemTriple(mat(l, n), mat(l, n), mat(l, m))
+        if form == "qpff":
+            l_sizes, m_sizes = split(data, l, 3), split(data, m, 3)
+        else:
+            m2 = data.draw(st.integers(0, min(l, m)))
+            l_sizes, m_sizes = split(data, l - m2, 3), [m - m2, m2]
+        sizes = "".join(sysio.format_int_list(key, vals) + "\n" for key, vals in (
+            ("l_sizes", l_sizes), ("n_sizes", split(data, n, 3)), ("m_sizes", m_sizes)))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"system": sysio.format_system(system), "sizes": sizes,
+                     "witness": sysio.format_witness(PTransform.identity(l, n, m))}
+            for name, content in files.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            code, text = run_cli("verify", os.path.join(tmp, "system"),
+                                 "--witness", os.path.join(tmp, "witness"),
+                                 "--form", form, "--data", os.path.join(tmp, "sizes"))
+        assert code in (0, 1)
+        if code == 1:
+            verdict, detail = text.splitlines()
+            assert verdict == f"verify {form}: FAIL"
+            assert detail.removeprefix("first failing condition: ") in QUASI_CHECKS[form]
 
 
 class TestPWitnessForPdForms:

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
                       rref, solve_two_equations)
+from daeforms.pfeedback import _unit_span
 from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
                           dense_hstack, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
                           dense_rref, dense_scale, dense_solve_two_equations, dense_span,
                           dense_sum, dense_transpose, dense_vstack)
+from oracles import residual
 from randgen import make_rng, rand_invertible
 
 ZERO_SHARES = (0.0, 0.3, 0.6, 0.9)
@@ -343,6 +345,13 @@ class TestLatticeAgainstDense:
         for x in (zero, ident, other):
             for y in (zero, ident, other):
                 assert_lattice_matches(n, x, y, sparse_mat(rng, 2, n, 0.3), other)
+        # coordinate subspaces: unsorted and repeated index sets included
+        for idx in ((), range(n), range(0, n, 2), range(n - 1, -1, -2), [*range(n)] * 2):
+            unit = _unit_span(n, idx)
+            assert_canonical(unit)
+            cols = sorted(set(idx))
+            assert unit == Subspace(n, Mat(n, len(cols), [[row[j] for j in cols]
+                                                          for row in ident.data]))
 
     def test_complement_prefers_given_columns(self):
         outer = Subspace.full(3)
@@ -388,7 +397,7 @@ def assert_same_solution(inst: TwoEqInstance):
     if got is not None:
         y, z = got
         assert all(type(x) is F for mat in got for row in mat.data for x in row)
-        r1, r2 = inst.residual(y, z)
+        r1, r2 = residual(inst, y, z)
         assert r1.is_zero() and r2.is_zero()
     return got
 

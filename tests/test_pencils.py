@@ -118,7 +118,7 @@ class TestFullRankAllFinite:
 
     def test_constant_minor_wins(self):
         # [s, -1]
-        assert full_rank_all_finite(Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]]), 1, "row")
+        assert full_rank_all_finite(Mat.from_rows([[1, 0]]), Mat.from_rows([[0, 1]]), 1)
 
     def test_golden_leading_block(self):
         z = QPFF_SIZES
@@ -126,7 +126,7 @@ class TestFullRankAllFinite:
         a11 = QPFF_A.sub(0, z.l1, 0, z.n1)
         b11 = QPFF_B.sub(0, z.l1, 0, z.m1)
         assert full_rank_all_finite(Mat.hstack(e11, Mat.zeros(z.l1, z.m1)),
-                                    Mat.hstack(a11, b11), z.l1, "row")
+                                    Mat.hstack(a11, b11), z.l1)
 
     def test_invertible_e_always_fails(self):
         # a square pencil with invertible E always has finite eigenvalues
@@ -135,7 +135,7 @@ class TestFullRankAllFinite:
             k = rng.randint(1, 4)
             e = rand_invertible(rng, k)
             a = rand_mat(rng, k, k)
-            assert not full_rank_all_finite(e, a, k, "row")
+            assert not full_rank_all_finite(e, a, k)
 
     def test_sampling_agrees_with_gcd_route(self):
         rng = make_rng(23)
@@ -155,8 +155,6 @@ class TestFullRankAllFinite:
 
     def test_orientation_validation(self):
         e, a = Mat.identity(2), Mat.zeros(2, 2)
-        with pytest.raises(ValueError):
-            full_rank_all_finite(e, a, 1, "row")
         with pytest.raises(ValueError):
             full_rank_all_finite(e, a, 3)
 
@@ -300,7 +298,7 @@ class TestWongDecision:
         shift = Mat(k, k, [[int(j == i + 1) for j in range(k)] for i in range(k)])
         e = Mat.vstack(ident, zero)
         stacked, twin = Mat.vstack(zero, ident), Mat.vstack(ident * 9, shift)
-        assert full_rank_all_finite(e, stacked, k, "column")
-        assert not full_rank_all_finite(e, twin, k, "column")
-        assert full_rank_all_finite(e.T, stacked.T, k, "row")
-        assert not full_rank_all_finite(e.T, twin.T, k, "row")
+        assert full_rank_all_finite(e, stacked, k)
+        assert not full_rank_all_finite(e, twin, k)
+        assert full_rank_all_finite(e.T, stacked.T, k)
+        assert not full_rank_all_finite(e.T, twin.T, k)
