@@ -129,20 +129,21 @@ def cmd_verify(args, out) -> int:
         raise witness_doc.error("F_D", "P-feedback forms need a witness without F_D")
     transformed = pfeedback.apply_p_transform(system, witness)
 
-    if form == "pff":
-        ok = pfeedback.verify_pff(transformed, sysio.parse_pff_data(doc))
-        detail = "" if ok else "transformed system does not match the PFF template"
-    elif form == "pdff":
-        ok = pdfeedback.verify_pdff(transformed, sysio.parse_pdff_data(doc))
-        detail = "" if ok else "transformed system does not match the PDFF template"
-    elif form == "qpff":
-        report = pfeedback.verify_qpff(transformed, sysio.parse_qpff_sizes(doc))
-        ok = report.ok
-        detail = "" if ok else f"first failing condition: {report.failures()[0]}"
+    # form: (data parser, check); a template check gives a bool, a quasi
+    # form check a FormReport.  Built per call, so it sees rebound names.
+    parse_data, check = {
+        "pff": (sysio.parse_pff_data, pfeedback.verify_pff),
+        "pdff": (sysio.parse_pdff_data, pdfeedback.verify_pdff),
+        "qpff": (sysio.parse_qpff_sizes, pfeedback.verify_qpff),
+        "qpdff": (sysio.parse_qpdff_sizes, pdfeedback.verify_qpdff),
+    }[form]
+    result = check(transformed, parse_data(doc))
+    if isinstance(result, bool):
+        ok = result
+        detail = "" if ok else f"transformed system does not match the {form.upper()} template"
     else:
-        report = pdfeedback.verify_qpdff(transformed, sysio.parse_qpdff_sizes(doc))
-        ok = report.ok
-        detail = "" if ok else f"first failing condition: {report.failures()[0]}"
+        ok = result.ok
+        detail = "" if ok else f"first failing condition: {result.failures()[0]}"
 
     print(f"verify {form}: {'pass' if ok else 'FAIL'}", file=out)
     if detail:

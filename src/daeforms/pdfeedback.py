@@ -15,9 +15,10 @@ diagonal blocks into shift and nilpotent chains.
 The PD group contains the P group, so the witness algebra is the one of
 ``pfeedback``: a P witness acts as a PD witness with F_D = 0, and
 ``apply_pd_transform`` is ``pfeedback.apply_p_transform``.  The QPDFF
-shares the QPFF's state-basis split, block slicing and decoupling skeleton,
-and its diagonal blocks pass the same conditions (i) to (iii),
-``pfeedback._diagonal_checks``, with no input columns.  The PDFF template
+shares the QPFF's state-basis split, block slicing and decomposition record,
+its diagonal blocks pass the same conditions (i) to (iii),
+``pfeedback._diagonal_checks``, and it decouples through the QPFF's body
+``pfeedback._decouple``, each with no input columns.  The PDFF template
 is read from its own chain-layout table ``_PDFF_LAYOUT``, in the format of
 ``pfeedback._PFF_LAYOUT``.
 
@@ -33,13 +34,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import Mat, Subspace, complement, image_basis, kernel_basis, solve_right
-from .sylvester import TwoEqInstance
 from .wong import FieldError, SystemTriple, wong_limits
-from .pfeedback import (FormReport, PDTransform, PffData, compose_p, head_sel, lower_shift,
-                        tail_sel, verify_pff, _blocks, _below_triangle_zero, _chain_diagonal,
-                        _chain_extent, _chains, _check_decoupled, _check_template_data, _cuts,
-                        _diagonal_checks, _driven_chains, _matches_template, _solve_coupling,
-                        _state_split, _unitriangular, _unit_span, _wong_pattern_ok)
+from .pfeedback import (FormReport, PDTransform, PffData, QpffDecomposition, compose_p,
+                        head_sel, lower_shift, tail_sel, verify_pff, _blocks,
+                        _below_triangle_zero, _chain_diagonal, _chain_extent, _chains,
+                        _check_decoupled, _check_template_data, _cuts, _decomposition,
+                        _decouple, _diagonal_checks, _driven_chains, _matches_template,
+                        _state_split, _unit_span, _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
@@ -130,12 +131,7 @@ class QpdffBlockSizes(NamedTuple):
                 and self.m1 + self.m2 == sys.m)
 
 
-@dataclass(frozen=True)
-class QpdffDecomposition:
-    transformed: SystemTriple
-    witness: PDTransform
-    block_sizes: QpdffBlockSizes
-    report: FormReport  # verify_qpdff of the transformed triple; always ok
+QpdffDecomposition = QpffDecomposition
 
 
 def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
@@ -176,13 +172,8 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     v2 = complement(ker_b, Subspace.full(sys.m))
     v = Mat.hstack(v1, v2)
 
-    witness = PDTransform(s, t, v, f_p, f_d)
-    transformed = apply_pd_transform(sys, witness)
-    sizes = QpdffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2)
-    report = verify_qpdff(transformed, sizes)
-    if not report.ok:
-        raise AssertionError(f"constructed QPDFF failed verification: {report.failures()}")
-    return QpdffDecomposition(transformed, witness, sizes, report)
+    return _decomposition(sys, PDTransform(s, t, v, f_p, f_d),
+                          QpdffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2), verify_qpdff, "QPDFF")
 
 
 def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
@@ -209,10 +200,10 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
                    report: FormReport | None = None) -> tuple[SystemTriple, PDTransform]:
     """Eliminate the off-diagonal blocks of a verified QPDFF.
 
-    Input and state are already separated, so only three input-free coupled
-    Sylvester systems have to be solved; the witness needs neither feedback
-    nor an input transformation.  ``report`` is verify_qpdff(sys, sizes)
-    when the caller has it already.
+    Input and state are already separated, so ``_decouple`` runs with
+    zero-width input blocks and no row split, and the witness needs neither
+    feedback nor an input transformation.  ``report`` is
+    verify_qpdff(sys, sizes) when the caller has it already.
     """
     if report is None:
         report = verify_qpdff(sys, sizes)
@@ -221,22 +212,11 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
     z = sizes
     rows, cols = _cuts(z)
     blk = _blocks(sys, rows, cols)
-    e11, e22, e33 = blk["E11"], blk["E22"], blk["E33"]
-    a11, a22, a33 = blk["A11"], blk["A22"], blk["A33"]
-
-    g_t, g_s = _solve_coupling("(1,2)", TwoEqInstance(
-        A=a11, B=e22, C=e11, D=a22, E=blk["A12"], F=blk["E12"]))
-    f_t, f_s = _solve_coupling("(2,3)", TwoEqInstance(
-        A=a22, B=e33, C=e22, D=a33, E=blk["A23"], F=blk["E23"]))
-    h_t, h_s = _solve_coupling("(1,3)", TwoEqInstance(
-        A=a11, B=e33, C=e11, D=a33,
-        E=blk["A12"] @ f_t + blk["A13"], F=blk["E12"] @ f_t + blk["E13"]))
-
-    t_w = _unitriangular((z.n1, z.n2, z.n3), g_t, h_t, f_t)
-    left = Mat.block_diag(_unitriangular((z.l1, z.l2, z.l3), -g_s, -h_s, -f_s),
-                          Mat.identity(z.m2))
+    no_input1, no_input3 = Mat.zeros(z.l1, 0), Mat.zeros(z.l3, 0)
+    t_w, s, _, _ = _decouple(blk, no_input1, no_input1, no_input3, Mat.identity(z.l3))
     zmn = Mat.zeros(sys.m, sys.n)
-    witness = PDTransform(left.inv(), t_w, Mat.identity(sys.m), zmn, zmn)
+    witness = PDTransform(Mat.block_diag(s, Mat.identity(z.m2)), t_w, Mat.identity(sys.m),
+                          zmn, zmn)
     out = apply_pd_transform(sys, witness)
     _check_decoupled(blk, _blocks(out, rows, cols), out.B == sys.B)
     return out, witness

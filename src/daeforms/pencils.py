@@ -185,10 +185,6 @@ class PolyMat:
     def eval_at(self, x) -> Mat:
         return Mat(self.rows, self.cols, [[e.eval(x) for e in row] for row in self.data])
 
-    def max_degree(self) -> int:
-        degs = [e.degree for row in self.data for e in row]
-        return max(degs, default=-1)
-
     def submatrix(self, row_idx, col_idx) -> "PolyMat":
         return PolyMat(len(row_idx), len(col_idx),
                        [[self.data[i][j] for j in col_idx] for i in row_idx])

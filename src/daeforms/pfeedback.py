@@ -14,16 +14,19 @@ This module provides
 * the quasi P-feedback form (QPFF): a block upper triangular decomposition
   into a completely controllable part, an uncontrollable ODE part and a
   trivial-solution part, constructed from the augmented Wong limits,
-* decoupling of a QPFF into block diagonal shape by solving coupled
-  Sylvester-type equations,
+* decoupling of both quasi forms into block diagonal shape: one body,
+  ``_decouple``, solves the three coupled Sylvester-type systems and builds
+  the unitriangular S in closed form; the QPFF adds its row split of the
+  trailing block and the input feedback,
 * the fully canonical P-feedback form (PFF) as a template verifier built
   from shift and nilpotent chains indexed by multi-indices.  The layout
   table ``_PFF_LAYOUT`` gives each chain kind its row and column deltas and
   its E and A atoms; the chain ranges, the diagonal blocks and ``dims`` are
   all read from it,
-* the block slicing, state-basis split, decoupling skeleton and the
-  diagonal block conditions (i) to (iii) (``_diagonal_checks``) that
-  ``pdfeedback`` shares for the quasi PD-feedback form.
+* the block slicing, state-basis split, decomposition record and its
+  verified construction (``_decomposition``), and the diagonal block
+  conditions (i) to (iii) (``_diagonal_checks``) that ``pdfeedback``
+  shares for the quasi PD-feedback form.
 """
 
 from __future__ import annotations
@@ -354,10 +357,24 @@ class FormReport:
 
 @dataclass(frozen=True)
 class QpffDecomposition:
+    """A decomposition into either quasi form; ``pdfeedback`` binds it as
+    ``QpdffDecomposition``."""
+
     transformed: SystemTriple
     witness: PTransform
     block_sizes: QpffBlockSizes
-    report: FormReport  # verify_qpff of the transformed triple; always ok
+    report: FormReport  # the form's verifier on the transformed triple; always ok
+
+
+def _decomposition(sys: SystemTriple, witness: PTransform, sizes, verify,
+                   form: str) -> QpffDecomposition:
+    """Apply ``witness`` to sys and check the result with ``verify`` at
+    ``sizes``: the common end of compute_qpff and compute_qpdff."""
+    transformed = apply_p_transform(sys, witness)
+    report = verify(transformed, sizes)
+    if not report.ok:
+        raise AssertionError(f"constructed {form} failed verification: {report.failures()}")
+    return QpffDecomposition(transformed, witness, sizes, report)
 
 
 def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
@@ -391,13 +408,8 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     v = Mat.hstack(v1, v2, v3)
     m1, m2, m3 = v1.cols, v2.cols, v3.cols
 
-    witness = PTransform(s, t, v, f_p)
-    transformed = apply_p_transform(sys, witness)
-    sizes = QpffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2, m3)
-    report = verify_qpff(transformed, sizes)
-    if not report.ok:
-        raise AssertionError(f"constructed QPFF failed verification: {report.failures()}")
-    return QpffDecomposition(transformed, witness, sizes, report)
+    return _decomposition(sys, PTransform(s, t, v, f_p),
+                          QpffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2, m3), verify_qpff, "QPFF")
 
 
 def _cuts(z) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -505,14 +517,61 @@ def _check_decoupled(before: dict[str, Mat], after: dict[str, Mat], inputs_ok: b
         raise AssertionError("decoupling did not produce the expected block pattern")
 
 
+def _decouple(blk: dict[str, Mat], b11: Mat, b13: Mat, b33: Mat,
+              r33_inv: Mat) -> tuple[Mat, Mat, Mat, Mat]:
+    """Clear the (1,2), (2,3) and (1,3) blocks of ``blk`` by three coupled
+    Sylvester-type systems, for both quasi forms.  ``b11``, ``b13`` and
+    ``b33`` are the input blocks, zero-width for the QPDFF; ``r33_inv``
+    inverts a row operation of the trailing block row that leaves the last
+    b33.cols rows of A33 zero.  Returns T, S and the input-feedback rows
+    G_T^u and H_T^u."""
+    (l1, n1), m1 = blk["E11"].shape, b11.cols
+    l2, n2 = blk["E22"].shape
+    (l3, n3), m3 = blk["E33"].shape, b33.cols
+    a1_ext = Mat.hstack(blk["A11"], -b11)
+    e1_ext = Mat.hstack(blk["E11"], Mat.zeros(l1, m1))
+
+    # first coupling: clear the (1,2) blocks
+    yg, g_s = _solve_coupling("(1,2)", TwoEqInstance(
+        A=a1_ext, B=blk["E22"], C=e1_ext, D=blk["A22"], E=blk["A12"], F=blk["E12"]))
+
+    # second coupling: clear the (2,3) blocks; the relaxed input column of the
+    # unknown is forced to zero by the invertibility of E22
+    yf, f_s = _solve_coupling("(2,3)", TwoEqInstance(
+        A=blk["A22"], B=Mat.hstack(blk["E33"], Mat.zeros(l3, m3)), C=blk["E22"],
+        D=Mat.hstack(blk["A33"], -b33), E=Mat.hstack(blk["A23"], Mat.zeros(l2, m3)),
+        F=Mat.hstack(blk["E23"], Mat.zeros(l2, m3))))
+    f_t = yf.sub(0, n2, 0, n3)
+    if not yf.sub(0, n2, n3, n3 + m3).is_zero():
+        raise AssertionError("relaxed input correction should vanish")
+
+    # third coupling: clear the (1,3) blocks.  In the split rows [A33 | E33]
+    # of the trailing block the constrained part is solved directly
+    # (H_S^u = B13) and the remaining pair as a coupled system.
+    split = r33_inv @ Mat.hstack(blk["A33"], blk["E33"])
+    lx = l3 - m3  # rows of the unconstrained part
+    if not split.sub(lx, l3, 0, n3).is_zero():
+        raise AssertionError("A33 does not factor through the chosen row split")
+    yh, h_s_x = _solve_coupling("(1,3)", TwoEqInstance(
+        A=a1_ext, B=split.sub(0, lx, n3, 2 * n3), C=e1_ext, D=split.sub(0, lx, 0, n3),
+        E=blk["A12"] @ f_t + blk["A13"],
+        F=blk["E12"] @ f_t + blk["E13"] + b13 @ split.sub(lx, l3, n3, 2 * n3)))
+    h_s = Mat.hstack(h_s_x, b13) @ r33_inv
+
+    # S inverts [[I, -G_S, -H_S], [0, I, -F_S], [0, 0, I]] in closed form
+    t = _unitriangular((n1, n2, n3), yg.sub(0, n1, 0, n2), yh.sub(0, n1, 0, n3), f_t)
+    s = _unitriangular((l1, l2, l3), g_s, h_s + g_s @ f_s, f_s)
+    return t, s, yg.sub(n1, n1 + m1, 0, n2), yh.sub(n1, n1 + m1, 0, n3)
+
+
 def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
                   report: FormReport | None = None) -> tuple[SystemTriple, PTransform]:
     """Eliminate the off-diagonal blocks of a verified QPFF.
 
-    Solves three coupled Sylvester-type systems for the correction blocks,
-    then realizes them as a P-feedback witness with V = I.  The diagonal
-    blocks of the output are bit-identical to the input's.  ``report`` is
-    verify_qpff(sys, sizes) when the caller has it already.
+    Solves the coupled systems of ``_decouple`` and realizes the corrections
+    as a P-feedback witness with V = I.  The diagonal blocks of the output
+    are bit-identical to the input's.  ``report`` is verify_qpff(sys, sizes)
+    when the caller has it already.
     """
     if report is None:
         report = verify_qpff(sys, sizes)
@@ -520,63 +579,17 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
         raise ValueError(f"input is not in QPFF: {report.failures()}")
     z = sizes
     blk = _qpff_blocks(sys, z)
-    e11, e22, e33 = blk["E11"], blk["E22"], blk["E33"]
-    a11, a22, a33 = blk["A11"], blk["A22"], blk["A33"]
-    b11, b13, b33 = blk["B11"], blk["B13"], blk["B33"]
-
-    a1_ext = Mat.hstack(a11, -b11)
-    e1_ext = Mat.hstack(e11, Mat.zeros(z.l1, z.m1))
-
-    # first coupling: clear the (1,2) blocks
-    yg, g_s = _solve_coupling("(1,2)", TwoEqInstance(
-        A=a1_ext, B=e22, C=e1_ext, D=a22, E=blk["A12"], F=blk["E12"]))
-    g_t_x = yg.sub(0, z.n1, 0, z.n2)
-    g_t_u = yg.sub(z.n1, z.n1 + z.m1, 0, z.n2)
-
-    # second coupling: clear the (2,3) blocks; the relaxed input column of the
-    # unknown is forced to zero by the invertibility of E22
-    yf, f_s = _solve_coupling("(2,3)", TwoEqInstance(
-        A=a22, B=Mat.hstack(e33, Mat.zeros(z.l3, z.m3)), C=e22,
-        D=Mat.hstack(a33, -b33),
-        E=Mat.hstack(blk["A23"], Mat.zeros(z.l2, z.m3)),
-        F=Mat.hstack(blk["E23"], Mat.zeros(z.l2, z.m3))))
-    f_t_x = yf.sub(0, z.n2, 0, z.n3)
-    if not yf.sub(0, z.n2, z.n3, z.n3 + z.m3).is_zero():
-        raise AssertionError("relaxed input correction should vanish")
-
-    # third coupling: clear the (1,3) blocks.  Split off the input rows of
-    # [A33, -B33] by an invertible row operation, solve the constrained part
-    # directly (H_S^u = B13) and the remaining pair as a coupled system.
-    r_fill = complement(image_basis(b33), Subspace.full(z.l3), preferred=a33)
-    r33 = Mat.hstack(r_fill, -b33)
+    # split off the input rows of [A33, -B33] by an invertible row operation
+    # whose other columns are drawn from A33 first
+    r_fill = complement(image_basis(blk["B33"]), Subspace.full(z.l3), preferred=blk["A33"])
+    r33 = Mat.hstack(r_fill, -blk["B33"])
     if not r33.is_invertible():
         raise AssertionError("row split of the trailing block failed")
-    r33_inv = r33.inv()
-    a33_split = r33_inv @ a33
-    a33_x = a33_split.sub(0, z.l3 - z.m3, 0, z.n3)
-    if not a33_split.sub(z.l3 - z.m3, z.l3, 0, z.n3).is_zero():
-        raise AssertionError("A33 does not factor through the chosen row split")
-    e33_split = r33_inv @ e33
-    e33_x = e33_split.sub(0, z.l3 - z.m3, 0, z.n3)
-    e33_u = e33_split.sub(z.l3 - z.m3, z.l3, 0, z.n3)
-    h_s_u = b13
-    a13_t = blk["A12"] @ f_t_x + blk["A13"]
-    e13_t = blk["E12"] @ f_t_x + blk["E13"] + h_s_u @ e33_u
-    yh, h_s_x = _solve_coupling("(1,3)", TwoEqInstance(
-        A=a1_ext, B=e33_x, C=e1_ext, D=a33_x, E=a13_t, F=e13_t))
-    h_t_x = yh.sub(0, z.n1, 0, z.n3)
-    h_t_u = yh.sub(z.n1, z.n1 + z.m1, 0, z.n3)
-    h_s = Mat.hstack(h_s_x, h_s_u) @ r33_inv
-
-    t_w = _unitriangular((z.n1, z.n2, z.n3), g_t_x, h_t_x, f_t_x)
-    left = _unitriangular((z.l1, z.l2, z.l3), -g_s, -h_s, -f_s)
-    f_hat = Mat.vstack(
-        Mat.hstack(Mat.zeros(z.m1, z.n1), g_t_u, h_t_u),
-        Mat.zeros(z.m2 + z.m3, sys.n),
-    )
-    witness = PTransform(left.inv(), t_w, Mat.identity(sys.m), -f_hat)
+    t_w, s, g_t_u, h_t_u = _decouple(blk, blk["B11"], blk["B13"], blk["B33"], r33.inv())
+    f_hat = Mat.vstack(Mat.hstack(Mat.zeros(z.m1, z.n1), g_t_u, h_t_u),
+                       Mat.zeros(z.m2 + z.m3, sys.n))
+    witness = PTransform(s, t_w, Mat.identity(sys.m), -f_hat)
     out = apply_p_transform(sys, witness)
-
     _check_decoupled(blk, _qpff_blocks(out, z))
     return out, witness
 

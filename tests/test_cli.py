@@ -12,6 +12,7 @@ from daeforms import (Mat, PDTransform, PTransform, SystemTriple, pdfeedback, pf
                       sysio, wong)
 from daeforms.cli import main
 from daeforms.sysio import ParseError, parse_document, parse_system, parse_witness
+from byte_gate import GOLDEN_CALLS
 from golden import (PDFF_A, PDFF_B, PDFF_E, PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E,
                     QPDFF_SIZES, SYS763)
 
@@ -681,19 +682,9 @@ class TestWorkDoneOnce:
 
 GOLDEN = os.path.join(DATA, "golden")
 
-# name: argv run inside tests/data, with OUT standing for the --output file.
-# The expected files are a frozen reference: a change that alters them
-# changes what users see, so regenerate them only for an intended change.
-GOLDEN_CALLS = {
-    "wong_check_identities": ("wong", "sigma763.system", "--check-identities"),
-    "qpff_classify_decouple": ("qpff", "sigma763.system", "--classify", "--decouple",
-                               "--output", "OUT"),
-    "qpdff_decouple": ("qpdff", "sigma763.system", "--decouple", "--output", "OUT"),
-    "verify_pff": ("verify", "sigma763.system", "--witness", "sigma763_pff.witness",
-                   "--form", "pff", "--data", "sigma763_pff.data"),
-    "verify_pdff": ("verify", "sigma763.system", "--witness", "sigma763_pdff.witness",
-                    "--form", "pdff", "--data", "sigma763_pdff.data"),
-}
+# The expected files of byte_gate.GOLDEN_CALLS are a frozen reference: a
+# change that alters them changes what users see, so regenerate them only
+# for an intended change.
 
 
 def golden_bytes(name: str) -> bytes:

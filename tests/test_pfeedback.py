@@ -1,5 +1,7 @@
 """P-feedback machinery: witnesses, QPFF construction, decoupling, templates."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -383,6 +385,27 @@ class TestDecoupleQpff:
             for blk_r, blk_c in (((0, z.l1), (0, z.n1)),):
                 assert again.E.sub(*blk_r, *blk_c) == decoupled.E.sub(*blk_r, *blk_c)
             assert verify_qpff(again, z).ok
+
+
+class TestDecouplingWitnessesPinned:
+    """The decoupled triple is unique, but the witness depends on which
+    solution each coupling takes; the CLI never prints it.  Two scrambled
+    PFF templates pin the witnesses of both quasi forms byte for byte: the
+    first has a constrained input (m3 = 1), the second none (m3 = 0)."""
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    @pytest.mark.parametrize("name", ["scrambled_13x11x3", "scrambled_7x8x2"])
+    def test_witness_is_byte_identical(self, name, form):
+        from daeforms import compute_qpdff, decouple_qpdff, sysio
+        compute, decouple = ((compute_qpff, decouple_qpff) if form == "qpff"
+                             else (compute_qpdff, decouple_qpdff))
+        data = os.path.join(os.path.dirname(__file__), "data", name)
+        with open(data + ".system", encoding="utf-8") as fh:
+            sys, _ = sysio.parse_system(fh.read())
+        dec = compute(sys)
+        out, w = decouple(dec.transformed, dec.block_sizes, dec.report)
+        with open(f"{data}.{form}_decoupled", encoding="utf-8") as fh:
+            assert sysio.format_system(out) + sysio.format_witness(w) == fh.read()
 
 
 class TestClassify:
