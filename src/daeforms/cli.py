@@ -15,7 +15,6 @@ import sys as _sys
 
 from . import pdfeedback, pfeedback, sysio, wong
 from .linalg import Subspace
-from .sysio import ParseError
 
 
 def _read(path: str) -> str:
@@ -193,13 +192,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except AssertionError as exc:

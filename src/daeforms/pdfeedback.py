@@ -15,8 +15,9 @@ diagonal blocks into shift and nilpotent chains.
 The PD group contains the P group, so the witness algebra is the one of
 ``pfeedback``: a P witness acts as a PD witness with F_D = 0, and
 ``apply_pd_transform`` is ``pfeedback.apply_p_transform``.  The QPDFF
-shares the QPFF's state-basis split, block slicing and decomposition record,
-its diagonal blocks pass the same conditions (i) to (iii),
+builds its S, T and V with the QPFF's adapted bases ``pfeedback._adapted``
+and shares its block slicing and decomposition record; its diagonal blocks
+pass the same conditions (i) to (iii),
 ``pfeedback._diagonal_checks``, and it decouples through the QPFF's body
 ``pfeedback._decouple``, each with no input columns.  The PDFF template
 is read from its own chain-layout table ``_PDFF_LAYOUT``, in the format of
@@ -33,14 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .linalg import Mat, Subspace, complement, image_basis, kernel_basis, solve_right
+from .linalg import Mat, image_basis, kernel_basis, solve_right
 from .wong import FieldError, SystemTriple, wong_limits
 from .pfeedback import (FormReport, PDTransform, PffData, QpffDecomposition, compose_p,
-                        head_sel, lower_shift, tail_sel, verify_pff, _blocks,
+                        head_sel, lower_shift, tail_sel, verify_pff, _adapted, _blocks,
                         _below_triangle_zero, _chain_diagonal, _chain_extent, _chains,
                         _check_decoupled, _check_template_data, _cuts, _decomposition,
                         _decouple, _diagonal_checks, _driven_chains, _matches_template,
-                        _state_split, _unit_span, _wong_pattern_ok)
+                        _unit_span, _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
@@ -138,23 +139,20 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     """Decompose sys into quasi PD-feedback form.
 
     The state bases are the same Wong-limit splittings as for the QPFF; on
-    the equation side the image of B is split off first and placed last, so
-    that the transformed B is supported on the bottom block row only.  F_D
-    and F_P clear E and A there, and V sorts the inputs into (redundant,
-    effective).  The result always passes verify_qpdff, whose report it
-    carries.
+    the equation side the basis is adapted to im B <= E(V* n W*) + im B <=
+    E V* + im B, with the im B part placed last, so that the transformed B
+    is supported on the bottom block row only.  F_D and F_P clear E and A
+    there, and V sorts the inputs into (redundant, effective).  The result
+    always passes verify_qpdff, whose report it carries.
     """
     rep = wong_limits(sys)
-    meet, u_t, r_t, o_t = _state_split(sys, rep)
+    vstar = rep.v_limit
+    meet = vstar.intersect(rep.w_limit)
     im_b = image_basis(sys.B)
+    u_t, r_t, o_t = _adapted(sys.n, meet, vstar)
+    q_s, u_s, r_s, o_s = _adapted(sys.l, im_b, meet.image_under(sys.E).sum(im_b),
+                                  vstar.image_under(sys.E).sum(im_b))
     n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
-
-    q_s = im_b.basis
-    outer1 = meet.image_under(sys.E).sum(im_b)
-    u_s = complement(im_b, outer1)
-    outer2 = rep.v_limit.image_under(sys.E).sum(im_b)
-    r_s = complement(outer1, outer2)
-    o_s = complement(outer2, Subspace.full(sys.l))
     l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
     m2 = q_s.cols
     m1 = sys.m - m2
@@ -167,10 +165,7 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     if f_d is None or f_p is None:
         raise AssertionError("bottom-row clearing equations must be solvable")
 
-    ker_b = kernel_basis(sys.B)
-    v1 = ker_b.basis
-    v2 = complement(ker_b, Subspace.full(sys.m))
-    v = Mat.hstack(v1, v2)
+    v = Mat.hstack(*_adapted(sys.m, kernel_basis(sys.B)))
 
     return _decomposition(sys, PDTransform(s, t, v, f_p, f_d),
                           QpdffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2), verify_qpdff, "QPDFF")

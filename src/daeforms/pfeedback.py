@@ -23,10 +23,12 @@ This module provides
   table ``_PFF_LAYOUT`` gives each chain kind its row and column deltas and
   its E and A atoms; the chain ranges, the diagonal blocks and ``dims`` are
   all read from it,
-* the block slicing, state-basis split, decomposition record and its
-  verified construction (``_decomposition``), and the diagonal block
-  conditions (i) to (iii) (``_diagonal_checks``) that ``pdfeedback``
-  shares for the quasi PD-feedback form.
+* the adapted bases (``_adapted``): every S, T and V of both quasi forms is
+  a basis adapted to a chain of subspaces built from the Wong limits,
+* the block slicing, decomposition record and its verified construction
+  (``_decomposition``), and the diagonal block conditions (i) to (iii)
+  (``_diagonal_checks``) that ``pdfeedback`` shares for the quasi
+  PD-feedback form.  Both quasi form checks return a ``wong.FormReport``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .linalg import (Mat, Subspace, complement, image_basis, kernel_basis,
                      solve_right)
 from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance, solve_two_equations
-from .wong import FieldError, SystemTriple, WongReport, wong_limits
+from .wong import FieldError, FormReport, SystemTriple, WongReport, wong_limits
 
 
 # --------------------------------------------------------------------------
@@ -310,12 +312,14 @@ class BasisSelection:
         return Mat.hstack(self.U_S, self.R_S, self.O_S)
 
 
-def _state_split(sys: SystemTriple, rep: WongReport) -> tuple[Subspace, Mat, Mat, Mat]:
-    """V* n W* and the state bases U_T, R_T, O_T of both quasi forms:
-    im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n."""
-    vstar = rep.v_limit
-    meet = vstar.intersect(rep.w_limit)
-    return meet, meet.basis, complement(meet, vstar), complement(vstar, Subspace.full(sys.n))
+def _adapted(dim: int, *chain: Subspace, preferred: Mat | None = None) -> list[Mat]:
+    """A basis of Q^dim adapted to the increasing ``chain``, in parts: a
+    basis of chain[0], a complement of each member in the next, and last a
+    complement of chain[-1] in Q^dim that takes the columns of ``preferred``
+    first.  The first k parts span chain[k - 1]; all of them together are
+    invertible."""
+    return [chain[0].basis, *(complement(inner, outer) for inner, outer in zip(chain, chain[1:])),
+            complement(chain[-1], Subspace.full(dim), preferred)]
 
 
 def select_bases(sys: SystemTriple) -> BasisSelection:
@@ -328,31 +332,13 @@ def select_bases(sys: SystemTriple) -> BasisSelection:
     """
     rep = wong_limits(sys)
     vstar, wstar = rep.v_limit, rep.w_limit
-    _, u_t, r_t, o_t = _state_split(sys, rep)
     ev = vstar.image_under(sys.E)
     awb = wstar.image_under(sys.A).sum(image_basis(sys.B))
-    us_space = ev.intersect(awb)
-    u_s = us_space.basis
-    r_s = complement(us_space, ev)
-    o_s = complement(ev, Subspace.full(sys.l), preferred=sys.B)
-    sel = BasisSelection(u_t, r_t, o_t, u_s, r_s, o_s)
+    sel = BasisSelection(*_adapted(sys.n, vstar.intersect(wstar), vstar),
+                         *_adapted(sys.l, ev.intersect(awb), ev, preferred=sys.B))
     if Mat.hstack(sel.U_S, sel.O_S, sys.B).rank() != sel.U_S.cols + sel.O_S.cols:
         raise AssertionError("im B escaped im [U_S, O_S]")
     return sel
-
-
-@dataclass(frozen=True)
-class FormReport:
-    """Outcome of a structural form check, one entry per condition."""
-
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, flag in self.checks if not flag]
 
 
 @dataclass(frozen=True)
@@ -400,15 +386,11 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
         raise AssertionError("feedback clearing equations must be solvable")
     f_p = Mat.hstack(f1, f2, Mat.zeros(sys.m, n3))
 
-    ker_b = kernel_basis(sys.B)
-    ker_bottom = kernel_basis(sb.sub(l1 + l2, sys.l, 0, sys.m))
-    v2 = ker_b.basis
-    v1 = complement(ker_b, ker_bottom)
-    v3 = complement(ker_bottom, Subspace.full(sys.m))
-    v = Mat.hstack(v1, v2, v3)
+    v2, v1, v3 = _adapted(sys.m, kernel_basis(sys.B),
+                          kernel_basis(sb.sub(l1 + l2, sys.l, 0, sys.m)))
     m1, m2, m3 = v1.cols, v2.cols, v3.cols
 
-    return _decomposition(sys, PTransform(s, t, v, f_p),
+    return _decomposition(sys, PTransform(s, t, Mat.hstack(v1, v2, v3), f_p),
                           QpffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2, m3), verify_qpff, "QPFF")
 
 

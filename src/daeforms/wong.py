@@ -17,6 +17,10 @@ On integer rows, the B columns of [B | E | A] are eliminated once per chain,
 leaving [P_B E | P_B A]; a step prepends the columns P_B E v, v in V^i,
 eliminates them forward and reads V^{i+1} off the rest canonically (W swaps
 E and A).
+
+``FormReport`` is the verdict record of every structural check: the limit
+identities here and the quasi form checks of ``pfeedback`` and
+``pdfeedback``.
 """
 
 from __future__ import annotations
@@ -150,28 +154,21 @@ def wong_limits(sys: SystemTriple) -> WongReport:
 
 
 @dataclass(frozen=True)
-class LimitIdentityReport:
-    """Exact evaluation of the five structural identities of the Wong limits.
+class FormReport:
+    """Outcome of a structural check, one (name, passed) entry per condition."""
 
-    Every field must be True for every system; a False entry indicates an
-    implementation bug, not a property of the input.
-    """
-
-    ew_in_aw_plus_b: bool
-    av_in_ev_plus_b: bool
-    e_meet_matches: bool
-    a_meet_matches: bool
-    sum_chain_matches: bool
+    checks: tuple[tuple[str, bool], ...]
 
     @property
     def ok(self) -> bool:
-        return (self.ew_in_aw_plus_b and self.av_in_ev_plus_b and
-                self.e_meet_matches and self.a_meet_matches and
-                self.sum_chain_matches)
+        return all(flag for _, flag in self.checks)
+
+    def failures(self) -> list[str]:
+        return [name for name, flag in self.checks if not flag]
 
 
 def check_limit_identities(sys: SystemTriple,
-                           limits: WongReport | None = None) -> LimitIdentityReport:
+                           limits: WongReport | None = None) -> FormReport:
     """Evaluate both sides of the limit identities as canonical subspaces.
 
     Checked are the two flow inclusions E W* <= A W* + im B and
@@ -179,7 +176,9 @@ def check_limit_identities(sys: SystemTriple,
     E(V* n W*) = E V* n (A W* + im B) and A(V* n W*) = (E V* + im B) n A W*,
     and the three-way chain
     E(V* n W*) + im B = (E V* + im B) n (A W* + im B) = A(V* n W*) + im B.
-    ``limits`` is the system's own WongReport when the caller has it already.
+    They hold for every system, so a failed condition is an implementation
+    bug, not a property of the input.  ``limits`` is the system's own
+    WongReport when the caller has it already.
     """
     rep = wong_limits(sys) if limits is None else limits
     vstar, wstar = rep.v_limit, rep.w_limit
@@ -196,13 +195,13 @@ def check_limit_identities(sys: SystemTriple,
     ev_b = ev.sum(im_b)
 
     middle = ev_b.intersect(aw_b)
-    return LimitIdentityReport(
-        ew_in_aw_plus_b=aw_b.contains(ew),
-        av_in_ev_plus_b=ev_b.contains(av),
-        e_meet_matches=e_meet == ev.intersect(aw_b),
-        a_meet_matches=a_meet == ev_b.intersect(aw),
-        sum_chain_matches=(e_meet.sum(im_b) == middle and a_meet.sum(im_b) == middle),
-    )
+    return FormReport((
+        ("ew_in_aw_plus_b", aw_b.contains(ew)),
+        ("av_in_ev_plus_b", ev_b.contains(av)),
+        ("e_meet_matches", e_meet == ev.intersect(aw_b)),
+        ("a_meet_matches", a_meet == ev_b.intersect(aw)),
+        ("sum_chain_matches", e_meet.sum(im_b) == middle and a_meet.sum(im_b) == middle),
+    ))
 
 
 def augmented_system(sys: SystemTriple) -> SystemTriple:

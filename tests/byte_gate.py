@@ -1,4 +1,4 @@
-"""Byte gate: one digest per command line call, to compare two source trees.
+"""Byte gate: digests of CLI calls and library decompositions, to compare trees.
 
     python3 tests/byte_gate.py ROOT > digests.txt
 
@@ -10,17 +10,24 @@ process on
   for seeds 1 to 4, each written to a fresh temporary directory and called
   with relative paths.
 
+It also decomposes every system of ``tests/data`` and of those corpora into
+both quasi forms through the library, and decouples the result: the CLI
+writes no decoupling witness, and the verify corpus writes no witness at
+all, so only these digests see which witness each form takes.
+
 The inputs always come from this checkout, so two runs with different ROOTs
-make the same calls.  Each output line is ``<call> <sha256>``; the digest
+make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
 covers the argv, the exit code, standard output, standard error and the
-``--output`` file.  Two trees give the same bytes exactly when the two
-outputs are equal; the first line that differs names the first differing
-call.
+``--output`` file; a library digest covers the transformed and the
+decoupled triple and both witnesses in the text format, or the exception
+raised.  Two trees give the same bytes exactly when the two outputs are
+equal; the first line that differs names the first differing call.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -49,9 +56,13 @@ GOLDEN_CALLS = {
 SEEDS = (1, 2, 3, 4)
 
 
-def digest(main, argv, output: str | None) -> str:
-    """Run one call in the current directory and hash what it printed,
+FORMS = ("qpff", "qpdff")
+
+
+def cli_record(argv, output: str | None) -> list:
+    """Run one call in the current directory and return what it printed,
     returned and wrote to ``output``."""
+    from daeforms.cli import main
     if output is not None and os.path.exists(output):
         os.remove(output)
     out, err = io.StringIO(), io.StringIO()
@@ -68,17 +79,46 @@ def digest(main, argv, output: str | None) -> str:
         with open(output, "rb") as fh:
             written = fh.read().hex()
     shown = ["OUT" if a == output else a for a in argv]  # the same in every tree
-    record = json.dumps([shown, code, out.getvalue(), err.getvalue(), written])
-    return hashlib.sha256(record.encode()).hexdigest()
+    return [shown, code, out.getvalue(), err.getvalue(), written]
+
+
+def library_record(path: str, form: str) -> list:
+    """Decompose the system at ``path`` into ``form`` and decouple it with
+    the decomposition's report; return both triples and both witnesses as
+    the text format writes them, or the exception raised."""
+    from daeforms import pdfeedback, pfeedback, sysio
+    compute, decouple = {
+        "qpff": (pfeedback.compute_qpff, pfeedback.decouple_qpff),
+        "qpdff": (pdfeedback.compute_qpdff, pdfeedback.decouple_qpdff),
+    }[form]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            system, _ = sysio.parse_system(fh.read())
+        dec = compute(system)
+        out, witness = decouple(dec.transformed, dec.block_sizes, dec.report)
+    except Exception as exc:  # a crash is part of the behaviour being compared
+        return [form, "crash", type(exc).__name__, str(exc)]
+    return [form, sysio.format_system(dec.transformed), sysio.format_witness(dec.witness),
+            sysio.format_system(out), sysio.format_witness(witness)]
+
+
+def _library_calls(prefix: str, workdir: str, systems):
+    for path in dict.fromkeys(systems):
+        stem = os.path.splitext(os.path.basename(path))[0]
+        for form in FORMS:
+            yield (f"{prefix}/library/{stem}/{form}", workdir,
+                   functools.partial(library_record, path, form))
 
 
 def calls(tmp: str):
-    """(name, working directory, argv, output file or None) of every call;
-    the corpus files are written into ``tmp`` as the calls are listed."""
+    """(name, working directory, record function) of every call; the corpus
+    files are written into ``tmp`` as the calls are listed."""
     out = os.path.join(tmp, "golden.out")
     for name, argv in GOLDEN_CALLS.items():
-        yield (f"golden/{name}", DATA, [out if a == "OUT" else a for a in argv],
-               out if "OUT" in argv else None)
+        yield (f"golden/{name}", DATA, functools.partial(
+            cli_record, [out if a == "OUT" else a for a in argv], out if "OUT" in argv else None))
+    yield from _library_calls("golden", DATA, sorted(
+        f for f in os.listdir(DATA) if f.endswith(".system")))
     import workloads
     for workload in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
@@ -90,8 +130,11 @@ def calls(tmp: str):
                 corpus = workloads.build(workload, seed, ".")
             finally:
                 os.chdir(cwd)
+            prefix = f"{workload}/{seed}"
             for i, call in enumerate(corpus):
-                yield f"{workload}/{seed}/{i:02d}/{call.argv[0]}", workdir, call.argv, call.output
+                yield (f"{prefix}/{i:02d}/{call.argv[0]}", workdir,
+                       functools.partial(cli_record, call.argv, call.output))
+            yield from _library_calls(prefix, workdir, [call.argv[1] for call in corpus])
 
 
 def main(argv=None) -> int:
@@ -105,19 +148,19 @@ def main(argv=None) -> int:
         return 2
     sys.dont_write_bytecode = True  # leave both trees as they are
     sys.path[:0] = [src, PERFBENCH]
-    from daeforms.cli import main as cli_main
-    if not os.path.abspath(sys.modules["daeforms"].__file__).startswith(src + os.sep):
-        print(f"error: daeforms was imported from {sys.modules['daeforms'].__file__}",
-              file=sys.stderr)
+    import daeforms
+    if not os.path.abspath(daeforms.__file__).startswith(src + os.sep):
+        print(f"error: daeforms was imported from {daeforms.__file__}", file=sys.stderr)
         return 2
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="byte-gate-") as tmp:
-        for name, workdir, call_argv, output in calls(tmp):
+        for name, workdir, record in calls(tmp):
             os.chdir(workdir)
             try:
-                print(name, digest(cli_main, call_argv, output), flush=True)
+                digest = hashlib.sha256(json.dumps(record()).encode()).hexdigest()
             finally:
                 os.chdir(cwd)
+            print(name, digest, flush=True)
     return 0
 
 

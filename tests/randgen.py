@@ -7,7 +7,8 @@ import os
 import random
 from fractions import Fraction
 
-from daeforms import Mat, PTransform, SystemTriple
+from daeforms import (Mat, PffData, PTransform, SystemTriple, apply_p_transform,
+                      make_canonical_blocks)
 from daeforms.pdfeedback import PDTransform
 
 DEFAULT_SEED = 20260763
@@ -46,3 +47,20 @@ def rand_p_transform(rng: random.Random, l: int, n: int, m: int) -> PTransform:
 def rand_pd_transform(rng: random.Random, l: int, n: int, m: int) -> PDTransform:
     return PDTransform(rand_invertible(rng, l), rand_invertible(rng, n),
                        rand_invertible(rng, m), rand_mat(rng, m, n), rand_mat(rng, m, n))
+
+
+def rand_pff_data(rng: random.Random) -> PffData:
+    """PFF data with 0 to 2 chains of length 1 to 3 per multi-index and an
+    integer A_cbar of size 0 to 2."""
+    indices = [tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2))) for _ in range(5)]
+    k = rng.randint(0, 2)
+    return PffData(*indices, rand_mat(rng, k, k))
+
+
+def rand_scrambled_pff(rng: random.Random) -> tuple[SystemTriple, PffData]:
+    """The PFF template of ``rand_pff_data`` with up to one surplus input,
+    scrambled by a random P witness, and its data."""
+    data = rand_pff_data(rng)
+    template = make_canonical_blocks(data, data.dims()[2] + rng.randint(0, 1))
+    w = rand_p_transform(rng, template.l, template.n, template.m)
+    return apply_p_transform(template, w), data

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
                       rref, solve_two_equations)
-from daeforms.pfeedback import _unit_span
+from daeforms.pfeedback import _adapted, _unit_span
 from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
                           dense_hstack, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
@@ -519,3 +519,55 @@ class TestCoupledSolveAgainstDense:
         else:
             e, f = mat(m, q), mat(m, q)
         assert_same_solution(TwoEqInstance(A=a, B=b, C=c, D=d, E=e, F=f))
+
+
+class TestAdaptedBasis:
+    """``pfeedback._adapted`` against the dense oracle: the parts together
+    are invertible, each prefix spans its chain member, and the parts are
+    the greedy complements, the last one taking ``preferred`` columns first."""
+
+    @staticmethod
+    def random_chain(rng, n: int, parts: int, zero_share: float) -> list[Subspace]:
+        spanning = Mat.zeros(n, 0)
+        spaces = []
+        for _ in range(parts):
+            spanning = Mat.hstack(spanning, sparse_mat(rng, n, rng.randint(0, 2), zero_share))
+            spaces.append(Subspace(n, spanning))
+        return spaces
+
+    def check(self, n: int, chain: list[Subspace], preferred: Mat | None):
+        parts = _adapted(n, *chain, preferred=preferred)
+        assert len(parts) == len(chain) + 1
+        assert dense_rank(dense_hstack(Mat.zeros(n, 0), *parts)) == n
+        assert parts[0] == chain[0].basis
+        for k, space in enumerate(chain):
+            prefix = dense_hstack(Mat.zeros(n, 0), *parts[:k + 1])
+            assert prefix.cols == space.dim
+            assert dense_span(n, prefix) == dense_span(n, space.basis)
+        for inner, outer, part in zip(chain, chain[1:], parts[1:]):
+            assert part == dense_complement(inner.basis, outer.basis)
+        assert parts[-1] == dense_complement(chain[-1].basis, Mat.identity(n), preferred)
+
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_random_chains(self, zero_share):
+        rng = make_rng(91)
+        for _ in range(25):
+            n = rng.randint(0, 6)
+            chain = self.random_chain(rng, n, rng.randint(1, 3), zero_share)
+            preferred = sparse_mat(rng, n, rng.randint(0, 3), zero_share)
+            for pref in (None, preferred):
+                self.check(n, chain, pref)
+
+    def test_edge_chains(self):
+        for n in (0, 1, 3):
+            zero, full = Subspace.zero(n), Subspace.full(n)
+            for chain in ([zero], [full], [zero, full], [zero, zero, full]):
+                self.check(n, chain, None)
+                self.check(n, chain, Mat.identity(n))
+
+    def test_preferred_columns_come_first(self):
+        inner = Subspace(3, Mat.from_rows([[1], [0], [0]]))
+        preferred = Mat.from_rows([[5, 1], [0, 1], [0, 1]])
+        ker, last = _adapted(3, inner, preferred=preferred)
+        assert ker == inner.basis
+        assert last.col(0) == preferred.col(1)  # column 0 lies in inner

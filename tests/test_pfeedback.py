@@ -408,6 +408,50 @@ class TestDecouplingWitnessesPinned:
             assert sysio.format_system(out) + sysio.format_witness(w) == fh.read()
 
 
+class TestDecouplingOnScrambledTemplates:
+    """Both quasi forms of scrambled PFF templates (``randgen.rand_scrambled_pff``)
+    decouple: the witness reproduces the output, the off-diagonal E and A
+    blocks vanish, the diagonal ones are kept, and the output passes the
+    form's check and its decoupled Wong pattern.  Most draws have something
+    to clear in the QPDFF, unlike random systems."""
+
+    DRAWS = 30
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_decoupling(self, form):
+        from daeforms import compute_qpdff, decouple_qpdff, verify_qpdff
+        from daeforms import pdfeedback, pfeedback
+        from randgen import rand_scrambled_pff
+        compute, decouple, verify, pattern_ok = (
+            (compute_qpff, decouple_qpff, verify_qpff, pfeedback.decoupled_wong_pattern_ok)
+            if form == "qpff" else
+            (compute_qpdff, decouple_qpdff, verify_qpdff, pdfeedback.decoupled_wong_pattern_ok))
+        rng = make_rng(90)
+        coupled = 0
+        for _ in range(self.DRAWS):
+            sys, _ = rand_scrambled_pff(rng)
+            dec = compute(sys)
+            z = dec.block_sizes
+            out, w = decouple(dec.transformed, z, dec.report)
+            assert apply_p_transform(dec.transformed, w) == out
+            rows = (0, z.l1, z.l1 + z.l2, z.l1 + z.l2 + z.l3)
+            cols = (0, z.n1, z.n1 + z.n2, sys.n)
+            off_diagonal = False
+            for before, after in ((dec.transformed.E, out.E), (dec.transformed.A, out.A)):
+                for i in range(3):
+                    for j in range(i, 3):
+                        cut = (rows[i], rows[i + 1], cols[j], cols[j + 1])
+                        if i == j:
+                            assert after.sub(*cut) == before.sub(*cut)
+                        else:
+                            assert after.sub(*cut).is_zero()
+                            off_diagonal |= not before.sub(*cut).is_zero()
+            assert verify(out, z).ok
+            assert pattern_ok(out, z)
+            coupled += off_diagonal
+        assert 2 * coupled >= self.DRAWS
+
+
 class TestClassify:
     def test_controllable_ode(self):
         n = 3

@@ -223,6 +223,13 @@ class TestLimitIdentities:
     def test_golden_system(self):
         assert check_limit_identities(SYS763).ok
 
+    def test_one_named_condition_per_identity(self):
+        report = check_limit_identities(SYS763)
+        assert [name for name, _ in report.checks] == [
+            "ew_in_aw_plus_b", "av_in_ev_plus_b", "e_meet_matches", "a_meet_matches",
+            "sum_chain_matches"]
+        assert report.failures() == []
+
     def test_flow_inclusion_alone(self):
         rng = make_rng(36)
         sys = rand_system(rng)
