@@ -13,10 +13,10 @@ from .pencils import Poly, PolyMat, full_rank_all_finite, minor_gcd, normal_rank
 from .wong import (SystemTriple, WongReport, augmented_projection_check,
                    check_limit_identities, v_sequence, w_sequence, wong_limits)
 from .sylvester import TwoEqInstance, solve_two_equations
-from .pfeedback import (BasisSelection, PffData, PDTransform, PTransform, QpffBlockSizes,
-                        QpffDecomposition, apply_p_transform, classify_controllability,
-                        compose_p, compute_qpff, decouple_qpff, invert_p,
-                        make_canonical_blocks, select_bases, verify_pff, verify_qpff)
+from .pfeedback import (PffData, PDTransform, PTransform, QpffBlockSizes, QpffDecomposition,
+                        apply_p_transform, classify_controllability, compose_p,
+                        compute_qpff, decouple_qpff, invert_p, make_canonical_blocks,
+                        select_bases, verify_pff, verify_qpff)
 from .pdfeedback import (PdffData, QpdffBlockSizes, QpdffDecomposition,
                          apply_pd_transform, compute_qpdff, decouple_qpdff,
                          decoupled_wong_pattern_ok, make_pdff_template,

@@ -197,8 +197,11 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
 
     Input and state are already separated, so ``_decouple`` runs with
     zero-width input blocks and no row split, and the witness needs neither
-    feedback nor an input transformation.  ``report`` is
-    verify_qpdff(sys, sizes) when the caller has it already.
+    feedback nor an input transformation.  The output is checked to equal
+    [block_diag(E11, E22, E33, 0), block_diag(A11, A22, A33, 0), B] of the
+    input, with m2 zero rows last, and to have the Wong limit pattern of
+    ``decoupled_wong_pattern_ok``.  ``report`` is verify_qpdff(sys, sizes)
+    when the caller has it already.
     """
     if report is None:
         report = verify_qpdff(sys, sizes)
@@ -213,7 +216,9 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
     witness = PDTransform(Mat.block_diag(s, Mat.identity(z.m2)), t_w, Mat.identity(sys.m),
                           zmn, zmn)
     out = apply_pd_transform(sys, witness)
-    _check_decoupled(blk, _blocks(out, rows, cols), out.B == sys.B)
+    _check_decoupled(out, blk, sys.B, z.m2)
+    if not decoupled_wong_pattern_ok(out, z):
+        raise AssertionError("decoupled QPDFF misses its Wong limit pattern")
     return out, witness
 
 

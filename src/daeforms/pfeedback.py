@@ -17,7 +17,9 @@ This module provides
 * decoupling of both quasi forms into block diagonal shape: one body,
   ``_decouple``, solves the three coupled Sylvester-type systems and builds
   the unitriangular S in closed form; the QPFF adds its row split of the
-  trailing block and the input feedback,
+  trailing block and the input feedback.  Each decoupling ends in one exact
+  postcondition (``_check_decoupled``): its output equals the block
+  diagonal of its input's diagonal blocks,
 * the fully canonical P-feedback form (PFF) as a template verifier built
   from shift and nilpotent chains indexed by multi-indices.  The layout
   table ``_PFF_LAYOUT`` gives each chain kind its row and column deltas and
@@ -291,27 +293,6 @@ class QpffBlockSizes(NamedTuple):
                 f"Sigma_{{{self.l3},{self.n3},{self.m3}}}")
 
 
-@dataclass(frozen=True)
-class BasisSelection:
-    """Full-column-rank bases splitting state and equation space along the
-    augmented Wong limits."""
-
-    U_T: Mat
-    R_T: Mat
-    O_T: Mat
-    U_S: Mat
-    R_S: Mat
-    O_S: Mat
-
-    @property
-    def state_map(self) -> Mat:
-        return Mat.hstack(self.U_T, self.R_T, self.O_T)
-
-    @property
-    def row_map_inv(self) -> Mat:
-        return Mat.hstack(self.U_S, self.R_S, self.O_S)
-
-
 def _adapted(dim: int, *chain: Subspace, preferred: Mat | None = None) -> list[Mat]:
     """A basis of Q^dim adapted to the increasing ``chain``, in parts: a
     basis of chain[0], a complement of each member in the next, and last a
@@ -322,23 +303,22 @@ def _adapted(dim: int, *chain: Subspace, preferred: Mat | None = None) -> list[M
             complement(chain[-1], Subspace.full(dim), preferred)]
 
 
-def select_bases(sys: SystemTriple) -> BasisSelection:
-    """Choose the six splitting bases from the augmented Wong limits.
+def select_bases(sys: SystemTriple) -> tuple[list[Mat], list[Mat]]:
+    """The splitting bases [U_T, R_T, O_T] and [U_S, R_S, O_S] of the
+    augmented Wong limits.
 
     im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n, and on
     the equation side im U_S = E V* n (A W* + im B), im [U_S, R_S] = E V*,
     with O_S drawn from the columns of B first so that
-    im B <= im [U_S, O_S].
+    im B <= im [U_S, O_S]; the self-check of compute_qpff sees a violation
+    as a nonzero second block row of B.
     """
     rep = wong_limits(sys)
     vstar, wstar = rep.v_limit, rep.w_limit
     ev = vstar.image_under(sys.E)
     awb = wstar.image_under(sys.A).sum(image_basis(sys.B))
-    sel = BasisSelection(*_adapted(sys.n, vstar.intersect(wstar), vstar),
-                         *_adapted(sys.l, ev.intersect(awb), ev, preferred=sys.B))
-    if Mat.hstack(sel.U_S, sel.O_S, sys.B).rank() != sel.U_S.cols + sel.O_S.cols:
-        raise AssertionError("im B escaped im [U_S, O_S]")
-    return sel
+    return (_adapted(sys.n, vstar.intersect(wstar), vstar),
+            _adapted(sys.l, ev.intersect(awb), ev, preferred=sys.B))
 
 
 @dataclass(frozen=True)
@@ -371,17 +351,16 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     sorts the inputs into (effective, redundant, constrained).  The result
     always passes verify_qpff, whose report it carries.
     """
-    sel = select_bases(sys)
-    l1, l2, l3 = sel.U_S.cols, sel.R_S.cols, sel.O_S.cols
-    n1, n2, n3 = sel.U_T.cols, sel.R_T.cols, sel.O_T.cols
-    t = sel.state_map
-    s = sel.row_map_inv.inv()
+    (u_t, r_t, o_t), (u_s, r_s, o_s) = select_bases(sys)
+    l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
+    n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
+    t = Mat.hstack(u_t, r_t, o_t)
+    s = Mat.hstack(u_s, r_s, o_s).inv()
     sa = s @ sys.A
     sb = s @ sys.B
 
-    f1 = solve_right(sb.sub(l1, sys.l, 0, sys.m), -(sa @ sel.U_T).sub(l1, sys.l, 0, n1))
-    f2 = solve_right(sb.sub(l1 + l2, sys.l, 0, sys.m),
-                     -(sa @ sel.R_T).sub(l1 + l2, sys.l, 0, n2))
+    f1 = solve_right(sb.sub(l1, sys.l, 0, sys.m), -(sa @ u_t).sub(l1, sys.l, 0, n1))
+    f2 = solve_right(sb.sub(l1 + l2, sys.l, 0, sys.m), -(sa @ r_t).sub(l1 + l2, sys.l, 0, n2))
     if f1 is None or f2 is None:
         raise AssertionError("feedback clearing equations must be solvable")
     f_p = Mat.hstack(f1, f2, Mat.zeros(sys.m, n3))
@@ -435,14 +414,15 @@ def _diagonal_checks(blk: dict[str, Mat], first_name: str, b11: Mat,
     middle E block is square invertible; (iii) the trailing pencil with its
     input columns has full column rank at every finite lambda, so it is at
     least as tall as it is wide.  An entirely empty leading or trailing block
-    passes its condition vacuously.
+    passes its condition vacuously.  (i) implies l1 < n1 + m1: E11 of full
+    row rank gives l1 <= n1, and l1 = n1 > 0 with m1 = 0 makes E11
+    invertible, so that det(lambda E11 - A11) has a root.
     """
     e11, e33 = blk["E11"], blk["E33"]
     (l1, n1), m1 = e11.shape, b11.cols
     (l3, n3), m3 = e33.shape, b33.cols
     ok1 = (l1, n1, m1) == (0, 0, 0) or (
-        l1 < n1 + m1
-        and e11.rank() == l1
+        e11.rank() == l1
         and b11.rank() == m1
         and full_rank_all_finite(Mat.hstack(e11, Mat.zeros(l1, m1)),
                                  Mat.hstack(blk["A11"], b11), l1))
@@ -491,12 +471,14 @@ def _unitriangular(sizes: tuple[int, int, int], x12: Mat, x13: Mat, x23: Mat) ->
     )
 
 
-def _check_decoupled(before: dict[str, Mat], after: dict[str, Mat], inputs_ok: bool = True):
-    """Raise unless every off-diagonal block Xij (i != j) of ``after`` is
-    zero, every diagonal block equals that of ``before`` and ``inputs_ok``."""
-    if not (inputs_ok and all(m == before[k] if k[1] == k[2] else m.is_zero()
-                              for k, m in after.items())):
-        raise AssertionError("decoupling did not produce the expected block pattern")
+def _check_decoupled(out: SystemTriple, blk: dict[str, Mat], b: Mat, tail: int = 0):
+    """Raise unless ``out`` is [block_diag(E11, E22, E33), the same for A, b],
+    with ``tail`` zero rows below E and A, for the diagonal blocks of ``blk``:
+    the exact postcondition of both decouplings."""
+    e, a = (Mat.block_diag(blk[f"{key}11"], blk[f"{key}22"], blk[f"{key}33"],
+                           Mat.zeros(tail, 0)) for key in "EA")
+    if out != SystemTriple(e, a, b):
+        raise AssertionError("decoupling did not produce the block diagonal of its input")
 
 
 def _decouple(blk: dict[str, Mat], b11: Mat, b13: Mat, b33: Mat,
@@ -551,9 +533,11 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
     """Eliminate the off-diagonal blocks of a verified QPFF.
 
     Solves the coupled systems of ``_decouple`` and realizes the corrections
-    as a P-feedback witness with V = I.  The diagonal blocks of the output
-    are bit-identical to the input's.  ``report`` is verify_qpff(sys, sizes)
-    when the caller has it already.
+    as a P-feedback witness with V = I.  The output is checked to equal
+    [block_diag(E11, E22, E33), block_diag(A11, A22, A33),
+    block_diag(B11, 0, B33)] of the input, so it is a QPFF with the same
+    diagonal blocks.  ``report`` is verify_qpff(sys, sizes) when the caller
+    has it already.
     """
     if report is None:
         report = verify_qpff(sys, sizes)
@@ -564,15 +548,15 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
     # split off the input rows of [A33, -B33] by an invertible row operation
     # whose other columns are drawn from A33 first
     r_fill = complement(image_basis(blk["B33"]), Subspace.full(z.l3), preferred=blk["A33"])
-    r33 = Mat.hstack(r_fill, -blk["B33"])
-    if not r33.is_invertible():
+    r33_inv = solve_right(Mat.hstack(r_fill, -blk["B33"]), Mat.identity(z.l3))
+    if r33_inv is None:
         raise AssertionError("row split of the trailing block failed")
-    t_w, s, g_t_u, h_t_u = _decouple(blk, blk["B11"], blk["B13"], blk["B33"], r33.inv())
+    t_w, s, g_t_u, h_t_u = _decouple(blk, blk["B11"], blk["B13"], blk["B33"], r33_inv)
     f_hat = Mat.vstack(Mat.hstack(Mat.zeros(z.m1, z.n1), g_t_u, h_t_u),
                        Mat.zeros(z.m2 + z.m3, sys.n))
     witness = PTransform(s, t_w, Mat.identity(sys.m), -f_hat)
     out = apply_p_transform(sys, witness)
-    _check_decoupled(blk, _qpff_blocks(out, z))
+    _check_decoupled(out, blk, Mat.block_diag(blk["B11"], Mat.zeros(z.l2, z.m2), blk["B33"]))
     return out, witness
 
 
@@ -618,33 +602,8 @@ BLOCK_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class ControllabilityReport:
-    decomposition: QpffDecomposition
-    m_kernel: int  # redundant input directions, dim ker B
-    m_constrained: int
-
-    @property
-    def sizes(self) -> QpffBlockSizes:
-        return self.decomposition.block_sizes
-
-    def described_blocks(self) -> list[tuple[tuple[int, int, int], str]]:
-        z = self.sizes
-        return [((z.l1, z.n1, z.m1), BLOCK_LABELS[0]),
-                ((z.l2, z.n2, 0), BLOCK_LABELS[1]),
-                ((z.l3, z.n3, z.m3), BLOCK_LABELS[2])]
-
-
-def classify_controllability(sys: SystemTriple,
-                             decomposition: QpffDecomposition | None = None
-                             ) -> ControllabilityReport:
-    """Label the three diagonal blocks of the QPFF of sys.
-
-    ``decomposition`` is compute_qpff(sys) when the caller has it already.
-    """
-    dec = compute_qpff(sys) if decomposition is None else decomposition
-    return ControllabilityReport(
-        decomposition=dec,
-        m_kernel=dec.block_sizes.m2,
-        m_constrained=dec.block_sizes.m3,
-    )
+def classify_controllability(dec: QpffDecomposition) -> list[tuple[tuple[int, int, int], str]]:
+    """The sizes (l_i, n_i, m_i) of the three diagonal blocks of the QPFF
+    ``dec``, each with its label."""
+    z = dec.block_sizes
+    return list(zip(((z.l1, z.n1, z.m1), (z.l2, z.n2, 0), (z.l3, z.n3, z.m3)), BLOCK_LABELS))

@@ -167,8 +167,7 @@ class FormReport:
         return [name for name, flag in self.checks if not flag]
 
 
-def check_limit_identities(sys: SystemTriple,
-                           limits: WongReport | None = None) -> FormReport:
+def check_limit_identities(sys: SystemTriple, limits: WongReport) -> FormReport:
     """Evaluate both sides of the limit identities as canonical subspaces.
 
     Checked are the two flow inclusions E W* <= A W* + im B and
@@ -178,10 +177,9 @@ def check_limit_identities(sys: SystemTriple,
     E(V* n W*) + im B = (E V* + im B) n (A W* + im B) = A(V* n W*) + im B.
     They hold for every system, so a failed condition is an implementation
     bug, not a property of the input.  ``limits`` is the system's own
-    WongReport when the caller has it already.
+    WongReport, wong_limits(sys).
     """
-    rep = wong_limits(sys) if limits is None else limits
-    vstar, wstar = rep.v_limit, rep.w_limit
+    vstar, wstar = limits.v_limit, limits.w_limit
     im_b = image_basis(sys.B)
 
     ev = vstar.image_under(sys.E)
@@ -211,16 +209,15 @@ def augmented_system(sys: SystemTriple) -> SystemTriple:
     return SystemTriple(e_aug, a_aug, Mat.zeros(sys.l, 0))
 
 
-def augmented_projection_check(sys: SystemTriple, limits: WongReport | None = None) -> bool:
+def augmented_projection_check(sys: SystemTriple, limits: WongReport) -> bool:
     """Whether projecting the augmented pencil's Wong limits recovers V*, W*.
 
     The limits of s[E, 0] - [A, B] live in Q^(n+m); chopping off the input
-    coordinates with [I_n, 0] must give back the system's own limits, which
-    the caller may pass as ``limits``.
+    coordinates with [I_n, 0] must give back the system's own limits
+    ``limits``, wong_limits(sys).
     """
-    own = wong_limits(sys) if limits is None else limits
     aug = wong_limits(augmented_system(sys))
     proj = Mat.hstack(Mat.identity(sys.n), Mat.zeros(sys.n, sys.m))
-    return (aug.v_limit.image_under(proj) == own.v_limit and
-            aug.w_limit.image_under(proj) == own.w_limit)
+    return (aug.v_limit.image_under(proj) == limits.v_limit and
+            aug.w_limit.image_under(proj) == limits.w_limit)
 

@@ -148,12 +148,12 @@ def test_criterion_7_property_suite():
 
     # (b) the five limit identities
     for sys in systems:
-        assert check_limit_identities(sys).ok
+        assert check_limit_identities(sys, wong_limits(sys)).ok
     print("  7b (limit identities): ok")
 
     # (c) projection of the augmented pencil's limits
     for sys in systems:
-        assert augmented_projection_check(sys)
+        assert augmented_projection_check(sys, wong_limits(sys))
     print("  7c (augmented projection): ok")
 
     # (d) chain invariance under random P and PD witnesses

@@ -521,6 +521,21 @@ class TestVerifyCommand:
         assert (code, text) == (1, f"verify {form}: FAIL\n"
                                    "first failing condition: block3_trivial\n")
 
+    @pytest.mark.parametrize("system,m", [
+        ("E: 1x1\n0\nA: 1x1\n1\nB: 1x1\n1\n", 1),     # E11 without full row rank
+        ("E: 1x1\n1\nA: 1x1\n0\nB: 1x2\n1 1\n", 2),   # B11 without full column rank
+        ("E: 1x1\n1\nA: 1x1\n0\nB: 1x0\n", 0),         # l1 = n1 + m1: rank drop at 0
+    ])
+    def test_one_by_one_leading_block_fails_its_check(self, system, m, tmp_path):
+        sys_file, w_file, data = (tmp_path / name for name in ("s", "w", "d"))
+        sys_file.write_text(system)
+        w_file.write_text(sysio.format_witness(PTransform.identity(1, 1, m)))
+        data.write_text(f"l_sizes: 1 0 0\nn_sizes: 1 0 0\nm_sizes: {m} 0 0\n")
+        code, text = run_cli("verify", str(sys_file), "--witness", str(w_file),
+                             "--form", "qpff", "--data", str(data))
+        assert (code, text) == (1, "verify qpff: FAIL\n"
+                                   "first failing condition: block1_controllable\n")
+
 
 QUASI_CHECKS = {
     "qpff": {"zero_pattern", "block1_controllable", "block2_ode", "block3_trivial"},
@@ -632,6 +647,47 @@ class TestInternalError:
         assert err == "internal error: constructed QPFF failed verification\n"
 
 
+class TestFailedDecoupling:
+    """A wrong coupling solution breaks the exact postcondition of both
+    decouplings: the library raises, and the CLI exits 3 without writing
+    its --output file."""
+
+    @staticmethod
+    def perturb_first_coupling(monkeypatch):
+        """Add 1 to entry (0, 0) of Z in the first coupling solution."""
+        original = pfeedback.solve_two_equations
+        calls = []
+
+        def perturbed(inst):
+            y, z = original(inst)
+            if not calls:
+                z = z + Mat(z.rows, z.cols, [[int(i == j == 0) for j in range(z.cols)]
+                                             for i in range(z.rows)])
+            calls.append(inst)
+            return y, z
+        monkeypatch.setattr(pfeedback, "solve_two_equations", perturbed)
+
+    @pytest.mark.parametrize("compute,decouple", [
+        (pfeedback.compute_qpff, pfeedback.decouple_qpff),
+        (pdfeedback.compute_qpdff, pdfeedback.decouple_qpdff)])
+    def test_library_raises(self, compute, decouple, monkeypatch):
+        dec = compute(SYS763)
+        self.perturb_first_coupling(monkeypatch)
+        with pytest.raises(AssertionError, match="block diagonal"):
+            decouple(dec.transformed, dec.block_sizes, dec.report)
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_cli_exits_3_and_writes_nothing(self, form, tmp_path, monkeypatch, capsys):
+        self.perturb_first_coupling(monkeypatch)
+        out = tmp_path / "form.out"
+        code, text = run_cli(form, path("sigma763.system"), "--decouple", "--output", str(out))
+        assert code == 3
+        assert "decoupled" not in text
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "internal error: decoupling did not produce the block diagonal of its input\n")
+
+
 def count_calls(monkeypatch, module, name: str) -> list[int]:
     """Rebind module.name to a wrapper counting its calls in counter[0]."""
     counter = [0]
@@ -660,11 +716,11 @@ class TestWorkDoneOnce:
         assert (computed[0], verified[0]) == (1, 1)
 
     def test_qpff_decouple_verifies_input_once(self, monkeypatch):
-        # once inside compute_qpff, once for the decoupled triple
+        # inside compute_qpff; the decoupling's postcondition needs no check
         verified = count_calls(monkeypatch, pfeedback, "verify_qpff")
         code, text = run_cli("qpff", path("sigma763.system"), "--decouple")
         assert code == 0 and "decoupled: ok" in text
-        assert verified[0] == 2
+        assert verified[0] == 1
 
     def test_qpdff_decouple_verifies_input_once(self, monkeypatch):
         verified = count_calls(monkeypatch, pdfeedback, "verify_qpdff")

@@ -11,7 +11,7 @@ from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, Sys
                       kernel_basis, make_canonical_blocks, select_bases,
                       v_sequence, verify_pff, verify_qpff, w_sequence,
                       wong_limits)
-from daeforms.pfeedback import head_sel, lower_shift, tail_sel
+from daeforms.pfeedback import BLOCK_LABELS, head_sel, lower_shift, tail_sel
 from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
 from dense_oracle import dense_add, dense_matmul
@@ -221,28 +221,28 @@ class TestSelectBases:
         n = 3
         a = lower_shift(n)
         b = Mat.col_vec([1] + [0] * (n - 1))
-        sel = select_bases(SystemTriple(Mat.identity(n), a, b))
-        assert sel.U_T.cols == n
-        assert sel.R_T.cols == 0 and sel.O_T.cols == 0
+        (u_t, r_t, o_t), _ = select_bases(SystemTriple(Mat.identity(n), a, b))
+        assert u_t.cols == n
+        assert r_t.cols == 0 and o_t.cols == 0
 
     def test_golden_partition(self):
-        sel = select_bases(SYS763)
-        assert (sel.U_T.cols, sel.R_T.cols, sel.O_T.cols) == (3, 1, 2)
-        assert (sel.U_S.cols, sel.R_S.cols, sel.O_S.cols) == (2, 1, 4)
+        state, rows = select_bases(SYS763)
+        assert [part.cols for part in state] == [3, 1, 2]
+        assert [part.cols for part in rows] == [2, 1, 4]
 
     def test_invariants_on_random_systems(self):
         rng = make_rng(53)
         for _ in range(25):
             sys = rand_system(rng, 4, 4, 2)
-            sel = select_bases(sys)
+            (u_t, r_t, o_t), (u_s, r_s, o_s) = select_bases(sys)
             rep = wong_limits(sys)
             meet = rep.v_limit.intersect(rep.w_limit)
-            assert image_basis(sel.U_T) == meet
-            assert image_basis(Mat.hstack(sel.U_T, sel.R_T)) == rep.v_limit
-            assert sel.state_map.is_invertible()
-            assert sel.row_map_inv.is_invertible()
+            assert image_basis(u_t) == meet
+            assert image_basis(Mat.hstack(u_t, r_t)) == rep.v_limit
+            assert Mat.hstack(u_t, r_t, o_t).is_invertible()
+            assert Mat.hstack(u_s, r_s, o_s).is_invertible()
             # im B inside im [U_S, O_S]
-            uo = Mat.hstack(sel.U_S, sel.O_S)
+            uo = Mat.hstack(u_s, o_s)
             assert Mat.hstack(uo, sys.B).rank() == uo.rank()
 
 
@@ -457,22 +457,18 @@ class TestClassify:
         n = 3
         sys = SystemTriple(Mat.identity(n), lower_shift(n),
                            Mat.col_vec([1] + [0] * (n - 1)))
-        rep = classify_controllability(sys)
-        z = rep.sizes
-        assert (z.l1, z.n1, z.m1) == (n, n, 1)
-        assert (z.l2, z.l3) == (0, 0)
+        blocks = classify_controllability(compute_qpff(sys))
+        assert [sizes for sizes, _ in blocks] == [(n, n, 1), (0, 0, 0), (0, 0, 0)]
 
     def test_golden_input_partition(self):
-        rep = classify_controllability(SYS763)
-        z = rep.sizes
-        assert (z.m1, z.m2, z.m3) == (1, 0, 2)
-        assert rep.m_kernel == 0
-        assert rep.m_constrained == 2
+        blocks = classify_controllability(compute_qpff(SYS763))
+        assert [m for (_, _, m), _ in blocks] == [1, 0, 2]
+        assert [label for _, label in blocks] == list(BLOCK_LABELS)
 
     def test_zero_input_matrix(self):
         rng = make_rng(57)
         sys = SystemTriple(Mat.identity(3), rand_mat(rng, 3, 3), Mat.zeros(3, 2))
-        rep = classify_controllability(sys)
-        z = rep.sizes
+        dec = compute_qpff(sys)
+        assert [m for (_, _, m), _ in classify_controllability(dec)] == [0, 0, 0]
+        z = dec.block_sizes
         assert z.m2 == 2 and z.m1 == 0 and z.m3 == 0
-        assert rep.m_kernel == 2

@@ -126,14 +126,6 @@ class TestLimitFixpoints:
         for _ in range(60):
             self.assert_fixpoints(rand_system(rng))
 
-    def test_passed_limits_give_the_same_checks(self):
-        rng = make_rng(41)
-        for _ in range(20):
-            sys = rand_system(rng, 4, 4, 2)
-            rep = wong_limits(sys)
-            assert check_limit_identities(sys, rep) == check_limit_identities(sys)
-            assert augmented_projection_check(sys, rep) == augmented_projection_check(sys)
-
 
 def lattice_step(main: Mat, other: Mat, b: Mat, space: Subspace) -> Subspace:
     """main^{-1}(other space + im b) composed from the subspace lattice: the
@@ -221,10 +213,10 @@ class TestFusedStepAgainstLattice:
 
 class TestLimitIdentities:
     def test_golden_system(self):
-        assert check_limit_identities(SYS763).ok
+        assert check_limit_identities(SYS763, wong_limits(SYS763)).ok
 
     def test_one_named_condition_per_identity(self):
-        report = check_limit_identities(SYS763)
+        report = check_limit_identities(SYS763, wong_limits(SYS763))
         assert [name for name, _ in report.checks] == [
             "ew_in_aw_plus_b", "av_in_ev_plus_b", "e_meet_matches", "a_meet_matches",
             "sum_chain_matches"]
@@ -241,22 +233,24 @@ class TestLimitIdentities:
     def test_many_random_systems(self):
         rng = make_rng(37)
         for _ in range(200):
-            assert check_limit_identities(rand_system(rng, 4, 4, 2)).ok
+            sys = rand_system(rng, 4, 4, 2)
+            assert check_limit_identities(sys, wong_limits(sys)).ok
 
 
 class TestAugmentedProjection:
     def test_inputless_system(self):
         rng = make_rng(38)
         sys = SystemTriple(rand_mat(rng, 3, 4), rand_mat(rng, 3, 4), Mat.zeros(3, 0))
-        assert augmented_projection_check(sys)
+        assert augmented_projection_check(sys, wong_limits(sys))
 
     def test_golden_system(self):
-        assert augmented_projection_check(SYS763)
+        assert augmented_projection_check(SYS763, wong_limits(SYS763))
 
     def test_random_systems(self):
         rng = make_rng(39)
         for _ in range(40):
-            assert augmented_projection_check(rand_system(rng, 4, 4, 2))
+            sys = rand_system(rng, 4, 4, 2)
+            assert augmented_projection_check(sys, wong_limits(sys))
 
 
 class TestSystemTriple:
