@@ -341,6 +341,15 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     the rows from rank on are zero in the first ``cols`` columns.  With
     ``back`` False a pivot is eliminated only from the rows below it, which
     leaves an echelon form: enough for a rank, or to discard the pivot rows.
+
+    The pivot row is the one with the smallest nonzero |entry| in column pc
+    among the rows not yet used, the earliest on a tie; the scan stops at
+    +-1.  A small pivot keeps the scale factors of the other rows small.
+    Which row is chosen changes neither the pivot columns (column pc has a
+    pivot exactly when some unused row is nonzero there) nor any result
+    read from the rows: each Gauss-Jordan row is a primitive multiple of an
+    RREF row, and the forward rows feed only ranks, spans and the unique
+    solution x_P of ``_back_substitute``.
     """
     rows = len(work)
     pivots: list[int] = []
@@ -348,7 +357,15 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     for pc in range(cols):
         if pr == rows:
             break
-        sel = next((i for i in range(pr, rows) if work[i][pc]), None)
+        sel = None
+        for i in range(pr, rows):
+            if x := work[i][pc]:
+                if x < 0:
+                    x = -x
+                if sel is None or x < best:
+                    sel, best = i, x
+                    if x == 1:
+                        break
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]

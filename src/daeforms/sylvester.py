@@ -4,26 +4,36 @@ Decoupling a quasi feedback form solves the coupled pair
 
     0 = E + A Y + Z D,  0 = F + C Y + Z B
 
-for Y and Z.  The two matrix equations are flattened into one linear system
-in the entries of Y and Z, built directly as primitive integer rows from
-the integer rows of the data (each equation over a common multiple of its
-denominators).  One forward elimination (``linalg._echelon`` without back
-elimination) decides solvability, and one back substitution of the right-hand side column gives the solution with the
-free variables zeroed, so solutions are deterministic and residuals are
-exactly zero.
+for Y and Z.  Flattened, with the entries of Y row-major before those of Z,
+the pair is one linear system M x = b, and the solution returned is x_P:
+the free variables zero and P, the pivot columns of M's RREF, its
+lexicographically first column basis, so x_P = M_P^-1 b is unique.
 
-The result is bit-identical to a Gauss-Jordan solve of the same system:
-forward elimination takes the columns left to right, so its pivot columns
-are those of the RREF, the lexicographically first column basis P; with
-the free variables zero the solution is x_P = M_P^-1 b, which is unique.
+It is computed Y block first.  Write S = [A; C] and N for the canonical
+basis of the left kernel of S.  Y entry (k, j) meets only the equations of
+column j, where its column is column k of S; the column blocks of
+different j share no equation.  So the Y columns of P are the pivot
+columns of S, repeated for every j, and they span every column S w of
+every block.  N maps that span to zero and is injective modulo it, so the
+Z columns of P are the first column basis of the reduced system
+
+    N_top Z D + N_bot Z B = -N [E; F]
+
+in Z alone, and M x = b is solvable exactly when this system is.  Its
+forward elimination (``linalg._echelon`` without back elimination) and one
+back substitution give Z with its free variables zero; ``solve_right``
+then gives each column of Y from S Y = -[E + Z D; F + Z B], again with its
+free variables zero.  Together they are x_P, bit for bit.  The flattened
+system, 2mq equations in nq + mp unknowns, is never built; the reduced
+one has (2m - rank S) q equations in mp unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .linalg import Mat, _back_substitute, _echelon, _pair_rows, _primitive
+from .linalg import (Mat, _back_substitute, _echelon, _pair_rows, _primitive, _scaled,
+                     kernel_basis, solve_right)
 
 
 @dataclass(frozen=True)
@@ -53,43 +63,38 @@ class TwoEqInstance:
 
 
 def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
-    """Some (Y, Z) satisfying both equations exactly, or None.
+    """Some (Y, Z) satisfying both equations exactly, or None: the solution
+    x_P of the flattened system, computed Y block first.
 
-    The unknowns are Y row-major (entry (k, j) at k*q + j), then Z row-major
-    (entry (i, l) at n*q + i*p + l); the right-hand side is the last column.
-    Equation (i, j) of 0 = const + coef_Y Y + Z coef_Z reads
-    sum_k coef_Y[i][k] Y[k][j] + sum_l Z[i][l] coef_Z[l][j] = -const[i][j].
+    Z is entry (i, l) at i*p + l of the reduced system, whose right-hand
+    side is its last column.  Its equation (r, j) reads
+    sum_{i,l} (N[r][i] D[l][j] + N[r][m + i] B[l][j]) Z[i][l] = -(N [E; F])[r][j],
+    taken over the common denominator of D and B and of row r of N [E; F].
     """
-    m, n = inst.A.shape
+    m = inst.A.rows
     p, q = inst.B.shape
-    ny = n * q
-    nunk = ny + m * p
+    nz = m * p
+    s = Mat.vstack(inst.A, inst.C)
+    left = kernel_basis(s.T).rows
+    ef = Mat._trusted(len(left), 2 * m, left, (1,) * len(left)) @ Mat.vstack(inst.E, inst.F)
+    den, db = _scaled(Mat.hstack(inst.D, inst.B))
+    d_cols = [[row[j] for row in db] for j in range(q)]
+    b_cols = [[row[q + j] for row in db] for j in range(q)]
     work = []
-    for coef_y, coef_z, const in ((inst.A, inst.D, inst.E), (inst.C, inst.B, inst.F)):
-        # column j of coef_z over one denominator: (that denominator, nonzeros)
-        z_cols = []
-        for j in range(q):
-            den = lcm(*[d for row, d in zip(coef_z.ints, coef_z.dens) if row[j]])
-            z_cols.append((den, [(l, row[j] * (den // d))
-                                 for l, (row, d) in enumerate(zip(coef_z.ints, coef_z.dens))
-                                 if row[j]]))
-        rows = zip(coef_y.ints, coef_y.dens, const.ints, const.dens)
-        for i, (y_row, y_den, c_row, c_den) in enumerate(rows):
-            y_terms = [(k * q, v) for k, v in enumerate(y_row) if v]
-            for j, (c, (z_den, z_terms)) in enumerate(zip(c_row, z_cols)):
-                # each equation over a common multiple of its denominators
-                den = lcm(y_den, z_den, c_den)
-                row = [0] * (nunk + 1)
-                f = den // y_den
-                for base, v in y_terms:
-                    row[base + j] = f * v
-                f = den // z_den
-                for l, v in z_terms:
-                    row[ny + i * p + l] = f * v
-                row[nunk] = -c * (den // c_den)
-                work.append(_primitive(row))
-    pivots = _echelon(work, nunk + 1, back=False)
-    if pivots and pivots[-1] == nunk:
+    for n_row, c_row, c_den in zip(left, ef.ints, ef.dens):
+        terms = [(i * p, c_den * n_row[i], c_den * n_row[m + i])
+                 for i in range(m) if n_row[i] or n_row[m + i]]
+        for j, c in enumerate(c_row):
+            row = [0] * (nz + 1)
+            for base, u, v in terms:
+                row[base:base + p] = [u * d + v * b for d, b in zip(d_cols[j], b_cols[j])]
+            row[nz] = -den * c
+            work.append(_primitive(row))
+    pivots = _echelon(work, nz + 1, back=False)
+    if pivots and pivots[-1] == nz:
         return None
-    x = _back_substitute(work, pivots, nunk)
-    return _pair_rows(n, q, x[:ny]), _pair_rows(m, p, x[ny:])
+    z = _pair_rows(m, p, _back_substitute(work, pivots, nz))
+    y = solve_right(s, -Mat.vstack(inst.E + z @ inst.D, inst.F + z @ inst.B))
+    if y is None:
+        raise AssertionError("the Y equations are inconsistent after a consistent Z solve")
+    return y, z

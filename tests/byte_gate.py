@@ -10,10 +10,13 @@ process on
   for seeds 1 to 4, each written to a fresh temporary directory and called
   with relative paths.
 
-It also decomposes every system of ``tests/data`` and of those corpora into
-both quasi forms through the library, and decouples the result: the CLI
-writes no decoupling witness, and the verify corpus writes no witness at
-all, so only these digests see which witness each form takes.
+It also decomposes every system of ``tests/data``, of those corpora and of
+the ``SCALE`` rows below into both quasi forms through the library, and
+decouples the result: the CLI writes no decoupling witness, and the verify
+corpus writes no witness at all, so only these digests see which witness
+each form takes.  The scale rows are PFF templates of 21x21x3 and 28x28x3
+scrambled as ``perfbench/corpus.py`` scrambles them; their (1,3)
+couplings are the largest coupled solves the gate sees.
 
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
@@ -54,6 +57,12 @@ GOLDEN_CALLS = {
 }
 
 SEEDS = (1, 2, 3, 4)
+
+# label: (PffSpec arguments (alpha, beta, ncbar, gamma, delta, kappa), seeds)
+SCALE = {
+    "21x21x3": (((3, 2), (3, 3), 2, (3, 2), (2,), (3,)), (1, 2)),
+    "28x28x3": (((4, 3), (4, 3), 2, (4, 3), (3,), (4,)), (1,)),
+}
 
 
 FORMS = ("qpff", "qpdff")
@@ -135,6 +144,25 @@ def calls(tmp: str):
                 yield (f"{prefix}/{i:02d}/{call.argv[0]}", workdir,
                        functools.partial(cli_record, call.argv, call.output))
             yield from _library_calls(prefix, workdir, [call.argv[1] for call in corpus])
+    yield from _scale_calls(tmp)
+
+
+def _scale_calls(tmp: str):
+    """The library calls of the ``SCALE`` rows: each template scrambled by
+    the seeded random P witness of ``corpus.random_witness``."""
+    import random
+    import corpus
+    for label, (args, seeds) in SCALE.items():
+        spec = corpus.PffSpec(*args)
+        l, n, m = spec.dims
+        template = corpus.pff_template(spec, corpus.fixed_a_cbar(spec.ncbar))
+        for seed in seeds:
+            witness = corpus.random_witness(random.Random(seed), l, n, m, pd=False)
+            system = corpus.apply_witness(template, witness, l, n, m)
+            path = os.path.join(tmp, f"{label}-{seed}.system")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(corpus.format_system(system, l, n, m, f"{label}-{seed}"))
+            yield from _library_calls(f"scale/{label}/{seed}", tmp, [path])
 
 
 def main(argv=None) -> int:

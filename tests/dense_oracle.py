@@ -15,9 +15,9 @@ equal these bases exactly.
 
 The coupled Sylvester pair is solved here by flattening both equations into
 one Fraction system and reading the solution off ``solve_right``'s
-Gauss-Jordan elimination.  The library builds the same system as integer
-rows and back-substitutes after a forward elimination; its (Y, Z) must
-equal this pair exactly.
+Gauss-Jordan elimination.  The library never builds that system: it
+solves a reduced system in Z and then Y from [A; C]; its (Y, Z) must equal
+this pair exactly.
 """
 
 from fractions import Fraction
@@ -177,6 +177,18 @@ def dense_inverse(a: Mat) -> Mat | None:
     if pivots[:n] != tuple(range(n)):
         return None
     return r.sub(0, n, n, 2 * n)
+
+
+def dense_solve_right(a: Mat, b: Mat) -> Mat | None:
+    """X with a X = b and the free variables zero, read off the dense RREF
+    of [a, b]; None when a pivot falls in the b columns."""
+    r, pivots, _ = dense_rref(Mat.hstack(a, b))
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = list(r.data[i][a.cols:])
+    return Mat(a.cols, b.cols, x)
 
 
 def dense_solve_two_equations(inst) -> tuple[Mat, Mat] | None:

@@ -728,6 +728,14 @@ class TestWorkDoneOnce:
         assert code == 0 and "decoupled: ok" in text
         assert verified[0] == 1
 
+    def test_qpdff_decouple_computes_limits_once(self, monkeypatch):
+        # for the decomposition only: the decoupling's postcondition implies
+        # the Wong limit pattern of its output
+        limits = count_calls(monkeypatch, pdfeedback, "wong_limits")
+        code, text = run_cli("qpdff", path("sigma763.system"), "--decouple")
+        assert code == 0 and "decoupled: ok" in text
+        assert limits[0] == 1
+
     def test_wong_identities_compute_limits_twice(self, monkeypatch):
         # once for the system, once for its augmented system
         limits = count_calls(monkeypatch, wong, "wong_limits")

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
-                      rref, solve_two_equations)
+                      rref, solve_right, solve_two_equations)
+from daeforms.linalg import _echelon
 from daeforms.pfeedback import _adapted, _unit_span
 from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
                           dense_hstack, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
-                          dense_rref, dense_scale, dense_solve_two_equations, dense_span,
+                          dense_rref, dense_scale, dense_solve_right,
+                          dense_solve_two_equations, dense_span,
                           dense_sum, dense_transpose, dense_vstack)
 from oracles import residual
 from randgen import make_rng, rand_invertible
@@ -211,6 +213,45 @@ class TestRrefAgainstDense:
         before = m.data
         rref(m)
         assert m.data == before
+
+
+class TestPivotRule:
+    """``_echelon`` pivots on the smallest |entry| of a column, the earliest
+    row on a tie, and nothing read from its rows depends on that choice."""
+
+    # column 0: first nonzero 12, a later -1; column 1 after it: 6 first,
+    # then 4 (no +-1 left); column 2: 10, then 15, then 6
+    CASES = (
+        [[12, 6, 10, 7], [0, 4, 15, 3], [-1, 9, 6, 2], [5, 4, 0, 1]],
+        [[0, 12, 4], [0, 6, 9], [0, -1, 2], [0, 8, 14]],
+        [[F(9, 2), 6, 10, 15], [3, 4, 6, 10], [F(-3, 2), 10, 14, 21], [0, 0, 0, 0]],
+        [[8, 12], [6, 9], [4, 6], [10, 15]],
+    )
+
+    def test_row_choice(self):
+        work = [[12, 3, 1], [0, 5, 2], [7, 1, 0], [-1, 4, 4], [1, 0, 9]]
+        _echelon(work, 3, back=False)
+        assert work[0] == [-1, 4, 4]  # the first +-1, not the first nonzero
+        work = [[6, 1], [4, 5], [-4, 3], [8, 2]]
+        _echelon(work, 1, back=False)
+        assert work[0] == [4, 5]  # smallest |entry| 4, earliest on the tie
+
+    @pytest.mark.parametrize("rows", CASES)
+    def test_results_match_dense(self, rows):
+        m = Mat.from_rows(rows)
+        dependent = Mat.hstack(m, m.col(0) * 3)
+        for mat in (m, -m, m.T, dependent, Mat.vstack(m, m)):
+            assert_same_rref(mat)
+            assert mat.rank() == dense_rank(mat)
+            assert kernel_basis(mat).basis == dense_kernel(mat)
+            column_space, row_space = Subspace(mat.rows, mat), Subspace(mat.cols, mat.T)
+            assert_canonical(column_space)
+            assert_canonical(row_space)
+            assert column_space.basis == dense_span(mat.rows, mat)
+            assert row_space.basis == dense_span(mat.cols, mat.T)
+            for rhs in (mat @ Mat.from_rows([[2, -1]] * mat.cols),
+                        Mat.from_rows([[7]] * mat.rows)):
+                assert solve_right(mat, rhs) == dense_solve_right(mat, rhs)
 
 
 class TestMatmulAgainstDense:

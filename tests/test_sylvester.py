@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from daeforms import Mat, TwoEqInstance, solve_two_equations
 from oracles import (find_reduction_lambda, gen_sylvester_always_solvable,
-                     reduce_to_gen_sylvester, residual, solve_gen_sylvester)
+                     reduce_to_gen_sylvester, residual, solve_gen_sylvester,
+                     solve_two_equations_flat)
 from randgen import make_rng, rand_mat, rand_invertible
 
 
@@ -83,6 +85,91 @@ class TestTwoEquations:
         with pytest.raises(ValueError):
             TwoEqInstance(A=Mat.zeros(2, 2), B=Mat.zeros(2, 2), C=Mat.zeros(3, 2),
                           D=Mat.zeros(2, 2), E=Mat.zeros(2, 2), F=Mat.zeros(2, 2))
+
+
+def assert_matches_flat(inst: TwoEqInstance):
+    """The Y-first solve returns the flattened solve's (Y, Z) entry for
+    entry, or None exactly when it does."""
+    got = solve_two_equations(inst)
+    assert got == solve_two_equations_flat(inst)
+    return got
+
+
+def manufactured(rng, m, n, p, q, a=None, c=None) -> TwoEqInstance:
+    """Random coefficients (A and C as given) and right-hand sides of a
+    random (Y0, Z0), so the pair is solvable."""
+    a = rand_mat(rng, m, n) if a is None else a
+    c = rand_mat(rng, m, n) if c is None else c
+    b, d = rand_mat(rng, p, q), rand_mat(rng, p, q)
+    y0, z0 = rand_mat(rng, n, q), rand_mat(rng, m, p)
+    return TwoEqInstance(A=a, B=b, C=c, D=d, E=-(a @ y0 + z0 @ d), F=-(c @ y0 + z0 @ b))
+
+
+class TestAgainstFlatSolve:
+    """The Y-first reduction against the flattened solve of all unknowns:
+    the same x_P, bit for bit."""
+
+    def test_manufactured_instances(self):
+        rng = make_rng(48)
+        for _ in range(60):
+            m, n, p, q = (rng.randint(1, 4) for _ in range(4))
+            assert assert_matches_flat(manufactured(rng, m, n, p, q)) is not None
+
+    def test_unsolvable_instances(self):
+        # 2mq = 12 equations in nq + mp = 5 unknowns: random data is unsolvable
+        rng = make_rng(49)
+        for _ in range(20):
+            inst = TwoEqInstance(A=rand_mat(rng, 3, 1), B=rand_mat(rng, 1, 2),
+                                 C=rand_mat(rng, 3, 1), D=rand_mat(rng, 1, 2),
+                                 E=rand_mat(rng, 3, 2), F=rand_mat(rng, 3, 2))
+            assert assert_matches_flat(inst) is None
+
+    @pytest.mark.parametrize("zero", range(4))
+    def test_empty_dimension(self, zero):
+        rng = make_rng(50 + zero)
+        for _ in range(10):
+            dims = [rng.randint(1, 3) for _ in range(4)]
+            dims[zero] = 0
+            m, n, p, q = dims
+            assert_matches_flat(manufactured(rng, m, n, p, q))
+            assert_matches_flat(TwoEqInstance(
+                A=rand_mat(rng, m, n), B=rand_mat(rng, p, q), C=rand_mat(rng, m, n),
+                D=rand_mat(rng, p, q), E=rand_mat(rng, m, q), F=rand_mat(rng, m, q)))
+
+    def test_dependent_columns_of_s(self):
+        # [A; C] of rank 1 with three columns: Y has free rows
+        rng = make_rng(54)
+        for _ in range(20):
+            m, p, q = (rng.randint(1, 3) for _ in range(3))
+            u, v = rand_mat(rng, 2 * m, 1), rand_mat(rng, 1, 3)
+            s = u @ v
+            inst = manufactured(rng, m, 3, p, q, a=s.sub(0, m, 0, 3), c=s.sub(m, 2 * m, 0, 3))
+            assert assert_matches_flat(inst) is not None
+
+    def test_full_column_rank_s(self):
+        # the (2,3) coupling: C = E22 invertible, so Y is fixed by Z
+        rng = make_rng(55)
+        for _ in range(20):
+            k, p, q = (rng.randint(1, 3) for _ in range(3))
+            inst = manufactured(rng, k, k, p, q, c=rand_invertible(rng, k))
+            assert assert_matches_flat(inst) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        m, n, p, q = (data.draw(st.integers(0, 3)) for _ in range(4))
+        entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=9))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        a, b, c, d = mat(m, n), mat(p, q), mat(m, n), mat(p, q)
+        if data.draw(st.booleans()):
+            y0, z0 = mat(n, q), mat(m, p)
+            e, f = -(a @ y0 + z0 @ d), -(c @ y0 + z0 @ b)
+        else:
+            e, f = mat(m, q), mat(m, q)
+        assert_matches_flat(TwoEqInstance(A=a, B=b, C=c, D=d, E=e, F=f))
 
 
 class TestReduction:
