@@ -190,8 +190,8 @@ def verify_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes) -> FormReport:
         ("zero_pattern", pattern),
         *_diagonal_checks(_blocks(sys, rows, cols), "block1_underdetermined",
                           Mat.zeros(z.l1, 0), Mat.zeros(z.l3, 0)),
-        ("input_block_invertible",
-         sys.B.sub(r3, sys.l, z.m1, sys.m).is_invertible() and sys.B.rank() == z.m2),
+        # with the zero pattern, B is zero but for this block, so its rank is m2
+        ("input_block_invertible", sys.B.sub(r3, sys.l, z.m1, sys.m).is_invertible()),
     ))
 
 

@@ -1,11 +1,10 @@
 """Univariate polynomial matrices over Q and exact pencil rank decisions.
 
-``full_rank_all_finite(E, A, target)`` decides whether the pencil s*E - A
-keeps the rank ``target`` at every finite complex point.  It reads the
-decision off the Wong limits V*, W* of the input-free triple [E, A, 0]: by
-the quasi-Kronecker form, the rank drops at no finite lambda exactly when
-V* is contained in W*, and the normal rank is n - dim(V* n W*) +
-dim E(V* n W*).  This is polynomial work in the pencil's size.
+``full_rank_all_finite(E, A)`` decides whether the pencil s*E - A has rank
+min(rows, cols) at every finite complex point with one Wong chain: by the
+quasi-Kronecker form, full column rank holds at every finite lambda exactly
+when the limit V* of [E, A, 0] is zero, and full row rank is the same test
+on the transpose.  This is polynomial work in the pencil's size.
 
 ``Poly``, ``PolyMat``, ``normal_rank``, ``determinant`` and ``minor_gcd``
 stay as the independent route: the rank drops at some finite lambda exactly
@@ -23,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Mat, Q, _q
-from .wong import SystemTriple, v_sequence, w_sequence
+from .wong import SystemTriple, v_sequence
 
 
 class Poly:
@@ -283,30 +282,23 @@ def minor_gcd(p: PolyMat, k: int) -> Poly:
     return acc
 
 
-def _rank_from_limits(e: Mat, a: Mat) -> tuple[int, bool]:
-    """(normal rank of s*E - A, whether that rank holds at every finite lambda).
+def full_rank_all_finite(e: Mat, a: Mat) -> bool:
+    """True iff lambda*E - A has rank min(rows, cols) at every finite lambda.
 
-    Read off the Wong limits V*, W* of [E, A, 0]: the normal rank is
-    n - dim(V* n W*) + dim E(V* n W*), and the rank drops at some finite
-    lambda exactly when V* is not contained in W*.
-    """
-    free = SystemTriple(e, a, Mat.zeros(e.rows, 0))
-    vstar, wstar = v_sequence(free)[-1], w_sequence(free)[-1]
-    meet = vstar.intersect(wstar)
-    return e.cols - meet.dim + meet.image_under(e).dim, wstar.contains(vstar)
+    E and A must have the same shape.  A pencil with no more columns than
+    rows has full column rank at every finite lambda iff the Wong limit V*
+    of [E, A, 0] is zero; a wider pencil is decided on its transpose.
 
-
-def full_rank_all_finite(e: Mat, a: Mat, target: int) -> bool:
-    """True iff rank of lambda*E - A equals ``target`` for every finite lambda.
-
-    E and A must have the same shape, and ``target`` must not exceed either
-    dimension.  Decided exactly from the Wong limits of [E, A, 0] (see
-    ``_rank_from_limits``): the normal rank must equal ``target`` and must
-    not drop at any finite lambda.
+    Proof by the quasi-Kronecker form: V* spans the underdetermined and the
+    finite-eigenvalue blocks, V* n W* the underdetermined ones, and only
+    these two kinds lack full column rank at some finite lambda.  The rule
+    "normal rank n - dim(V* n W*) + dim E(V* n W*) = n and V* <= W*" is
+    equivalent: V* = 0 gives both; conversely, V* <= W* makes V* = V* n W*,
+    on which normal rank n makes E injective, and no underdetermined block
+    (E = [I_eps 0]) allows that, so V* = 0.
     """
     if e.shape != a.shape:
         raise ValueError("a pencil needs E and A of the same shape")
-    if target > min(e.rows, e.cols):
-        raise ValueError("target rank exceeds the matrix dimensions")
-    nrank, no_drop = _rank_from_limits(e, a)
-    return nrank == target and no_drop
+    if e.cols > e.rows:
+        e, a = e.T, a.T
+    return v_sequence(SystemTriple(e, a, Mat.zeros(e.rows, 0)))[-1].dim == 0

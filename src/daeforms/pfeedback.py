@@ -410,13 +410,15 @@ def _diagonal_checks(blk: dict[str, Mat], first_name: str, b11: Mat,
     QPDFF.
 
     (i) ``first_name``: the leading block is a completely controllable
-    underdetermined system with unconstrained, non-redundant input; (ii) the
-    middle E block is square invertible; (iii) the trailing pencil with its
-    input columns has full column rank at every finite lambda, so it is at
-    least as tall as it is wide.  An entirely empty leading or trailing block
-    passes its condition vacuously.  (i) implies l1 < n1 + m1: E11 of full
-    row rank gives l1 <= n1, and l1 = n1 > 0 with m1 = 0 makes E11
-    invertible, so that det(lambda E11 - A11) has a root.
+    underdetermined system with unconstrained, non-redundant input, so
+    [lambda E11 - A11, -B11] has full row rank at every finite lambda; (ii)
+    the middle E block is square invertible; (iii) [lambda E33 - A33, -B33]
+    has full column rank at every finite lambda.  ``full_rank_all_finite``
+    asks for rank min(rows, cols), and the guards make that the rank needed:
+    E11 of full row rank gives l1 <= n1 <= n1 + m1, and (iii) checks
+    n3 + m3 <= l3 first.  An entirely empty leading or trailing block passes
+    its condition vacuously.  (i) implies l1 < n1 + m1: l1 = n1 > 0 with
+    m1 = 0 makes E11 invertible, so that det(lambda E11 - A11) has a root.
     """
     e11, e33 = blk["E11"], blk["E33"]
     (l1, n1), m1 = e11.shape, b11.cols
@@ -425,9 +427,9 @@ def _diagonal_checks(blk: dict[str, Mat], first_name: str, b11: Mat,
         e11.rank() == l1
         and b11.rank() == m1
         and full_rank_all_finite(Mat.hstack(e11, Mat.zeros(l1, m1)),
-                                 Mat.hstack(blk["A11"], b11), l1))
+                                 Mat.hstack(blk["A11"], b11)))
     ok3 = n3 + m3 <= l3 and full_rank_all_finite(
-        Mat.hstack(e33, Mat.zeros(l3, m3)), Mat.hstack(blk["A33"], b33), n3 + m3)
+        Mat.hstack(e33, Mat.zeros(l3, m3)), Mat.hstack(blk["A33"], b33))
     return [(first_name, ok1), ("block2_ode", blk["E22"].is_invertible()),
             ("block3_trivial", ok3)]
 

@@ -18,12 +18,19 @@ each form takes.  The scale rows are PFF templates of 21x21x3 and 28x28x3
 scrambled as ``perfbench/corpus.py`` scrambles them; their (1,3)
 couplings are the largest coupled solves the gate sees.
 
+Last, it checks ``VERDICT_DRAWS`` seeded triples per quasi form with
+``verify_qpff`` and ``verify_qpdff``.  Each satisfies its form's zero
+pattern by construction, so the gate sees the verdict of every diagonal
+block condition; the perturbed negatives of the corpora mostly fail the
+zero pattern first.
+
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
 covers the argv, the exit code, standard output, standard error and the
 ``--output`` file; a library digest covers the transformed and the
 decoupled triple and both witnesses in the text format, or the exception
-raised.  Two trees give the same bytes exactly when the two outputs are
+raised; a verdict digest covers the ``report.checks`` of ``VERDICT_CHUNK``
+triples.  Two trees give the same bytes exactly when the two outputs are
 equal; the first line that differs names the first differing call.
 """
 
@@ -66,6 +73,10 @@ SCALE = {
 
 
 FORMS = ("qpff", "qpdff")
+
+# seeded zero-pattern triples per quasi form, digested in chunks
+VERDICT_DRAWS = 400
+VERDICT_CHUNK = 50
 
 
 def cli_record(argv, output: str | None) -> list:
@@ -145,6 +156,11 @@ def calls(tmp: str):
                        functools.partial(cli_record, call.argv, call.output))
             yield from _library_calls(prefix, workdir, [call.argv[1] for call in corpus])
     yield from _scale_calls(tmp)
+    for form in FORMS:
+        triples = list(verdict_triples(form))
+        for start in range(0, VERDICT_DRAWS, VERDICT_CHUNK):
+            yield (f"verdicts/{form}/{start:03d}", HERE, functools.partial(
+                verdict_record, form, triples[start:start + VERDICT_CHUNK]))
 
 
 def _scale_calls(tmp: str):
@@ -163,6 +179,66 @@ def _scale_calls(tmp: str):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(corpus.format_system(system, l, n, m, f"{label}-{seed}"))
             yield from _library_calls(f"scale/{label}/{seed}", tmp, [path])
+
+
+def _block(rng, rows: int, cols: int):
+    """A random integer block: dense, sparse or a product of lower rank."""
+    from daeforms import Mat
+
+    def grid(r: int, c: int, zero_share: float = 0.0):
+        return Mat(r, c, [[0 if rng.random() < zero_share else rng.randint(-3, 3)
+                           for _ in range(c)] for _ in range(r)])
+    kind = rng.choice(("dense", "sparse", "low_rank"))
+    if kind == "low_rank":
+        inner = rng.randint(0, max(min(rows, cols) - 1, 0))
+        return grid(rows, inner) @ grid(inner, cols)
+    return grid(rows, cols, 0.7 if kind == "sparse" else 0.0)
+
+
+def _triangular(rng, rows, cols, tail: int):
+    """A block upper triangular matrix cut at ``rows`` and ``cols``, with
+    ``tail`` zero rows below the last cut."""
+    from daeforms import Mat
+    return Mat.vstack(*[Mat.hstack(*[_block(rng, r, c) if j >= i else Mat.zeros(r, c)
+                                     for j, c in enumerate(cols)])
+                        for i, r in enumerate(rows)], Mat.zeros(tail, sum(cols)))
+
+
+def verdict_triples(form: str):
+    """``VERDICT_DRAWS`` seeded (triple, block sizes) in the zero pattern of
+    ``form``: E and A block upper triangular, B zero outside the form's input
+    blocks, block sizes 0 to 3, and E22 square 70 % of the time."""
+    import random
+    from daeforms import Mat, SystemTriple
+    from daeforms.pdfeedback import QpdffBlockSizes
+    from daeforms.pfeedback import QpffBlockSizes
+    rng = random.Random(FORMS.index(form) + 1)
+    for _ in range(VERDICT_DRAWS):
+        l1, l2, l3, n1, n3, m1, m2, m3 = (rng.randint(0, 3) for _ in range(8))
+        n2 = l2 if rng.random() < 0.7 else rng.randint(0, 3)
+        rows, cols = (l1, l2, l3), (n1, n2, n3)
+        if form == "qpff":
+            m = m1 + m2 + m3
+            b = Mat.vstack(Mat.hstack(_block(rng, l1, m1), Mat.zeros(l1, m2), _block(rng, l1, m3)),
+                           Mat.zeros(l2, m),
+                           Mat.hstack(Mat.zeros(l3, m1 + m2), _block(rng, l3, m3)))
+            sizes, tail = QpffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2, m3), 0
+        else:
+            b = Mat.block_diag(Mat.zeros(l1 + l2 + l3, m1), _block(rng, m2, m2))
+            sizes, tail = QpdffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2), m2
+        e, a = (_triangular(rng, rows, cols, tail) for _ in range(2))
+        yield SystemTriple(e, a, b), sizes
+
+
+def verdict_record(form: str, triples) -> list:
+    """The ``report.checks`` of the quasi form check of ``form`` on each
+    (triple, block sizes) of ``triples``, or the exception raised."""
+    from daeforms import pdfeedback, pfeedback
+    verify = {"qpff": pfeedback.verify_qpff, "qpdff": pdfeedback.verify_qpdff}[form]
+    try:
+        return [verify(system, sizes).checks for system, sizes in triples]
+    except Exception as exc:  # a crash is part of the behaviour being compared
+        return [form, "crash", type(exc).__name__, str(exc)]
 
 
 def main(argv=None) -> int:

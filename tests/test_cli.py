@@ -12,7 +12,7 @@ from daeforms import (Mat, PDTransform, PTransform, SystemTriple, pdfeedback, pf
                       sysio, wong)
 from daeforms.cli import main
 from daeforms.sysio import ParseError, parse_document, parse_system, parse_witness
-from byte_gate import GOLDEN_CALLS
+from byte_gate import FORMS, GOLDEN_CALLS, verdict_record, verdict_triples
 from golden import (PDFF_A, PDFF_B, PDFF_E, PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E,
                     QPDFF_SIZES, SYS763)
 
@@ -743,6 +743,25 @@ class TestWorkDoneOnce:
         assert code == 0
         assert limits[0] == 2
 
+    def test_qpff_takes_only_the_systems_w_steps(self, monkeypatch):
+        # the system's own W chain, j* + 1 = 3 steps; each all-lambda rank
+        # condition runs a V chain only
+        steps = count_calls(monkeypatch, wong, "_w_step")
+        code, _ = run_cli("qpff", path("sigma763.system"))
+        assert code == 0
+        assert steps[0] == 3
+
+    @pytest.mark.parametrize("form, name", [("qpff", "qpff_classify_decouple.out"),
+                                            ("qpdff", "qpdff_decouple.out")])
+    def test_verify_quasi_form_takes_no_w_step(self, monkeypatch, form, name):
+        # the --output file holds both the witness and the block sizes
+        steps = count_calls(monkeypatch, wong, "_w_step")
+        out = os.path.join(GOLDEN, name)
+        code, text = run_cli("verify", path("sigma763.system"), "--witness", out,
+                             "--form", form, "--data", out)
+        assert code == 0 and text == f"verify {form}: pass\n"
+        assert steps[0] == 0
+
 
 GOLDEN = os.path.join(DATA, "golden")
 
@@ -767,3 +786,16 @@ class TestGoldenBytes:
         assert text.encode("utf-8") == golden_bytes(name + ".stdout")
         if "OUT" in GOLDEN_CALLS[name]:
             assert out.read_bytes() == golden_bytes(name + ".out")
+
+
+class TestVerdictCorpus:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_block_condition_passes_and_fails(self, form):
+        # the byte gate's verdict digests see both outcomes of every
+        # condition that the zero pattern does not decide
+        seen = {}
+        for checks in verdict_record(form, verdict_triples(form)):
+            for name, passed in checks:
+                seen.setdefault(name, set()).add(passed)
+        assert seen.pop("zero_pattern") == {True}
+        assert len(seen) >= 3 and all(outcomes == {True, False} for outcomes in seen.values())
