@@ -54,10 +54,15 @@ def cmd_wong(args, out) -> int:
 
 def _finish_quasi_form(args, out, title: str, dec, m_sizes: tuple[int, ...], decouple) -> int:
     """The common end of ``qpff`` and ``qpdff``: with --decouple, decouple
-    the form and add the decoupled triple to the --output file.  ``decouple``
-    raises on a wrong result, so a failed decoupling exits 3 and writes no
-    file."""
+    the form; with --output, write the form and the decoupled triple.  The
+    document is formatted only when it is written.  ``decouple`` raises on a
+    wrong result, so a failed decoupling exits 3 and writes no file."""
     z = dec.block_sizes
+    if args.decouple:
+        decoupled = decouple(dec.transformed, z, dec.report)[0]
+        print("decoupled: ok", file=out)
+    if not args.output:
+        return 0
     chunks = [f"# {title} of {args.input}",
               sysio.format_int_list("l_sizes", (z.l1, z.l2, z.l3)),
               sysio.format_int_list("n_sizes", (z.n1, z.n2, z.n3)),
@@ -65,14 +70,11 @@ def _finish_quasi_form(args, out, title: str, dec, m_sizes: tuple[int, ...], dec
               sysio.format_system(dec.transformed).rstrip("\n"),
               sysio.format_witness(dec.witness).rstrip("\n")]
     if args.decouple:
-        decoupled = decouple(dec.transformed, z, dec.report)[0]
-        print("decoupled: ok", file=out)
         chunks.append("# decoupled triple")
         for key, mat in (("E_dec", decoupled.E), ("A_dec", decoupled.A), ("B_dec", decoupled.B)):
             chunks.append(sysio.format_matrix(key, mat))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(chunks + [""]))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(chunks + [""]))
     return 0
 
 

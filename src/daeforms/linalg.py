@@ -530,7 +530,9 @@ class Subspace:
         self._check_ambient(other)
         if other.dim == 0 or self.dim == self.ambient_dim:
             return True
-        return other.dim <= self.dim and not any(any(_reduce(w, self.rows)) for w in other.rows)
+        leads = [_lead(row) for row in self.rows]
+        return other.dim <= self.dim and not any(any(_reduce(w, self.rows, leads))
+                                                 for w in other.rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -582,12 +584,12 @@ def _forward(work: list[list[int]], d: int) -> list[list[int]]:
     return [row[d:] for row in work[rank:] if any(row)]
 
 
-def _reduce(vec, rows):
-    """``vec`` reduced against nonzero ``rows``, each zero at the pivots
-    (first nonzero entries) of the rows before it: zero exactly when vec is
-    in their span."""
-    for row in rows:
-        p = _lead(row)
+def _reduce(vec, rows, leads):
+    """``vec`` reduced against nonzero ``rows`` with pivots (first nonzero
+    entries) ``leads``, each row zero at the pivots of the rows before it:
+    zero exactly when vec is in their span.  The caller keeps the pivots,
+    so no row is scanned for its pivot once per vector."""
+    for row, p in zip(rows, leads):
         if f := vec[p]:
             g = gcd(row[p], f)
             scale, f = row[p] // g, f // g
@@ -646,29 +648,38 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None) -
     """A full-column-rank C with im(inner) (+) im(C) = outer.
 
     Columns are chosen greedily from ``preferred`` first (candidates outside
-    ``outer`` are skipped), then from the canonical basis of ``outer``.
+    ``outer`` are skipped; when ``outer`` is the whole space none is), then
+    from the canonical basis of ``outer``.  Each candidate is reduced against
+    the rows of ``inner`` and the columns chosen so far, whose pivots are
+    kept beside them.
     """
     if not outer.contains(inner):
         raise ValueError("inner subspace is not contained in the outer one")
     want = outer.dim - inner.dim
     chosen: list[tuple[Sequence[int], int]] = []  # (integer column, denominator)
     current = list(inner.rows)
+    leads = [_lead(row) for row in current]
 
     def try_candidates(cands):
         for vec, den in cands:
             if len(chosen) == want:
                 return
-            rest = _reduce(vec, current)
+            rest = _reduce(vec, current, leads)
             if any(rest):
                 chosen.append((vec, den))
                 current.append(_primitive(rest))
+                leads.append(_lead(rest))
 
+    outer_leads = [_lead(row) for row in outer.rows]
     if preferred is not None:
         if preferred.rows != outer.ambient_dim:
             raise ValueError("preferred columns have wrong ambient dimension")
         den, rows = _scaled(preferred)
-        try_candidates([(col, den) for col in zip(*rows) if not any(_reduce(col, outer.rows))])
-    try_candidates([(row, row[_lead(row)]) for row in outer.rows])
+        cols = list(zip(*rows))
+        if outer.dim < outer.ambient_dim:
+            cols = [col for col in cols if not any(_reduce(col, outer.rows, outer_leads))]
+        try_candidates([(col, den) for col in cols])
+    try_candidates([(row, row[p]) for row, p in zip(outer.rows, outer_leads)])
     if len(chosen) != want:
         raise AssertionError("complement construction failed to fill the outer space")
     return Mat._reduced(want, outer.ambient_dim, [vec for vec, _ in chosen],

@@ -146,8 +146,10 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     the equation side the basis is adapted to im B <= E(V* n W*) + im B <=
     E V* + im B, with the im B part placed last, so that the transformed B
     is supported on the bottom block row only.  F_D and F_P clear E and A
-    there, and V sorts the inputs into (redundant, effective).  The result
-    always passes verify_qpdff, whose report it carries.
+    there, and V sorts the inputs into (redundant, effective).  The
+    transformed triple is [S E T + S B F_D, S A T + S B F_P, S B V] from the
+    products that gave the feedback.  The result always passes verify_qpdff,
+    whose report it carries.
     """
     rep = wong_limits(sys)
     vstar = rep.v_limit
@@ -163,15 +165,17 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
 
     t = Mat.hstack(u_t, r_t, o_t)
     s = Mat.hstack(u_s, r_s, o_s, q_s).inv()
-    sb_bot = (s @ sys.B).sub(sys.l - m2, sys.l, 0, sys.m)
-    f_d = solve_right(sb_bot, -(s @ sys.E @ t).sub(sys.l - m2, sys.l, 0, sys.n))
-    f_p = solve_right(sb_bot, -(s @ sys.A @ t).sub(sys.l - m2, sys.l, 0, sys.n))
+    sb, se_t, sa_t = s @ sys.B, s @ sys.E @ t, s @ sys.A @ t
+    sb_bot = sb.sub(sys.l - m2, sys.l, 0, sys.m)
+    f_d = solve_right(sb_bot, -se_t.sub(sys.l - m2, sys.l, 0, sys.n))
+    f_p = solve_right(sb_bot, -sa_t.sub(sys.l - m2, sys.l, 0, sys.n))
     if f_d is None or f_p is None:
         raise AssertionError("bottom-row clearing equations must be solvable")
 
     v = Mat.hstack(*_adapted(sys.m, kernel_basis(sys.B)))
 
-    return _decomposition(sys, PDTransform(s, t, v, f_p, f_d),
+    return _decomposition(SystemTriple(se_t + sb @ f_d, sa_t + sb @ f_p, sb @ v),
+                          PDTransform(s, t, v, f_p, f_d),
                           QpdffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2), verify_qpdff, "QPDFF")
 
 

@@ -332,11 +332,12 @@ class QpffDecomposition:
     report: FormReport  # the form's verifier on the transformed triple; always ok
 
 
-def _decomposition(sys: SystemTriple, witness: PTransform, sizes, verify,
+def _decomposition(transformed: SystemTriple, witness: PTransform, sizes, verify,
                    form: str) -> QpffDecomposition:
-    """Apply ``witness`` to sys and check the result with ``verify`` at
-    ``sizes``: the common end of compute_qpff and compute_qpdff."""
-    transformed = apply_p_transform(sys, witness)
+    """Check ``transformed`` with ``verify`` at ``sizes``: the common end of
+    compute_qpff and compute_qpdff.  Each passes the triple it assembled
+    from the products that gave its feedback, which in exact arithmetic is
+    apply_p_transform(sys, witness), so the witness is not applied again."""
     report = verify(transformed, sizes)
     if not report.ok:
         raise AssertionError(f"constructed {form} failed verification: {report.failures()}")
@@ -348,7 +349,9 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
 
     T gathers the state bases, S inverts the equation bases, the feedback
     components F_1, F_2 clear A below the first and second block rows, and V
-    sorts the inputs into (effective, redundant, constrained).  The result
+    sorts the inputs into (effective, redundant, constrained).  F_1 and F_2
+    are solved from blocks of S A T and S B, and the transformed triple is
+    [S (E T), S A T + S B F_P, S B V] from those same products.  The result
     always passes verify_qpff, whose report it carries.
     """
     (u_t, r_t, o_t), (u_s, r_s, o_s) = select_bases(sys)
@@ -356,11 +359,11 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
     t = Mat.hstack(u_t, r_t, o_t)
     s = Mat.hstack(u_s, r_s, o_s).inv()
-    sa = s @ sys.A
+    sa_t = s @ sys.A @ t
     sb = s @ sys.B
 
-    f1 = solve_right(sb.sub(l1, sys.l, 0, sys.m), -(sa @ u_t).sub(l1, sys.l, 0, n1))
-    f2 = solve_right(sb.sub(l1 + l2, sys.l, 0, sys.m), -(sa @ r_t).sub(l1 + l2, sys.l, 0, n2))
+    f1 = solve_right(sb.sub(l1, sys.l, 0, sys.m), -sa_t.sub(l1, sys.l, 0, n1))
+    f2 = solve_right(sb.sub(l1 + l2, sys.l, 0, sys.m), -sa_t.sub(l1 + l2, sys.l, n1, n1 + n2))
     if f1 is None or f2 is None:
         raise AssertionError("feedback clearing equations must be solvable")
     f_p = Mat.hstack(f1, f2, Mat.zeros(sys.m, n3))
@@ -368,8 +371,10 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     v2, v1, v3 = _adapted(sys.m, kernel_basis(sys.B),
                           kernel_basis(sb.sub(l1 + l2, sys.l, 0, sys.m)))
     m1, m2, m3 = v1.cols, v2.cols, v3.cols
+    v = Mat.hstack(v1, v2, v3)
 
-    return _decomposition(sys, PTransform(s, t, Mat.hstack(v1, v2, v3), f_p),
+    return _decomposition(SystemTriple(s @ (sys.E @ t), sa_t + sb @ f_p, sb @ v),
+                          PTransform(s, t, v, f_p),
                           QpffBlockSizes(l1, l2, l3, n1, n2, n3, m1, m2, m3), verify_qpff, "QPFF")
 
 

@@ -9,31 +9,39 @@ the pair is one linear system M x = b, and the solution returned is x_P:
 the free variables zero and P, the pivot columns of M's RREF, its
 lexicographically first column basis, so x_P = M_P^-1 b is unique.
 
-It is computed Y block first.  Write S = [A; C] and N for the canonical
-basis of the left kernel of S.  Y entry (k, j) meets only the equations of
-column j, where its column is column k of S; the column blocks of
-different j share no equation.  So the Y columns of P are the pivot
-columns of S, repeated for every j, and they span every column S w of
-every block.  N maps that span to zero and is injective modulo it, so the
-Z columns of P are the first column basis of the reduced system
+It is computed Y block first.  Write S = [A; C] and N for a basis of the
+left kernel of S.  Y entry (k, j) meets only the equations of column j,
+where its column is column k of S; the column blocks of different j share
+no equation.  So the Y columns of P are the pivot columns of S, repeated
+for every j, and they span every column S w of every block.  N maps that
+span to zero and is injective modulo it, so the Z columns of P are the
+first column basis of the reduced system
 
     N_top Z D + N_bot Z B = -N [E; F]
 
 in Z alone, and M x = b is solvable exactly when this system is.  Its
-forward elimination (``linalg._echelon`` without back elimination) and one
-back substitution give Z with its free variables zero; ``solve_right``
-then gives each column of Y from S Y = -[E + Z D; F + Z B], again with its
-free variables zero.  Together they are x_P, bit for bit.  The flattened
-system, 2mq equations in nq + mp unknowns, is never built; the reduced
-one has (2m - rank S) q equations in mp unknowns.
+rows for one j are N times rows of the flattened system, so its row space,
+and with it its pivots and x_P, is the same for every basis N of the left
+kernel.  Its forward elimination (``linalg._echelon`` without back
+elimination) and one back substitution give Z with its free variables
+zero.
+
+One Gauss-Jordan pass over the columns of S in [S | I], each row taken over
+its denominator, gives both N and Y: every row is [u S | u] for the u of
+its identity part, the rows past the rank have u S = 0 and their u are N,
+and pivot row i has u_i S zero at every other pivot column of S.  So with
+rhs = -[E + Z D; F + Z B], the Y with its free rows zero has row p_i equal
+to (u_i rhs) / (u_i S)[p_i], and S Y = rhs holds exactly when N rhs = 0.
+Together they are x_P, bit for bit.  The flattened system, 2mq equations
+in nq + mp unknowns, is never built; the reduced one has (2m - rank S) q
+equations in mp unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Mat, _back_substitute, _echelon, _pair_rows, _primitive, _scaled,
-                     kernel_basis, solve_right)
+from .linalg import Mat, _back_substitute, _echelon, _pair_rows, _primitive, _scaled
 
 
 @dataclass(frozen=True)
@@ -71,11 +79,17 @@ def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     sum_{i,l} (N[r][i] D[l][j] + N[r][m + i] B[l][j]) Z[i][l] = -(N [E; F])[r][j],
     taken over the common denominator of D and B and of row r of N [E; F].
     """
-    m = inst.A.rows
+    m, n = inst.A.shape
     p, q = inst.B.shape
     nz = m * p
     s = Mat.vstack(inst.A, inst.C)
-    left = kernel_basis(s.T).rows
+    # [S | I], row k over the denominator d_k of row k of S: [ints_k | d_k e_k]
+    si = [_primitive([*row, *[0] * k, den, *[0] * (2 * m - 1 - k)])
+          for k, (row, den) in enumerate(zip(s.ints, s.dens))]
+    s_pivots = _echelon(si, n)
+    rank = len(s_pivots)
+    u_rows = [row[n:] for row in si]  # u_i of the pivot rows, then N
+    left = u_rows[rank:]
     ef = Mat._trusted(len(left), 2 * m, left, (1,) * len(left)) @ Mat.vstack(inst.E, inst.F)
     den, db = _scaled(Mat.hstack(inst.D, inst.B))
     d_cols = [[row[j] for row in db] for j in range(q)]
@@ -94,7 +108,14 @@ def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     if pivots and pivots[-1] == nz:
         return None
     z = _pair_rows(m, p, _back_substitute(work, pivots, nz))
-    y = solve_right(s, -Mat.vstack(inst.E + z @ inst.D, inst.F + z @ inst.B))
-    if y is None:
+    rhs = -Mat.vstack(inst.E + z @ inst.D, inst.F + z @ inst.B)
+    u_rhs = Mat._trusted(2 * m, 2 * m, u_rows, (1,) * (2 * m)) @ rhs
+    if any(map(any, u_rhs.ints[rank:])):
         raise AssertionError("the Y equations are inconsistent after a consistent Z solve")
-    return y, z
+    rows, dens = [(0,) * q] * n, [1] * n
+    for i, pc in enumerate(s_pivots):
+        piv = si[i][pc]
+        rows[pc], dens[pc] = u_rhs.ints[i], u_rhs.dens[i] * piv
+        if piv < 0:
+            rows[pc], dens[pc] = [-x for x in rows[pc]], -dens[pc]
+    return Mat._reduced(n, q, rows, dens), z

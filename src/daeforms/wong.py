@@ -13,10 +13,10 @@ preimages of subspaces, not matrix inverses; E and A need not be square.
 
 A step is the preimage V^{i+1} = ker(P A), with P spanning the left kernel
 of [E V^i | B]: A x lies in E V^i + im B iff every such row annihilates it.
-On integer rows, the B columns of [B | E | A] are eliminated once per chain,
-leaving [P_B E | P_B A]; a step prepends the columns P_B E v, v in V^i,
-eliminates them forward and reads V^{i+1} off the rest canonically (W swaps
-E and A).
+On integer rows, the B columns of [B | E | A] are eliminated once per
+system, leaving [P_B E | P_B A] for both chains; a step prepends the columns
+P_B E v, v in V^i, eliminates them forward and reads V^{i+1} off the rest
+canonically (W swaps E and A).
 
 ``FormReport`` is the verdict record of every structural check: the limit
 identities here and the quasi form checks of ``pfeedback`` and
@@ -94,23 +94,32 @@ class WongReport:
         return self.w_chain[-1]
 
 
-def _chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
-    """The integer rows [P_B O | P_B M reversed], P_B spanning the left
-    kernel of B; (M, O) is (A, E) for ``main`` 0 and (E, A) for ``main`` 1.
-    Clearing each row of [B | O | M] of its denominator keeps its row space."""
-    o, m = (sys.A, sys.E) if main else (sys.E, sys.A)
-    k = sys.m + sys.n
-    work = [_primitive([*row[:k], *reversed(row[k:])]) for row in Mat.hstack(sys.B, o, m).ints]
-    return _forward(work, sys.m)
+def _chain_rows(sys: SystemTriple) -> list[list[int]]:
+    """The integer rows [P_B E | P_B A], P_B spanning the left kernel of B:
+    forward elimination of the B columns of [B | E | A], each row cleared of
+    its denominator first, which keeps its row space."""
+    return _forward([_primitive(list(row)) for row in Mat.hstack(sys.B, sys.E, sys.A).ints],
+                    sys.m)
+
+
+def _arranged(rows, n: int, main: int) -> list[list[int]]:
+    """The rows of one chain from ``_chain_rows``: [P_B O | P_B M reversed]
+    with (M, O) = (A, E) for ``main`` 0 (V) and (E, A) for ``main`` 1 (W).
+    They equal the forward elimination of [B | O | M reversed] itself: its
+    pivots and multipliers depend on B's columns only, and a row's gcd not
+    on the order of its columns."""
+    if main:
+        return [[*row[n:], *reversed(row[:n])] for row in rows]
+    return [[*row[:n], *reversed(row[n:])] for row in rows]
 
 
 def _step(sys: SystemTriple, space: Subspace, rows, main: int) -> Subspace:
     """One Wong step M^{-1}(O space + im B) = ker(P M) from the chain's
-    ``_chain_rows`` (computed here when None): forward elimination of the
+    ``_arranged`` rows (computed here when None): forward elimination of the
     prepended columns P_B O v, v in ``space.rows``, leaves P M, reversed."""
-    if rows is None:
-        rows = _chain_rows(sys, main)
     n = sys.n
+    if rows is None:
+        rows = _arranged(_chain_rows(sys), n, main)
     work = [_primitive([sum(map(mul, row, v)) for v in space.rows] + row[n:]) for row in rows]
     return _row_kernel(_forward(work, space.dim), n)
 
@@ -123,8 +132,12 @@ def _w_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
     return _step(sys, space, rows, 1)
 
 
-def _iterate(sys: SystemTriple, start: Subspace, step, rows) -> list[Subspace]:
-    chain = [start]
+def _iterate(sys: SystemTriple, main: int, rows) -> list[Subspace]:
+    """The chain of ``main`` (0 for V, 1 for W) from the ``_chain_rows``
+    ``rows``, up to and including its limit."""
+    step = _w_step if main else _v_step
+    rows = _arranged(rows, sys.n, main)
+    chain = [Subspace.zero(sys.n) if main else Subspace.full(sys.n)]
     for _ in range(sys.n + 1):
         nxt = step(sys, chain[-1], rows)
         if nxt == chain[-1]:
@@ -139,18 +152,20 @@ def v_sequence(sys: SystemTriple) -> list[Subspace]:
     The stabilized element appears exactly once, so the last list entry is V*
     and the termination index is len - 1.
     """
-    return _iterate(sys, Subspace.full(sys.n), _v_step, _chain_rows(sys, 0))
+    return _iterate(sys, 0, _chain_rows(sys))
 
 
 def w_sequence(sys: SystemTriple) -> list[Subspace]:
     """The increasing chain W^0 < W^1 < ... up to and including the limit."""
-    return _iterate(sys, Subspace.zero(sys.n), _w_step, _chain_rows(sys, 1))
+    return _iterate(sys, 1, _chain_rows(sys))
 
 
 def wong_limits(sys: SystemTriple) -> WongReport:
-    """Both chains.  Each chain ends where one more step returned the same
-    subspace, so its limit is a fixpoint of its one-step map by construction."""
-    return WongReport(tuple(v_sequence(sys)), tuple(w_sequence(sys)))
+    """Both chains, from one elimination of B's columns.  Each chain ends
+    where one more step returned the same subspace, so its limit is a
+    fixpoint of its one-step map by construction."""
+    rows = _chain_rows(sys)
+    return WongReport(tuple(_iterate(sys, 0, rows)), tuple(_iterate(sys, 1, rows)))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,17 @@ each form takes.  The scale rows are PFF templates of 21x21x3 and 28x28x3
 scrambled as ``perfbench/corpus.py`` scrambles them; their (1,3)
 couplings are the largest coupled solves the gate sees.
 
-Last, it checks ``VERDICT_DRAWS`` seeded triples per quasi form with
+It checks ``VERDICT_DRAWS`` seeded triples per quasi form with
 ``verify_qpff`` and ``verify_qpdff``.  Each satisfies its form's zero
 pattern by construction, so the gate sees the verdict of every diagonal
 block condition; the perturbed negatives of the corpora mostly fail the
 zero pattern first.
+
+Last, it solves ``SOLVE_DRAWS`` seeded coupled pairs with
+``solve_two_equations``: every dimension 0 to 4, S = [A; C] dense, sparse
+or of lower rank, solvable and mostly unsolvable right-hand sides, some
+with denominators.  So the gate sees the bits of Y and Z directly, not only
+through the decoupling witnesses.
 
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
@@ -30,7 +36,8 @@ covers the argv, the exit code, standard output, standard error and the
 ``--output`` file; a library digest covers the transformed and the
 decoupled triple and both witnesses in the text format, or the exception
 raised; a verdict digest covers the ``report.checks`` of ``VERDICT_CHUNK``
-triples.  Two trees give the same bytes exactly when the two outputs are
+triples, and a solve digest the (Y, Z) rows, or None, of ``SOLVE_CHUNK``
+pairs.  Two trees give the same bytes exactly when the two outputs are
 equal; the first line that differs names the first differing call.
 """
 
@@ -77,6 +84,10 @@ FORMS = ("qpff", "qpdff")
 # seeded zero-pattern triples per quasi form, digested in chunks
 VERDICT_DRAWS = 400
 VERDICT_CHUNK = 50
+
+# seeded coupled Sylvester pairs, digested in chunks
+SOLVE_DRAWS = 300
+SOLVE_CHUNK = 50
 
 
 def cli_record(argv, output: str | None) -> list:
@@ -161,6 +172,10 @@ def calls(tmp: str):
         for start in range(0, VERDICT_DRAWS, VERDICT_CHUNK):
             yield (f"verdicts/{form}/{start:03d}", HERE, functools.partial(
                 verdict_record, form, triples[start:start + VERDICT_CHUNK]))
+    pairs = list(solve_instances())
+    for start in range(0, SOLVE_DRAWS, SOLVE_CHUNK):
+        yield (f"solves/{start:03d}", HERE, functools.partial(
+            solve_record, pairs[start:start + SOLVE_CHUNK]))
 
 
 def _scale_calls(tmp: str):
@@ -239,6 +254,50 @@ def verdict_record(form: str, triples) -> list:
         return [verify(system, sizes).checks for system, sizes in triples]
     except Exception as exc:  # a crash is part of the behaviour being compared
         return [form, "crash", type(exc).__name__, str(exc)]
+
+
+def solve_instances():
+    """``SOLVE_DRAWS`` seeded ``TwoEqInstance``s: m, n, p, q from 1 to 4,
+    one of them 0 a quarter of the time, coefficients from ``_block`` (so S = [A; C] is often rank deficient),
+    and half the time the right-hand sides of a random (Y0, Z0), else
+    random ones, which are mostly unsolvable; a third of them over a
+    denominator."""
+    import random
+    from fractions import Fraction
+    from daeforms import Mat, TwoEqInstance
+    rng = random.Random(7)
+    for _ in range(SOLVE_DRAWS):
+        dims = [rng.randint(1, 4) for _ in range(4)]
+        if rng.random() < 0.25:
+            dims[rng.randrange(4)] = 0
+        m, n, p, q = dims
+        a, c = _block(rng, m, n), _block(rng, m, n)
+        b, d = _block(rng, p, q), _block(rng, p, q)
+        if rng.random() < 0.5:
+            y0, z0 = _block(rng, n, q), _block(rng, m, p)
+            e, f = -(a @ y0 + z0 @ d), -(c @ y0 + z0 @ b)
+        else:
+            e, f = _block(rng, m, q), _block(rng, m, q)
+        if rng.random() < 1 / 3:
+            scale = Fraction(1, rng.randint(2, 6))
+            e, f = e * scale, f * scale
+        yield TwoEqInstance(A=a, B=b, C=c, D=d, E=e, F=f)
+
+
+def solve_record(instances) -> list:
+    """The integer rows and denominators of (Y, Z) that
+    ``solve_two_equations`` returns for each of ``instances``, or None, or
+    the exception raised."""
+    from daeforms import solve_two_equations
+    out = []
+    for inst in instances:
+        try:
+            sol = solve_two_equations(inst)
+        except Exception as exc:  # a crash is part of the behaviour being compared
+            out.append(["crash", type(exc).__name__, str(exc)])
+            continue
+        out.append(None if sol is None else [[mat.shape, mat.ints, mat.dens] for mat in sol])
+    return out
 
 
 def main(argv=None) -> int:

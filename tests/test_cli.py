@@ -762,6 +762,45 @@ class TestWorkDoneOnce:
         assert code == 0 and text == f"verify {form}: pass\n"
         assert steps[0] == 0
 
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_decouple_without_output_formats_nothing(self, monkeypatch, form):
+        # the --output document is built only when it is written
+        counters = [count_calls(monkeypatch, sysio, name) for name in
+                    ("format_matrix", "format_system", "format_witness", "format_int_list")]
+        code, text = run_cli(form, path("sigma763.system"), "--decouple")
+        assert code == 0 and "decoupled: ok" in text
+        assert [c[0] for c in counters] == [0, 0, 0, 0]
+
+    def test_wong_limits_eliminates_b_once(self, monkeypatch):
+        # one forward elimination of B's columns serves both chains
+        eliminations = count_calls(monkeypatch, wong, "_chain_rows")
+        rep = wong.wong_limits(SYS763)
+        assert (rep.i_star, rep.j_star) == (1, 2)
+        assert eliminations[0] == 1
+
+    def test_coupled_solve_runs_no_kernel_or_solve(self, monkeypatch):
+        # one Gauss-Jordan pass of [S | I] gives the left kernel and Y
+        from daeforms import TwoEqInstance, linalg, solve_two_equations, sylvester
+        counters = []
+        for name in ("kernel_basis", "solve_right"):
+            counters.append(count_calls(monkeypatch, linalg, name))
+            # also where sylvester would bind them by name
+            monkeypatch.setattr(sylvester, name, getattr(linalg, name), raising=False)
+        a, c = Mat.from_rows([[1, 2], [2, 4]]), Mat.from_rows([[0, 1], [0, 2]])  # S of rank 2
+        b, d = Mat.identity(2), Mat.from_rows([[1, 1], [0, 1]])
+        y0, z0 = Mat.from_rows([[1, 0], [2, 1]]), Mat.from_rows([[0, 1], [3, 0]])
+        inst = TwoEqInstance(A=a, B=b, C=c, D=d, E=-(a @ y0 + z0 @ d), F=-(c @ y0 + z0 @ b))
+        assert solve_two_equations(inst) is not None
+        assert [c[0] for c in counters] == [0, 0]
+
+    def test_decompositions_apply_no_witness(self, monkeypatch):
+        # the transformed triple comes from the products that gave the feedback
+        applied = count_calls(monkeypatch, pfeedback, "apply_p_transform")
+        applied_pd = count_calls(monkeypatch, pdfeedback, "apply_pd_transform")
+        pfeedback.compute_qpff(SYS763)
+        pdfeedback.compute_qpdff(SYS763)
+        assert (applied[0], applied_pd[0]) == (0, 0)
+
 
 GOLDEN = os.path.join(DATA, "golden")
 

@@ -282,6 +282,60 @@ class TestComputeQpff:
             assert verify_qpff(dec.transformed, dec.block_sizes).ok
 
 
+class TestDecompositionRecord:
+    """``compute_qpff`` and ``compute_qpdff`` assemble the transformed triple
+    from the products that gave their feedback and never apply their
+    witness; the record must still be that witness applied to the input,
+    bit for bit, on the golden system, on every system of the three bench
+    corpora for seeds 1 and 2, and on seeded random systems."""
+
+    RANDOM_DRAWS = 200
+
+    @staticmethod
+    def compute(form: str):
+        from daeforms import compute_qpdff
+        return {"qpff": compute_qpff, "qpdff": compute_qpdff}[form]
+
+    @staticmethod
+    def assert_pinned(compute, system: SystemTriple):
+        dec = compute(system)
+        assert apply_p_transform(system, dec.witness) == dec.transformed
+
+    @pytest.fixture(scope="class")
+    def corpus_systems(self, tmp_path_factory) -> list[SystemTriple]:
+        from byte_gate import PERFBENCH
+        from daeforms import sysio
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(PERFBENCH)
+            import workloads
+            paths = []
+            for workload in sorted(workloads.WORKLOADS):
+                for seed in (1, 2):
+                    workdir = tmp_path_factory.mktemp(f"{workload}-{seed}")
+                    paths += [call.argv[1] for call in workloads.build(workload, seed, str(workdir))]
+        systems = []
+        for path in dict.fromkeys(paths):
+            with open(path, encoding="utf-8") as fh:
+                systems.append(sysio.parse_system(fh.read())[0])
+        return systems
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_golden_system(self, form):
+        self.assert_pinned(self.compute(form), SYS763)
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_bench_corpora(self, form, corpus_systems):
+        assert len(corpus_systems) >= 40
+        for system in corpus_systems:
+            self.assert_pinned(self.compute(form), system)
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_random_systems(self, form):
+        rng = make_rng(92)
+        for _ in range(self.RANDOM_DRAWS):
+            self.assert_pinned(self.compute(form), rand_system(rng))
+
+
 class TestVerifyQpff:
     def test_stray_input_entry_breaks_the_pattern(self):
         # 2 equations, 1 state, 1 input: the middle block row of B must be

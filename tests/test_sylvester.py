@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daeforms import Mat, TwoEqInstance, solve_two_equations
+from daeforms import Mat, TwoEqInstance, solve_right, solve_two_equations
 from oracles import (find_reduction_lambda, gen_sylvester_always_solvable,
                      reduce_to_gen_sylvester, residual, solve_gen_sylvester,
                      solve_two_equations_flat)
@@ -153,6 +153,73 @@ class TestAgainstFlatSolve:
             k, p, q = (rng.randint(1, 3) for _ in range(3))
             inst = manufactured(rng, k, k, p, q, c=rand_invertible(rng, k))
             assert assert_matches_flat(inst) is not None
+
+    def test_dependent_rows_and_columns_of_s(self):
+        # [A; C] of rank 1 or 2 with 2m >= 4 rows and three columns: both a
+        # left kernel N and free rows of Y
+        rng = make_rng(56)
+        for _ in range(20):
+            m, p, q, r = rng.randint(2, 3), rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+            s = rand_mat(rng, 2 * m, r) @ rand_mat(rng, r, 3)
+            a, c = s.sub(0, m, 0, 3), s.sub(m, 2 * m, 0, 3)
+            assert assert_matches_flat(manufactured(rng, m, 3, p, q, a=a, c=c)) is not None
+            assert_matches_flat(TwoEqInstance(
+                A=a, B=rand_mat(rng, p, q), C=c, D=rand_mat(rng, p, q),
+                E=rand_mat(rng, m, q), F=rand_mat(rng, m, q)))
+
+    def test_zero_s(self):
+        # N is the whole space and every row of Y is free, so Y = 0
+        rng = make_rng(57)
+        for _ in range(20):
+            m, n, p, q = (rng.randint(1, 3) for _ in range(4))
+            zero = Mat.zeros(m, n)
+            got = assert_matches_flat(manufactured(rng, m, n, p, q, a=zero, c=zero))
+            assert got is not None and got[0].is_zero()
+            assert_matches_flat(TwoEqInstance(
+                A=zero, B=rand_mat(rng, p, q), C=zero, D=rand_mat(rng, p, q),
+                E=rand_mat(rng, m, q), F=rand_mat(rng, m, q)))
+
+    def test_full_row_rank_s(self):
+        # N is empty: every Z entry is free, so Z = 0 and Y solves S Y = -[E; F]
+        rng = make_rng(58)
+        for _ in range(20):
+            m, p, q = (rng.randint(1, 2) for _ in range(3))
+            a, c = rand_mat(rng, m, 2 * m + 1), rand_mat(rng, m, 2 * m + 1)
+            if Mat.vstack(a, c).rank() < 2 * m:
+                continue
+            inst = TwoEqInstance(A=a, B=rand_mat(rng, p, q), C=c, D=rand_mat(rng, p, q),
+                                 E=rand_mat(rng, m, q), F=rand_mat(rng, m, q))
+            got = assert_matches_flat(inst)
+            assert got is not None and got[1].is_zero()
+
+    def test_inconsistent_y_is_an_internal_error(self, monkeypatch):
+        # N rhs = 0 is the check that Y exists; a wrong Z solve must trip it
+        from daeforms import sylvester
+        a, c = Mat.col_vec([1, 0]), Mat.zeros(2, 1)
+        inst = TwoEqInstance(A=a, B=Mat.identity(2), C=c, D=Mat.zeros(2, 2),
+                             E=-a @ Mat.from_rows([[1, 2]]), F=Mat.zeros(2, 2))
+        assert solve_two_equations(inst) is not None
+        # Z = I leaves F + Z B = I, which no Y can cancel
+        monkeypatch.setattr(sylvester, "_pair_rows", lambda m, p, _: Mat.identity(m))
+        with pytest.raises(AssertionError, match="Y equations are inconsistent"):
+            solve_two_equations(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_y_is_the_solve_of_its_z(self, data):
+        # for the Z returned, Y is solve_right(S, -[E + Z D; F + Z B])
+        m, n, p, q = (data.draw(st.integers(0, 3)) for _ in range(4))
+        entry = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=9))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        a, b, c, d = mat(m, n), mat(p, q), mat(m, n), mat(p, q)
+        y0, z0 = mat(n, q), mat(m, p)
+        inst = TwoEqInstance(A=a, B=b, C=c, D=d, E=-(a @ y0 + z0 @ d), F=-(c @ y0 + z0 @ b))
+        y, z = solve_two_equations(inst)
+        rhs = -Mat.vstack(inst.E + z @ d, inst.F + z @ b)
+        assert y == solve_right(Mat.vstack(a, c), rhs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
