@@ -340,7 +340,8 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     afterwards row i < rank is the i-th RREF row times its pivot entry, and
     the rows from rank on are zero in the first ``cols`` columns.  With
     ``back`` False a pivot is eliminated only from the rows below it, which
-    leaves an echelon form: enough for a rank, or to discard the pivot rows.
+    leaves an echelon form: enough for a rank, to discard the pivot rows,
+    or to solve by one back substitution (``_solve_echelon``).
 
     The pivot row is the one with the smallest nonzero |entry| in column pc
     among the rows not yet used, the earliest on a tie; the scan stops at
@@ -349,7 +350,7 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     pivot exactly when some unused row is nonzero there) nor any result
     read from the rows: each Gauss-Jordan row is a primitive multiple of an
     RREF row, and the forward rows feed only ranks, spans and the unique
-    solution x_P of ``_back_substitute``.
+    solution x_P of ``_solve_echelon``.
     """
     rows = len(work)
     pivots: list[int] = []
@@ -391,43 +392,31 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     return pivots
 
 
-def _back_substitute(work: list[list[int]], pivots: list[int],
-                     n: int) -> list[tuple[int, int]]:
-    """The solution x of row[:n] . x = row[n], as reduced (numerator,
-    denominator) pairs with the free variables zero, for the echelon rows
-    ``work`` that ``_echelon(work, n + 1, back=False)`` left with
-    ``pivots``, all left of column n.
+def _solve_echelon(work: list[list[int]], pivots: list[int], n: int, k: int) -> Mat:
+    """The n x k solution X of row[:n] X = row[n:n + k], with its free rows
+    zero, for the echelon rows ``work`` that ``_echelon(work, n,
+    back=False)`` left with ``pivots``.
 
     Each row is zero left of its pivot, so working up from the last pivot a
-    row fixes the unknown at its pivot from the ones below it.  The terms of
-    a value are summed over their common denominator, so each value is
+    row fixes the row of X at its pivot from the rows below it.  The terms
+    of a row are summed over their common denominator, so each row is
     reduced once.
     """
-    x = [(0, 1)] * n
-    known: list[tuple[int, int, int]] = []  # (column, numerator, denominator)
+    ints, dens = [(0,) * k] * n, [1] * n
+    known: list[int] = []  # the pivots of the nonzero rows of X found so far
     for i in range(len(pivots) - 1, -1, -1):
         row, pc = work[i], pivots[i]
-        terms = [(row[j], u, d) for j, u, d in known if row[j]]
+        terms = [(row[j], ints[j], dens[j]) for j in known if row[j]]
         den = lcm(*[d for _, _, d in terms])
-        num = row[n] * den - sum(a * u * (den // d) for a, u, d in terms)
-        if num:
+        terms = [(a * (den // d), xs) for a, xs, d in terms]
+        num = [den * c - sum([f * xs[t] for f, xs in terms])
+               for t, c in enumerate(row[n:n + k])]
+        if any(num):
             den *= row[pc]
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            x[pc] = num // g, den // g
-            known.append((pc, *x[pc]))
-    return x
-
-
-def _pair_rows(rows: int, cols: int, pairs: list[tuple[int, int]]) -> Mat:
-    """The rows x cols matrix of the reduced (numerator, denominator)
-    ``pairs``, row-major."""
-    ints, dens = [], []
-    for i in range(rows):
-        row = pairs[i * cols:(i + 1) * cols]
-        den = lcm(*[d for _, d in row])
-        ints.append(tuple([x * (den // d) for x, d in row]))
-        dens.append(den)
-    return Mat._trusted(rows, cols, tuple(ints), tuple(dens))
+            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            ints[pc], dens[pc] = tuple([x // g for x in num]), den // g
+            known.append(pc)
+    return Mat._trusted(n, k, tuple(ints), tuple(dens))
 
 
 def _positive(work, pivots) -> tuple[tuple[int, ...], ...]:
@@ -689,20 +678,15 @@ def complement(inner: Subspace, outer: Subspace, preferred: Mat | None = None) -
 def solve_right(a: Mat, b_rhs: Mat) -> Mat | None:
     """Some X with a X = b_rhs, or None when no solution exists.
 
-    Free variables are set to zero after the Gauss-Jordan elimination of
-    [a | b_rhs], so the result is deterministic: pivot row i gives the
-    unknowns of its pivot column as its b_rhs part over its pivot.
+    Forward elimination of [a | b_rhs] on the columns of a leaves rows past
+    the rank that are zero there; the system is solvable exactly when they
+    are zero, and then ``_solve_echelon`` gives X with its free rows zero.
     """
     if a.rows != b_rhs.rows:
         raise ValueError("row counts differ")
-    n, k = a.cols, b_rhs.cols
+    n = a.cols
     work = _integer_rows(Mat.hstack(a, b_rhs))
-    pivots = _echelon(work, n + k)
-    if any(p >= n for p in pivots):
+    pivots = _echelon(work, n, back=False)
+    if any(map(any, work[len(pivots):])):
         return None
-    rows, dens = [(0,) * k] * n, [1] * n
-    for row, p in zip(work, pivots):
-        rows[p], dens[p] = row[n:], row[p]
-        if dens[p] < 0:
-            rows[p], dens[p] = [-x for x in rows[p]], -dens[p]
-    return Mat._reduced(n, k, rows, dens)
+    return _solve_echelon(work, pivots, n, b_rhs.cols)

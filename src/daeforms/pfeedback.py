@@ -308,17 +308,18 @@ def select_bases(sys: SystemTriple) -> tuple[list[Mat], list[Mat]]:
     augmented Wong limits.
 
     im U_T = V* n W*, im [U_T, R_T] = V*, im [U_T, R_T, O_T] = Q^n, and on
-    the equation side im U_S = E V* n (A W* + im B), im [U_S, R_S] = E V*,
-    with O_S drawn from the columns of B first so that
-    im B <= im [U_S, O_S]; the self-check of compute_qpff sees a violation
-    as a nonzero second block row of B.
+    the equation side im U_S = E (V* n W*), im [U_S, R_S] = E V*, with O_S
+    drawn from the columns of B first so that im B <= im [U_S, O_S]; the
+    self-check of compute_qpff sees a violation as a nonzero second block
+    row of B.  E (V* n W*) = E V* n (A W* + im B) is the identity
+    ``e_meet_matches`` of ``wong.check_limit_identities``, so the equation
+    side is the image under E of the state side.
     """
     rep = wong_limits(sys)
-    vstar, wstar = rep.v_limit, rep.w_limit
-    ev = vstar.image_under(sys.E)
-    awb = wstar.image_under(sys.A).sum(image_basis(sys.B))
-    return (_adapted(sys.n, vstar.intersect(wstar), vstar),
-            _adapted(sys.l, ev.intersect(awb), ev, preferred=sys.B))
+    vstar = rep.v_limit
+    meet = vstar.intersect(rep.w_limit)
+    return (_adapted(sys.n, meet, vstar),
+            _adapted(sys.l, meet.image_under(sys.E), vstar.image_under(sys.E), preferred=sys.B))
 
 
 @dataclass(frozen=True)

@@ -23,25 +23,26 @@ in Z alone, and M x = b is solvable exactly when this system is.  Its
 rows for one j are N times rows of the flattened system, so its row space,
 and with it its pivots and x_P, is the same for every basis N of the left
 kernel.  Its forward elimination (``linalg._echelon`` without back
-elimination) and one back substitution give Z with its free variables
-zero.
+elimination) and one back substitution (``linalg._solve_echelon``) give Z
+with its free variables zero.
 
-One Gauss-Jordan pass over the columns of S in [S | I], each row taken over
-its denominator, gives both N and Y: every row is [u S | u] for the u of
-its identity part, the rows past the rank have u S = 0 and their u are N,
-and pivot row i has u_i S zero at every other pivot column of S.  So with
-rhs = -[E + Z D; F + Z B], the Y with its free rows zero has row p_i equal
-to (u_i rhs) / (u_i S)[p_i], and S Y = rhs holds exactly when N rhs = 0.
-Together they are x_P, bit for bit.  The flattened system, 2mq equations
-in nq + mp unknowns, is never built; the reduced one has (2m - rank S) q
-equations in mp unknowns.
+One forward elimination over the columns of S in [S | I], each row taken
+over its denominator, gives both N and the rows that Y is solved from:
+every row is [u S | u] for the u of its identity part, the rows past the
+rank have u S = 0 and their u are N, and the pivot rows u_i S are in
+echelon form.  So with rhs = -[E + Z D; F + Z B], S Y = rhs holds exactly
+when N rhs = 0, and one back substitution of the pivot rows
+[u_i S | u_i rhs] gives the Y with its free rows zero.  Together they are
+x_P, bit for bit.  The flattened system, 2mq equations in nq + mp
+unknowns, is never built; the reduced one has (2m - rank S) q equations in
+mp unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, _back_substitute, _echelon, _pair_rows, _primitive, _scaled
+from .linalg import Mat, _echelon, _primitive, _scaled, _solve_echelon
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
     # [S | I], row k over the denominator d_k of row k of S: [ints_k | d_k e_k]
     si = [_primitive([*row, *[0] * k, den, *[0] * (2 * m - 1 - k)])
           for k, (row, den) in enumerate(zip(s.ints, s.dens))]
-    s_pivots = _echelon(si, n)
+    s_pivots = _echelon(si, n, back=False)
     rank = len(s_pivots)
     u_rows = [row[n:] for row in si]  # u_i of the pivot rows, then N
     left = u_rows[rank:]
@@ -104,18 +105,16 @@ def solve_two_equations(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
                 row[base:base + p] = [u * d + v * b for d, b in zip(d_cols[j], b_cols[j])]
             row[nz] = -den * c
             work.append(_primitive(row))
-    pivots = _echelon(work, nz + 1, back=False)
-    if pivots and pivots[-1] == nz:
+    pivots = _echelon(work, nz, back=False)
+    if any(row[nz] for row in work[len(pivots):]):
         return None
-    z = _pair_rows(m, p, _back_substitute(work, pivots, nz))
+    x = _solve_echelon(work, pivots, nz, 1)
+    z = Mat.vstack(Mat.zeros(0, p), *[x.sub(i * p, i * p + p, 0, 1).T for i in range(m)])
     rhs = -Mat.vstack(inst.E + z @ inst.D, inst.F + z @ inst.B)
     u_rhs = Mat._trusted(2 * m, 2 * m, u_rows, (1,) * (2 * m)) @ rhs
     if any(map(any, u_rhs.ints[rank:])):
         raise AssertionError("the Y equations are inconsistent after a consistent Z solve")
-    rows, dens = [(0,) * q] * n, [1] * n
-    for i, pc in enumerate(s_pivots):
-        piv = si[i][pc]
-        rows[pc], dens[pc] = u_rhs.ints[i], u_rhs.dens[i] * piv
-        if piv < 0:
-            rows[pc], dens[pc] = [-x for x in rows[pc]], -dens[pc]
-    return Mat._reduced(n, q, rows, dens), z
+    # pivot row i over the denominator d_i of u_i rhs: [d_i u_i S | the ints of u_i rhs]
+    y_work = [[d * x for x in row[:n]] + list(r)
+              for row, r, d in zip(si, u_rhs.ints, u_rhs.dens[:rank])]
+    return _solve_echelon(y_work, s_pivots, n, q), z

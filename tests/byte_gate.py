@@ -28,7 +28,12 @@ Last, it solves ``SOLVE_DRAWS`` seeded coupled pairs with
 ``solve_two_equations``: every dimension 0 to 4, S = [A; C] dense, sparse
 or of lower rank, solvable and mostly unsolvable right-hand sides, some
 with denominators.  So the gate sees the bits of Y and Z directly, not only
-through the decoupling witnesses.
+through the decoupling witnesses.  It also makes ``LINEAR_DRAWS`` seeded
+raw ``solve_right(a, b)`` calls, ``LINEAR_PER_SHAPE`` for every shape of a
+from 0 x 0 to 5 x 5: a dense, sparse or of lower rank, entries over
+denominators, b with 0 to 4 columns, consistent, random (mostly
+unsolvable) or, for square a, the identity, so that the call is an
+inverse.
 
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
@@ -36,8 +41,9 @@ covers the argv, the exit code, standard output, standard error and the
 ``--output`` file; a library digest covers the transformed and the
 decoupled triple and both witnesses in the text format, or the exception
 raised; a verdict digest covers the ``report.checks`` of ``VERDICT_CHUNK``
-triples, and a solve digest the (Y, Z) rows, or None, of ``SOLVE_CHUNK``
-pairs.  Two trees give the same bytes exactly when the two outputs are
+triples, a solve digest the (Y, Z) rows, or None, of ``SOLVE_CHUNK``
+pairs, and a linear digest the rows of X, or None, of ``LINEAR_CHUNK``
+calls.  Two trees give the same bytes exactly when the two outputs are
 equal; the first line that differs names the first differing call.
 """
 
@@ -88,6 +94,11 @@ VERDICT_CHUNK = 50
 # seeded coupled Sylvester pairs, digested in chunks
 SOLVE_DRAWS = 300
 SOLVE_CHUNK = 50
+
+# seeded raw solve_right calls per shape of a, up to 5 x 5, digested in chunks
+LINEAR_PER_SHAPE = 10
+LINEAR_DRAWS = 36 * LINEAR_PER_SHAPE
+LINEAR_CHUNK = 60
 
 
 def cli_record(argv, output: str | None) -> list:
@@ -176,6 +187,10 @@ def calls(tmp: str):
     for start in range(0, SOLVE_DRAWS, SOLVE_CHUNK):
         yield (f"solves/{start:03d}", HERE, functools.partial(
             solve_record, pairs[start:start + SOLVE_CHUNK]))
+    systems = list(linear_instances())
+    for start in range(0, LINEAR_DRAWS, LINEAR_CHUNK):
+        yield (f"linear/{start:03d}", HERE, functools.partial(
+            linear_record, systems[start:start + LINEAR_CHUNK]))
 
 
 def _scale_calls(tmp: str):
@@ -297,6 +312,48 @@ def solve_record(instances) -> list:
             out.append(["crash", type(exc).__name__, str(exc)])
             continue
         out.append(None if sol is None else [[mat.shape, mat.ints, mat.dens] for mat in sol])
+    return out
+
+
+def linear_instances():
+    """``LINEAR_PER_SHAPE`` seeded (a, b) per shape of a, rows then columns
+    from 0 to 5: a from ``_block`` with each entry over a denominator from 1
+    to 4 (so its pivots are of either sign and often fractional), and b
+    with 0 to 4 columns, a times a random X, random, or for square a half
+    the time the identity."""
+    import random
+    from fractions import Fraction
+    from daeforms import Mat
+    rng = random.Random(11)
+    for rows in range(6):
+        for cols in range(6):
+            for _ in range(LINEAR_PER_SHAPE):
+                a = Mat(rows, cols, [[Fraction(x, rng.randint(1, 4)) for x in row]
+                                     for row in _block(rng, rows, cols).data])
+                k = rng.randint(0, 4)
+                kind = rng.random()
+                if rows == cols and kind < 0.5:
+                    b = Mat.identity(rows)
+                elif kind < 0.75:
+                    b = a @ _block(rng, cols, k)
+                else:
+                    b = _block(rng, rows, k) * Fraction(1, rng.randint(1, 6))
+                yield a, b
+
+
+def linear_record(systems) -> list:
+    """The integer rows and denominators of the X that ``solve_right``
+    returns for each (a, b) of ``systems``, or None, or the exception
+    raised."""
+    from daeforms import solve_right
+    out = []
+    for a, b in systems:
+        try:
+            x = solve_right(a, b)
+        except Exception as exc:  # a crash is part of the behaviour being compared
+            out.append(["crash", type(exc).__name__, str(exc)])
+            continue
+        out.append(None if x is None else [x.shape, x.ints, x.dens])
     return out
 
 

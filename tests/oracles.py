@@ -15,7 +15,7 @@ from math import lcm
 
 from daeforms import (Mat, Poly, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
-from daeforms.linalg import _back_substitute, _echelon, _pair_rows, _primitive
+from daeforms.linalg import _echelon, _primitive, _solve_echelon
 from daeforms.pfeedback import QpffBlockSizes
 
 
@@ -69,11 +69,18 @@ def solve_two_equations_flat(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
                     row[ny + i * p + l] = f * v
                 row[nunk] = -c * (den // c_den)
                 work.append(_primitive(row))
-    pivots = _echelon(work, nunk + 1, back=False)
-    if pivots and pivots[-1] == nunk:
+    pivots = _echelon(work, nunk, back=False)
+    if any(row[nunk] for row in work[len(pivots):]):
         return None
-    x = _back_substitute(work, pivots, nunk)
-    return _pair_rows(n, q, x[:ny]), _pair_rows(m, p, x[ny:])
+    x = _solve_echelon(work, pivots, nunk, 1)
+    return _unflatten(x, 0, n, q), _unflatten(x, ny, m, p)
+
+
+def _unflatten(x: Mat, start: int, rows: int, cols: int) -> Mat:
+    """The rows x cols matrix stored row-major in the column ``x`` from
+    entry ``start`` on."""
+    return Mat(rows, cols, [[x[start + i * cols + j, 0] for j in range(cols)]
+                            for i in range(rows)])
 
 
 def kernel_in_w_limit(sys: SystemTriple) -> bool:

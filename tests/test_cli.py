@@ -779,7 +779,7 @@ class TestWorkDoneOnce:
         assert eliminations[0] == 1
 
     def test_coupled_solve_runs_no_kernel_or_solve(self, monkeypatch):
-        # one Gauss-Jordan pass of [S | I] gives the left kernel and Y
+        # one forward elimination of [S | I] gives the left kernel and Y
         from daeforms import TwoEqInstance, linalg, solve_two_equations, sylvester
         counters = []
         for name in ("kernel_basis", "solve_right"):

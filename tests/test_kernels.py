@@ -305,6 +305,39 @@ class TestInverseAgainstDense:
                 a.inv()
 
 
+class TestSolveRightAgainstDense:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        # every shape up to 5 x 5, a of full or lower rank, right-hand sides
+        # with 0 to 4 columns over denominators, solvable or random (often
+        # unsolvable), and a square matrix's inverse
+        r, c, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+        entry = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.fractions(-9, 9, max_denominator=12))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        a = mat(r, c)
+        if data.draw(st.booleans()):
+            inner = data.draw(st.integers(0, max(min(r, c) - 1, 0)))
+            a = mat(r, inner) @ mat(inner, c)
+        for b in (a @ mat(c, k), mat(r, k)):
+            got = solve_right(a, b)
+            assert got == dense_solve_right(a, b)
+            if got is not None:
+                assert_canonical_mat(got)
+                assert a @ got == b
+        square = mat(r, r)
+        want = dense_inverse(square)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                square.inv()
+        else:
+            assert square.inv() == want
+
+
 def assert_canonical(s: Subspace):
     """Primitive integer rows with positive pivots, zero in the other rows'
     pivot columns, pivots increasing."""

@@ -199,8 +199,10 @@ class TestAgainstFlatSolve:
         inst = TwoEqInstance(A=a, B=Mat.identity(2), C=c, D=Mat.zeros(2, 2),
                              E=-a @ Mat.from_rows([[1, 2]]), F=Mat.zeros(2, 2))
         assert solve_two_equations(inst) is not None
-        # Z = I leaves F + Z B = I, which no Y can cancel
-        monkeypatch.setattr(sylvester, "_pair_rows", lambda m, p, _: Mat.identity(m))
+        # Z = I (row-major, from the first back substitution) leaves
+        # F + Z B = I, which no Y can cancel
+        monkeypatch.setattr(sylvester, "_solve_echelon",
+                            lambda work, pivots, n, k: Mat.col_vec([1, 0, 0, 1]))
         with pytest.raises(AssertionError, match="Y equations are inconsistent"):
             solve_two_equations(inst)
 
