@@ -349,8 +349,12 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     Which row is chosen changes neither the pivot columns (column pc has a
     pivot exactly when some unused row is nonzero there) nor any result
     read from the rows: each Gauss-Jordan row is a primitive multiple of an
-    RREF row, and the forward rows feed only ranks, spans and the unique
-    solution x_P of ``_solve_echelon``.
+    RREF row, and the forward rows feed only ranks, spans, the unique
+    solution x_P of ``_solve_echelon`` and, from the identity part of the
+    rows past the rank of [S | I] in ``sylvester.solve_two_equations``, a
+    left-kernel basis N.  N does depend on the pivot rows, but the solution
+    read from it does not; the proof is in the ``sylvester`` module
+    docstring.
     """
     rows = len(work)
     pivots: list[int] = []

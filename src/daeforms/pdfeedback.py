@@ -16,16 +16,17 @@ The PD group contains the P group, so the witness algebra is the one of
 ``pfeedback``: a P witness acts as a PD witness with F_D = 0, and
 ``apply_pd_transform`` is ``pfeedback.apply_p_transform``.  The QPDFF
 builds its S, T and V with the QPFF's adapted bases ``pfeedback._adapted``
-and shares its block slicing and decomposition record; its diagonal blocks
-pass the same conditions (i) to (iii),
-``pfeedback._diagonal_checks``, and it decouples through the QPFF's body
-``pfeedback._decouple``, each with no input columns.  Its decoupling ends
-in the same exact postcondition as the QPFF's, and that postcondition
-implies the Wong limit pattern of a decoupled QPDFF (the proof is in
-``decouple_qpdff``), so the decoupled triple's Wong limits are never
-computed; ``decoupled_wong_pattern_ok`` computes them for the tests.  The
-PDFF template is read from its own chain-layout table ``_PDFF_LAYOUT``, in
-the format of ``pfeedback._PFF_LAYOUT``.
+from the same Wong-limit spaces (``pfeedback._limit_split``), and shares
+its block slicing and decomposition record; its diagonal blocks pass the
+same conditions (i) to (iii), ``pfeedback._diagonal_checks``, and it
+decouples through the QPFF's body ``pfeedback._decouple``, each with no
+input columns.  Its decoupling ends in the same exact postcondition as
+the QPFF's, and that postcondition implies the Wong limit pattern of a
+decoupled QPDFF (the proof is in ``decouple_qpdff``), so the decoupled
+triple's Wong limits are never computed; ``decoupled_wong_pattern_ok``
+computes them for the tests.  The PDFF template is read from its own
+chain-layout table ``_PDFF_LAYOUT``, in the format of
+``pfeedback._PFF_LAYOUT``.
 
 Chain orientation differs between the two template families on purpose: the
 PDFF writes its underdetermined chains with the derivative on the leading
@@ -44,8 +45,8 @@ from .pfeedback import (FormReport, PDTransform, PffData, QpffDecomposition, com
                         head_sel, lower_shift, tail_sel, verify_pff, _adapted, _blocks,
                         _below_triangle_zero, _chain_diagonal, _chain_extent, _chains,
                         _check_decoupled, _check_template_data, _cuts, _decomposition,
-                        _decouple, _diagonal_checks, _driven_chains, _matches_template,
-                        _unit_span, _wong_pattern_ok)
+                        _decouple, _diagonal_checks, _driven_chains, _limit_split,
+                        _matches_template, _unit_span, _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
@@ -151,13 +152,9 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     products that gave the feedback.  The result always passes verify_qpdff,
     whose report it carries.
     """
-    rep = wong_limits(sys)
-    vstar = rep.v_limit
-    meet = vstar.intersect(rep.w_limit)
+    (u_t, r_t, o_t), e_meet, e_vstar = _limit_split(sys)
     im_b = image_basis(sys.B)
-    u_t, r_t, o_t = _adapted(sys.n, meet, vstar)
-    q_s, u_s, r_s, o_s = _adapted(sys.l, im_b, meet.image_under(sys.E).sum(im_b),
-                                  vstar.image_under(sys.E).sum(im_b))
+    q_s, u_s, r_s, o_s = _adapted(sys.l, im_b, e_meet.sum(im_b), e_vstar.sum(im_b))
     n1, n2, n3 = u_t.cols, r_t.cols, o_t.cols
     l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
     m2 = q_s.cols

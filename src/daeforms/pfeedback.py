@@ -303,6 +303,16 @@ def _adapted(dim: int, *chain: Subspace, preferred: Mat | None = None) -> list[M
             complement(chain[-1], Subspace.full(dim), preferred)]
 
 
+def _limit_split(sys: SystemTriple) -> tuple[list[Mat], Subspace, Subspace]:
+    """The state bases [U_T, R_T, O_T] adapted to V* n W* <= V* of the
+    augmented Wong limits, and the equation-side spaces E (V* n W*) and
+    E V*: what both quasi forms split along."""
+    rep = wong_limits(sys)
+    vstar = rep.v_limit
+    meet = vstar.intersect(rep.w_limit)
+    return _adapted(sys.n, meet, vstar), meet.image_under(sys.E), vstar.image_under(sys.E)
+
+
 def select_bases(sys: SystemTriple) -> tuple[list[Mat], list[Mat]]:
     """The splitting bases [U_T, R_T, O_T] and [U_S, R_S, O_S] of the
     augmented Wong limits.
@@ -315,11 +325,8 @@ def select_bases(sys: SystemTriple) -> tuple[list[Mat], list[Mat]]:
     ``e_meet_matches`` of ``wong.check_limit_identities``, so the equation
     side is the image under E of the state side.
     """
-    rep = wong_limits(sys)
-    vstar = rep.v_limit
-    meet = vstar.intersect(rep.w_limit)
-    return (_adapted(sys.n, meet, vstar),
-            _adapted(sys.l, meet.image_under(sys.E), vstar.image_under(sys.E), preferred=sys.B))
+    state, e_meet, e_vstar = _limit_split(sys)
+    return state, _adapted(sys.l, e_meet, e_vstar, preferred=sys.B)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,15 @@ runs the lattice on canonical integer rows; its ``Subspace.basis`` must
 equal these bases exactly.
 
 The coupled Sylvester pair is solved here by flattening both equations into
-one Fraction system and reading the solution off ``solve_right``'s
-Gauss-Jordan elimination.  The library never builds that system: it
-solves a reduced system in Z and then Y from [A; C]; its (Y, Z) must equal
-this pair exactly.
+one Fraction system and reading the solution off its dense RREF
+(``dense_solve_right``), so no library solver takes part.  The library
+never builds that system: it solves a reduced system in Z and then Y from
+[A; C]; its (Y, Z) must equal this pair exactly.
 """
 
 from fractions import Fraction
 
-from daeforms import Mat, solve_right
+from daeforms import Mat
 
 
 def dense_rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
@@ -193,8 +193,8 @@ def dense_solve_right(a: Mat, b: Mat) -> Mat | None:
 
 def dense_solve_two_equations(inst) -> tuple[Mat, Mat] | None:
     """(Y, Z) with 0 = E + A Y + Z D and 0 = F + C Y + Z B, free variables
-    zero, through ``solve_right`` on the flattened Fraction system; None
-    when it is unsolvable."""
+    zero, through ``dense_solve_right`` on the flattened Fraction system;
+    None when it is unsolvable."""
     m, n = inst.A.shape
     p, q = inst.B.shape
     ny, nz = n * q, m * p
@@ -215,7 +215,7 @@ def dense_solve_two_equations(inst) -> tuple[Mat, Mat] | None:
 
     emit(inst.A, inst.D, inst.E)
     emit(inst.C, inst.B, inst.F)
-    flat = solve_right(Mat(2 * m * q, ny + nz, rows), Mat(2 * m * q, 1, rhs))
+    flat = dense_solve_right(Mat(2 * m * q, ny + nz, rows), Mat(2 * m * q, 1, rhs))
     if flat is None:
         return None
     y = Mat(n, q, [[flat.data[k * q + j][0] for j in range(q)] for k in range(n)])

@@ -688,15 +688,18 @@ class TestFailedDecoupling:
             "internal error: decoupling did not produce the block diagonal of its input\n")
 
 
-def count_calls(monkeypatch, module, name: str) -> list[int]:
-    """Rebind module.name to a wrapper counting its calls in counter[0]."""
+def count_calls(monkeypatch, module, name: str, *more) -> list[int]:
+    """Rebind module.name, and name in each module of ``more``, to wrappers
+    counting all their calls together in counter[0]."""
     counter = [0]
-    original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        counter[0] += 1
-        return original(*args, **kwargs)
-    monkeypatch.setattr(module, name, counted)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            counter[0] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for mod in (module, *more):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
     return counter
 
 
@@ -730,8 +733,9 @@ class TestWorkDoneOnce:
 
     def test_qpdff_decouple_computes_limits_once(self, monkeypatch):
         # for the decomposition only: the decoupling's postcondition implies
-        # the Wong limit pattern of its output
-        limits = count_calls(monkeypatch, pdfeedback, "wong_limits")
+        # the Wong limit pattern of its output; compute_qpdff reaches them
+        # through pfeedback's limit spaces
+        limits = count_calls(monkeypatch, pdfeedback, "wong_limits", pfeedback)
         code, text = run_cli("qpdff", path("sigma763.system"), "--decouple")
         assert code == 0 and "decoupled: ok" in text
         assert limits[0] == 1

@@ -337,6 +337,26 @@ class TestSolveRightAgainstDense:
         else:
             assert square.inv() == want
 
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    def test_large_shapes(self, zero_share):
+        # up to 18 x 18, the size of the flattened coupled systems: a of full
+        # or lower rank, solvable and random right-hand sides, and inverses
+        rng = make_rng(int(zero_share * 100) + 970)
+        for _ in range(6):
+            r, c, k = rng.randint(6, 18), rng.randint(6, 18), rng.randint(1, 3)
+            a = low_rank_mat(rng, r, c, rng.randint(1, min(r, c)), zero_share)
+            for b in (dense_matmul(a, sparse_mat(rng, c, k, zero_share)),
+                      sparse_mat(rng, r, k, zero_share)):
+                assert solve_right(a, b) == dense_solve_right(a, b)
+            n = rng.randint(6, 18)
+            square = dense_matmul(rand_invertible(rng, n), sparse_mat(rng, n, n, 0.0))
+            want = dense_inverse(square)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    square.inv()
+            else:
+                assert square.inv() == want
+
 
 def assert_canonical(s: Subspace):
     """Primitive integer rows with positive pivots, zero in the other rows'
@@ -477,8 +497,8 @@ def assert_same_solution(inst: TwoEqInstance):
 
 
 class TestCoupledSolveAgainstDense:
-    """The integer-row coupled solve against the Fraction flatten and
-    ``solve_right``: unique solutions, free variables, unsolvable systems,
+    """The integer-row coupled solve against the Fraction flatten and its
+    dense RREF: unique solutions, free variables, unsolvable systems,
     empty dimensions, large denominators, negative pivots and a hypothesis
     property."""
 
