@@ -334,14 +334,16 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     """Gauss-Jordan elimination of the integer rows ``work``, in place, on
     their first ``cols`` columns; returns the pivot columns.
 
-    Eliminating column pc from a row with entry f against the pivot row with
-    pivot p replaces it by (p row - f pivot_row) / g, with g making the row
-    primitive, so each row stays a nonzero multiple of the rational one:
-    afterwards row i < rank is the i-th RREF row times its pivot entry, and
-    the rows from rank on are zero in the first ``cols`` columns.  With
-    ``back`` False a pivot is eliminated only from the rows below it, which
-    leaves an echelon form: enough for a rank, to discard the pivot rows,
-    or to solve by one back substitution (``_solve_echelon``).
+    A chosen pivot row is negated if its pivot p is negative.  Eliminating
+    column pc from a row with entry f replaces it by (p row - f pivot_row) /
+    g, with g > 0 making the row primitive, so each row stays a nonzero
+    multiple of the rational one and keeps the sign of its pivot: afterwards
+    row i < rank is the i-th RREF row times its pivot entry, which is
+    positive, and the rows from rank on are zero in the first ``cols``
+    columns.  No other code sets a row's sign.  With ``back`` False a pivot
+    is eliminated only from the rows below it, which leaves an echelon
+    form: enough for a rank, to discard the pivot rows, or to solve by one
+    back substitution (``_solve_echelon``).
 
     The pivot row is the one with the smallest nonzero |entry| in column pc
     among the rows not yet used, the earliest on a tie; the scan stops at
@@ -349,7 +351,8 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
     Which row is chosen changes neither the pivot columns (column pc has a
     pivot exactly when some unused row is nonzero there) nor any result
     read from the rows: each Gauss-Jordan row is a primitive multiple of an
-    RREF row, and the forward rows feed only ranks, spans, the unique
+    RREF row, negating a pivot row only negates the rows eliminated against
+    it, and the forward rows feed only ranks, spans, the unique
     solution x_P of ``_solve_echelon`` and, from the identity part of the
     rows past the rank of [S | I] in ``sylvester.solve_two_equations``, a
     left-kernel basis N.  N does depend on the pivot rows, but the solution
@@ -373,8 +376,9 @@ def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
                         break
         if sel is None:
             continue
-        work[pr], work[sel] = work[sel], work[pr]
-        prow = work[pr]
+        prow = work[sel] if work[sel][pc] > 0 else [-x for x in work[sel]]
+        work[sel] = work[pr]
+        work[pr] = prow
         p = prow[pc]
         # Columns left of pc are zero in the pivot row, so its nonzero
         # entries are all at pc or beyond.
@@ -404,7 +408,7 @@ def _solve_echelon(work: list[list[int]], pivots: list[int], n: int, k: int) -> 
     Each row is zero left of its pivot, so working up from the last pivot a
     row fixes the row of X at its pivot from the rows below it.  The terms
     of a row are summed over their common denominator, so each row is
-    reduced once.
+    reduced once; its pivot is positive, and so is that denominator.
     """
     ints, dens = [(0,) * k] * n, [1] * n
     known: list[int] = []  # the pivots of the nonzero rows of X found so far
@@ -417,24 +421,18 @@ def _solve_echelon(work: list[list[int]], pivots: list[int], n: int, k: int) -> 
                for t, c in enumerate(row[n:n + k])]
         if any(num):
             den *= row[pc]
-            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            g = gcd(den, *num)
             ints[pc], dens[pc] = tuple([x // g for x in num]), den // g
             known.append(pc)
     return Mat._trusted(n, k, tuple(ints), tuple(dens))
 
 
-def _positive(work, pivots) -> tuple[tuple[int, ...], ...]:
-    """The echelon rows ``work`` with ``pivots``, each negated where its
-    pivot is negative."""
-    return tuple([tuple(r) if r[p] > 0 else tuple([-x for x in r])
-                  for r, p in zip(work, pivots)])
-
-
 def _over_pivots(rows: int, cols: int, work, pivots) -> Mat:
-    """The matrix of the echelon rows ``work`` divided by their pivots: each
-    row primitive, so its pivot's absolute value is its denominator."""
-    return Mat._trusted(rows, cols, _positive(work, pivots),
-                        tuple([abs(r[p]) for r, p in zip(work, pivots)]))
+    """The matrix of the first ``rows`` echelon rows ``work`` divided by
+    their ``pivots``: each row primitive with a positive pivot, so the
+    pivot is its denominator."""
+    return Mat._trusted(rows, cols, tuple([tuple(r) for r in work[:rows]]),
+                        tuple([r[p] for r, p in zip(work, pivots)]))
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
@@ -565,9 +563,9 @@ def _lead(row) -> int:
 
 def _span(ambient_dim: int, work: list[list[int]]) -> Subspace:
     """The span of the primitive integer vectors ``work`` (overwritten):
-    their echelon rows with positive pivots."""
-    pivots = _echelon(work, ambient_dim)
-    return Subspace._from_rows(ambient_dim, _positive(work, pivots))
+    their Gauss-Jordan rows as ``_echelon`` leaves them, pivots positive."""
+    rank = len(_echelon(work, ambient_dim))
+    return Subspace._from_rows(ambient_dim, tuple([tuple(r) for r in work[:rank]]))
 
 
 def _forward(work: list[list[int]], d: int) -> list[list[int]]:

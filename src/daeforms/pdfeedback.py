@@ -147,10 +147,10 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     the equation side the basis is adapted to im B <= E(V* n W*) + im B <=
     E V* + im B, with the im B part placed last, so that the transformed B
     is supported on the bottom block row only.  F_D and F_P clear E and A
-    there, and V sorts the inputs into (redundant, effective).  The
-    transformed triple is [S E T + S B F_D, S A T + S B F_P, S B V] from the
-    products that gave the feedback.  The result always passes verify_qpdff,
-    whose report it carries.
+    there, both from one solve, and V sorts the inputs into (redundant,
+    effective).  The transformed triple is [S E T + S B F_D, S A T + S B F_P,
+    S B V] from the products that gave the feedback.  The result always
+    passes verify_qpdff, whose report it carries.
     """
     (u_t, r_t, o_t), e_meet, e_vstar = _limit_split(sys)
     im_b = image_basis(sys.B)
@@ -163,11 +163,12 @@ def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
     t = Mat.hstack(u_t, r_t, o_t)
     s = Mat.hstack(u_s, r_s, o_s, q_s).inv()
     sb, se_t, sa_t = s @ sys.B, s @ sys.E @ t, s @ sys.A @ t
-    sb_bot = sb.sub(sys.l - m2, sys.l, 0, sys.m)
-    f_d = solve_right(sb_bot, -se_t.sub(sys.l - m2, sys.l, 0, sys.n))
-    f_p = solve_right(sb_bot, -sa_t.sub(sys.l - m2, sys.l, 0, sys.n))
-    if f_d is None or f_p is None:
+    bot = sys.l - m2
+    f_dp = solve_right(sb.sub(bot, sys.l, 0, sys.m),
+                       -Mat.hstack(se_t, sa_t).sub(bot, sys.l, 0, 2 * sys.n))
+    if f_dp is None:
         raise AssertionError("bottom-row clearing equations must be solvable")
+    f_d, f_p = f_dp.sub(0, sys.m, 0, sys.n), f_dp.sub(0, sys.m, sys.n, 2 * sys.n)
 
     v = Mat.hstack(*_adapted(sys.m, kernel_basis(sys.B)))
 
@@ -236,7 +237,7 @@ def decouple_qpdff(sys: SystemTriple, sizes: QpdffBlockSizes,
     witness = PDTransform(Mat.block_diag(s, Mat.identity(z.m2)), t_w, Mat.identity(sys.m),
                           zmn, zmn)
     out = apply_pd_transform(sys, witness)
-    _check_decoupled(out, blk, sys.B, z.m2)
+    _check_decoupled(out, blk, sys.B)
     return out, witness
 
 

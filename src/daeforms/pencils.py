@@ -46,10 +46,6 @@ class Poly:
     ZERO: "Poly"
     ONE: "Poly"
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -486,10 +486,11 @@ def _unitriangular(sizes: tuple[int, int, int], x12: Mat, x13: Mat, x23: Mat) ->
     )
 
 
-def _check_decoupled(out: SystemTriple, blk: dict[str, Mat], b: Mat, tail: int = 0):
-    """Raise unless ``out`` is [block_diag(E11, E22, E33), the same for A, b],
-    with ``tail`` zero rows below E and A, for the diagonal blocks of ``blk``:
-    the exact postcondition of both decouplings."""
+def _check_decoupled(out: SystemTriple, blk: dict[str, Mat], b: Mat):
+    """Raise unless ``out`` is [block_diag(E11, E22, E33), the same for A, b]
+    for the diagonal blocks of ``blk``, with zero rows below E and A down
+    to the height of ``b``: the exact postcondition of both decouplings."""
+    tail = b.rows - sum(blk[f"E{i}{i}"].rows for i in (1, 2, 3))
     e, a = (Mat.block_diag(blk[f"{key}11"], blk[f"{key}22"], blk[f"{key}33"],
                            Mat.zeros(tail, 0)) for key in "EA")
     if out != SystemTriple(e, a, b):

@@ -58,8 +58,9 @@ class ParseError(ValueError):
 _MATRIX_HEADER = re.compile(r"^([A-Za-z0-9_]+):[ \t]*([0-9]+)x([0-9]+)$")
 _KEY_LINE = re.compile(r"^([A-Za-z0-9_]+):(.*)$")
 _FOREIGN_SPACE = re.compile(r"[^\S \t]")  # whitespace other than ASCII space and tab
-_RATIONAL = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
-_DATA_LINE = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:[ \t]+-?[0-9]+(?:/[0-9]+)?)*")
+_NUMBER = r"-?[0-9]+(?:/[0-9]+)?"  # an exact rational, as the entries are written
+_RATIONAL = re.compile(_NUMBER)
+_DATA_LINE = re.compile(rf"{_NUMBER}(?:[ \t]+{_NUMBER})*")
 _INTEGER = re.compile(r"^-?[0-9]+$")
 
 _TEXT_KEYS = ("name", "description")
@@ -87,7 +88,7 @@ def _ascii_spaced(line: str, lineno: int) -> str:
 
 def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
     """(numerator, denominator) of ``token``, not necessarily reduced."""
-    if not _RATIONAL.match(token):
+    if not _RATIONAL.fullmatch(token):
         raise ParseError(lineno, f"not an exact rational: {token!r}")
     if "/" in token:
         num, den = token.split("/")
@@ -302,12 +303,9 @@ def format_matrix(key: str, m: Mat) -> str:
     return "\n".join(lines)
 
 
-def format_system(sys: SystemTriple, name: str | None = None) -> str:
-    parts = []
-    if name:
-        parts.append(f"name: {name}")
-    parts.extend(format_matrix(k, m) for k, m in (("E", sys.E), ("A", sys.A), ("B", sys.B)))
-    return "\n".join(parts) + "\n"
+def format_system(sys: SystemTriple) -> str:
+    return "\n".join([format_matrix("E", sys.E), format_matrix("A", sys.A),
+                      format_matrix("B", sys.B)]) + "\n"
 
 
 def format_witness(w: PTransform | PDTransform) -> str:

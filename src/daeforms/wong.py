@@ -113,23 +113,22 @@ def _arranged(rows, n: int, main: int) -> list[list[int]]:
     return [[*row[:n], *reversed(row[n:])] for row in rows]
 
 
-def _step(sys: SystemTriple, space: Subspace, rows, main: int) -> Subspace:
+def _step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
     """One Wong step M^{-1}(O space + im B) = ker(P M) from the chain's
-    ``_arranged`` rows (computed here when None): forward elimination of the
-    prepended columns P_B O v, v in ``space.rows``, leaves P M, reversed."""
+    ``_arranged`` rows: forward elimination of the prepended columns
+    P_B O v, v in ``space.rows``, leaves P M, reversed."""
     n = sys.n
-    if rows is None:
-        rows = _arranged(_chain_rows(sys), n, main)
     work = [_primitive([sum(map(mul, row, v)) for v in space.rows] + row[n:]) for row in rows]
     return _row_kernel(_forward(work, space.dim), n)
 
 
-def _v_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
-    return _step(sys, space, rows, 0)
+# One name per chain, so that a trace counts the steps of each chain.
+def _v_step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
+    return _step(sys, space, rows)
 
 
-def _w_step(sys: SystemTriple, space: Subspace, rows=None) -> Subspace:
-    return _step(sys, space, rows, 1)
+def _w_step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
+    return _step(sys, space, rows)
 
 
 def _iterate(sys: SystemTriple, main: int, rows) -> list[Subspace]:

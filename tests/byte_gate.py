@@ -33,7 +33,11 @@ raw ``solve_right(a, b)`` calls, ``LINEAR_PER_SHAPE`` for every shape of a
 from 0 x 0 to 5 x 5: a dense, sparse or of lower rank, entries over
 denominators, b with 0 to 4 columns, consistent, random (mostly
 unsolvable) or, for square a, the identity, so that the call is an
-inverse.
+inverse.  And it makes ``LATTICE_DRAWS`` seeded raw subspace lattice
+calls: ``Subspace(n, basis)`` over negative, fractional and dependent
+columns, ``sum``, ``intersect``, ``image_under``, ``kernel_basis`` and
+``complement`` with and without ``preferred`` columns, so the gate sees
+the canonical rows directly.
 
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
@@ -42,8 +46,9 @@ covers the argv, the exit code, standard output, standard error and the
 decoupled triple and both witnesses in the text format, or the exception
 raised; a verdict digest covers the ``report.checks`` of ``VERDICT_CHUNK``
 triples, a solve digest the (Y, Z) rows, or None, of ``SOLVE_CHUNK``
-pairs, and a linear digest the rows of X, or None, of ``LINEAR_CHUNK``
-calls.  Two trees give the same bytes exactly when the two outputs are
+pairs, a linear digest the rows of X, or None, of ``LINEAR_CHUNK``
+calls, and a lattice digest the ``rows`` and the basis bits of every
+subspace and the bits of every complement of ``LATTICE_CHUNK`` draws.  Two trees give the same bytes exactly when the two outputs are
 equal; the first line that differs names the first differing call.
 """
 
@@ -99,6 +104,10 @@ SOLVE_CHUNK = 50
 LINEAR_PER_SHAPE = 10
 LINEAR_DRAWS = 36 * LINEAR_PER_SHAPE
 LINEAR_CHUNK = 60
+
+# seeded raw subspace lattice calls, digested in chunks
+LATTICE_DRAWS = 300
+LATTICE_CHUNK = 50
 
 
 def cli_record(argv, output: str | None) -> list:
@@ -191,6 +200,10 @@ def calls(tmp: str):
     for start in range(0, LINEAR_DRAWS, LINEAR_CHUNK):
         yield (f"linear/{start:03d}", HERE, functools.partial(
             linear_record, systems[start:start + LINEAR_CHUNK]))
+    spans = list(lattice_instances())
+    for start in range(0, LATTICE_DRAWS, LATTICE_CHUNK):
+        yield (f"lattice/{start:03d}", HERE, functools.partial(
+            lattice_record, spans[start:start + LATTICE_CHUNK]))
 
 
 def _scale_calls(tmp: str):
@@ -223,6 +236,14 @@ def _block(rng, rows: int, cols: int):
         inner = rng.randint(0, max(min(rows, cols) - 1, 0))
         return grid(rows, inner) @ grid(inner, cols)
     return grid(rows, cols, 0.7 if kind == "sparse" else 0.0)
+
+
+def _fractional(rng, rows: int, cols: int):
+    """A ``_block`` with each entry over a random denominator from 1 to 4."""
+    from fractions import Fraction
+    from daeforms import Mat
+    return Mat(rows, cols, [[Fraction(x, rng.randint(1, 4)) for x in row]
+                            for row in _block(rng, rows, cols).data])
 
 
 def _triangular(rng, rows, cols, tail: int):
@@ -328,8 +349,7 @@ def linear_instances():
     for rows in range(6):
         for cols in range(6):
             for _ in range(LINEAR_PER_SHAPE):
-                a = Mat(rows, cols, [[Fraction(x, rng.randint(1, 4)) for x in row]
-                                     for row in _block(rng, rows, cols).data])
+                a = _fractional(rng, rows, cols)
                 k = rng.randint(0, 4)
                 kind = rng.random()
                 if rows == cols and kind < 0.5:
@@ -354,6 +374,51 @@ def linear_record(systems) -> list:
             out.append(["crash", type(exc).__name__, str(exc)])
             continue
         out.append(None if x is None else [x.shape, x.ints, x.dens])
+    return out
+
+
+def lattice_instances():
+    """``LATTICE_DRAWS`` seeded (n, x, y, m, preferred) in Q^n, n from 0 to
+    5: spanning columns x and y from ``_fractional``, so negative,
+    fractional and often dependent, x with a negative multiple of its first
+    column appended and, half the time, y with two combinations of x's
+    columns, so that the two often meet; a map m from Q^n to Q^k, k from 0
+    to 5; and 0 to 3 preferred columns."""
+    import random
+    from fractions import Fraction
+    from daeforms import Mat
+    rng = random.Random(13)
+    for _ in range(LATTICE_DRAWS):
+        n = rng.randint(0, 5)
+        x, y = (_fractional(rng, n, rng.randint(0, n + 1)) for _ in range(2))
+        if x.cols:
+            x = Mat.hstack(x, x.col(0) * Fraction(-rng.randint(1, 3), rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                y = Mat.hstack(y, x @ _fractional(rng, x.cols, 2))
+        yield n, x, y, _fractional(rng, rng.randint(0, 5), n), _fractional(
+            rng, n, rng.randint(0, 3))
+
+
+def lattice_record(instances) -> list:
+    """For each of ``instances``: the canonical rows and the basis bits of
+    the spans of x and y, their sum and intersection, the image of x under
+    m and the kernel of m, and the bits of the complements of x in the sum
+    without and with the preferred columns and in Q^n with them; or the
+    exception raised."""
+    from daeforms import Subspace, complement, kernel_basis
+    out = []
+    for n, x, y, m, preferred in instances:
+        try:
+            sx, sy = Subspace(n, x), Subspace(n, y)
+            outer = sx.sum(sy)
+            spaces = [sx, sy, outer, sx.intersect(sy), sx.image_under(m), kernel_basis(m)]
+            mats = [s.basis for s in spaces] + [
+                complement(sx, outer), complement(sx, outer, preferred),
+                complement(sx, Subspace.full(n), preferred)]
+        except Exception as exc:  # a crash is part of the behaviour being compared
+            out.append(["crash", type(exc).__name__, str(exc)])
+            continue
+        out.append([[s.rows for s in spaces], [[b.shape, b.ints, b.dens] for b in mats]])
     return out
 
 

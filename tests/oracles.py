@@ -5,17 +5,14 @@ equation A X B - C X D = E: its solver, the classical reduction of the
 coupled pair to it, and a sufficient condition for its solvability.  The
 tests use them to cross-check the library's direct coupled solve.  It also
 holds ``residual`` of the coupled pair and ``last_unit``, a PFF template
-atom, which only the tests use, and ``solve_two_equations_flat``: the
-coupled pair flattened into one integer system in all unknowns, the
-reference that the library's Y-first solve must equal bit for bit.
+atom, which only the tests use.  The reference that the library's coupled
+solve must equal bit for bit is ``dense_oracle.dense_solve_two_equations``.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from daeforms import (Mat, Poly, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
-from daeforms.linalg import _echelon, _primitive, _solve_echelon
 from daeforms.pfeedback import QpffBlockSizes
 
 
@@ -29,58 +26,6 @@ def residual(inst: TwoEqInstance, y: Mat, z: Mat) -> tuple[Mat, Mat]:
     """E + A Y + Z D and F + C Y + Z B: both zero exactly when (Y, Z) solves
     the coupled pair ``inst``."""
     return inst.E + inst.A @ y + z @ inst.D, inst.F + inst.C @ y + z @ inst.B
-
-
-def solve_two_equations_flat(inst: TwoEqInstance) -> tuple[Mat, Mat] | None:
-    """(Y, Z) of the coupled pair ``inst`` with the free variables zero, or
-    None, from one forward elimination of the whole flattened system.
-
-    The unknowns are Y row-major (entry (k, j) at k*q + j), then Z row-major
-    (entry (i, l) at n*q + i*p + l); the right-hand side is the last column.
-    Equation (i, j) of 0 = const + coef_Y Y + Z coef_Z reads
-    sum_k coef_Y[i][k] Y[k][j] + sum_l Z[i][l] coef_Z[l][j] = -const[i][j],
-    built as a primitive integer row over a common multiple of its
-    denominators.
-    """
-    m, n = inst.A.shape
-    p, q = inst.B.shape
-    ny = n * q
-    nunk = ny + m * p
-    work = []
-    for coef_y, coef_z, const in ((inst.A, inst.D, inst.E), (inst.C, inst.B, inst.F)):
-        # column j of coef_z over one denominator: (that denominator, nonzeros)
-        z_cols = []
-        for j in range(q):
-            den = lcm(*[d for row, d in zip(coef_z.ints, coef_z.dens) if row[j]])
-            z_cols.append((den, [(l, row[j] * (den // d))
-                                 for l, (row, d) in enumerate(zip(coef_z.ints, coef_z.dens))
-                                 if row[j]]))
-        rows = zip(coef_y.ints, coef_y.dens, const.ints, const.dens)
-        for i, (y_row, y_den, c_row, c_den) in enumerate(rows):
-            y_terms = [(k * q, v) for k, v in enumerate(y_row) if v]
-            for j, (c, (z_den, z_terms)) in enumerate(zip(c_row, z_cols)):
-                den = lcm(y_den, z_den, c_den)
-                row = [0] * (nunk + 1)
-                f = den // y_den
-                for base, v in y_terms:
-                    row[base + j] = f * v
-                f = den // z_den
-                for l, v in z_terms:
-                    row[ny + i * p + l] = f * v
-                row[nunk] = -c * (den // c_den)
-                work.append(_primitive(row))
-    pivots = _echelon(work, nunk, back=False)
-    if any(row[nunk] for row in work[len(pivots):]):
-        return None
-    x = _solve_echelon(work, pivots, nunk, 1)
-    return _unflatten(x, 0, n, q), _unflatten(x, ny, m, p)
-
-
-def _unflatten(x: Mat, start: int, rows: int, cols: int) -> Mat:
-    """The rows x cols matrix stored row-major in the column ``x`` from
-    entry ``start`` on."""
-    return Mat(rows, cols, [[x[start + i * cols + j, 0] for j in range(cols)]
-                            for i in range(rows)])
 
 
 def kernel_in_w_limit(sys: SystemTriple) -> bool:

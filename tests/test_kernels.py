@@ -231,10 +231,19 @@ class TestPivotRule:
     def test_row_choice(self):
         work = [[12, 3, 1], [0, 5, 2], [7, 1, 0], [-1, 4, 4], [1, 0, 9]]
         _echelon(work, 3, back=False)
-        assert work[0] == [-1, 4, 4]  # the first +-1, not the first nonzero
+        assert work[0] == [1, -4, -4]  # the first +-1, not the first nonzero, made positive
         work = [[6, 1], [4, 5], [-4, 3], [8, 2]]
         _echelon(work, 1, back=False)
         assert work[0] == [4, 5]  # smallest |entry| 4, earliest on the tie
+
+    @pytest.mark.parametrize("back", (False, True))
+    def test_pivots_are_positive(self, back):
+        rng = make_rng(402)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            work = [[rng.randint(-4, 4) for _ in range(cols + 1)] for _ in range(rows)]
+            pivots = _echelon(work, cols, back=back)
+            assert all(row[p] > 0 for row, p in zip(work, pivots))
 
     @pytest.mark.parametrize("rows", CASES)
     def test_results_match_dense(self, rows):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daeforms import Mat, TwoEqInstance, solve_right, solve_two_equations
+from dense_oracle import dense_solve_two_equations
 from oracles import (find_reduction_lambda, gen_sylvester_always_solvable,
-                     reduce_to_gen_sylvester, residual, solve_gen_sylvester,
-                     solve_two_equations_flat)
+                     reduce_to_gen_sylvester, residual, solve_gen_sylvester)
 from randgen import make_rng, rand_mat, rand_invertible
 
 
@@ -88,10 +88,10 @@ class TestTwoEquations:
 
 
 def assert_matches_flat(inst: TwoEqInstance):
-    """The Y-first solve returns the flattened solve's (Y, Z) entry for
-    entry, or None exactly when it does."""
+    """The Y-first solve returns the (Y, Z) of the flattened system's dense
+    Fraction RREF entry for entry, or None exactly when it does."""
     got = solve_two_equations(inst)
-    assert got == solve_two_equations_flat(inst)
+    assert got == dense_solve_two_equations(inst)
     return got
 
 
@@ -106,7 +106,8 @@ def manufactured(rng, m, n, p, q, a=None, c=None) -> TwoEqInstance:
 
 
 class TestAgainstFlatSolve:
-    """The Y-first reduction against the flattened solve of all unknowns:
+    """The Y-first reduction against the flattened system in all unknowns,
+    solved by the dense oracle, which shares no solver with the library:
     the same x_P, bit for bit."""
 
     def test_manufactured_instances(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from daeforms import (Mat, SystemTriple, Subspace, augmented_projection_check,
                       check_limit_identities, image_basis, kernel_basis, preimage,
                       v_sequence, w_sequence, wong_limits)
-from daeforms.wong import _v_step, _w_step, augmented_system
+from daeforms.wong import _arranged, _chain_rows, _v_step, _w_step, augmented_system
 from golden import SYS763, V1_BASIS, W1_BASIS, W2_BASIS
 from oracles import kernel_in_w_limit
 from randgen import make_rng, rand_mat, rand_system
@@ -107,6 +107,12 @@ class TestWongLimits:
             assert kernel_in_w_limit(rand_system(rng))
 
 
+def chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
+    """The rows that the chain ``main`` (0 for V, 1 for W) passes to its
+    steps."""
+    return _arranged(_chain_rows(sys), sys.n, main)
+
+
 class TestLimitFixpoints:
     """The chains stop at the first repeated subspace, so the limits are
     fixpoints of the one-step maps; pinned here because wong_limits does not
@@ -115,8 +121,8 @@ class TestLimitFixpoints:
     @staticmethod
     def assert_fixpoints(sys):
         rep = wong_limits(sys)
-        assert _v_step(sys, rep.v_limit) == rep.v_limit
-        assert _w_step(sys, rep.w_limit) == rep.w_limit
+        assert _v_step(sys, rep.v_limit, chain_rows(sys, 0)) == rep.v_limit
+        assert _w_step(sys, rep.w_limit, chain_rows(sys, 1)) == rep.w_limit
 
     def test_golden_system(self):
         self.assert_fixpoints(SYS763)
@@ -186,9 +192,9 @@ class TestFusedStepAgainstLattice:
 
     @staticmethod
     def assert_steps_match(sys, space):
-        v = _v_step(sys, space)
+        v = _v_step(sys, space, chain_rows(sys, 0))
         assert v == lattice_step(sys.A, sys.E, sys.B, space)
-        assert _w_step(sys, space) == lattice_step(sys.E, sys.A, sys.B, space)
+        assert _w_step(sys, space, chain_rows(sys, 1)) == lattice_step(sys.E, sys.A, sys.B, space)
         assert all(type(x) is F for row in v.basis.data for x in row)
 
     @pytest.mark.parametrize("kind", KINDS)
