@@ -330,20 +330,22 @@ def _integer_rows(m: Mat) -> list[list[int]]:
     return [_primitive(list(row)) for row in m.ints]
 
 
-def _echelon(work: list[list[int]], cols: int, back: bool = True) -> list[int]:
-    """Gauss-Jordan elimination of the integer rows ``work``, in place, on
-    their first ``cols`` columns; returns the pivot columns.
+def _echelon(work: list[list[int]], cols: int, back: bool) -> list[int]:
+    """Elimination of the integer rows ``work``, in place, on their first
+    ``cols`` columns; returns the pivot columns.  ``back`` has no default,
+    so every caller states its mode: True for Gauss-Jordan, where a
+    canonical form is the answer, False for forward elimination only.
 
     A chosen pivot row is negated if its pivot p is negative.  Eliminating
     column pc from a row with entry f replaces it by (p row - f pivot_row) /
     g, with g > 0 making the row primitive, so each row stays a nonzero
-    multiple of the rational one and keeps the sign of its pivot: afterwards
-    row i < rank is the i-th RREF row times its pivot entry, which is
-    positive, and the rows from rank on are zero in the first ``cols``
-    columns.  No other code sets a row's sign.  With ``back`` False a pivot
-    is eliminated only from the rows below it, which leaves an echelon
-    form: enough for a rank, to discard the pivot rows, or to solve by one
-    back substitution (``_solve_echelon``).
+    multiple of the rational one and keeps the sign of its pivot: with
+    ``back`` True, afterwards row i < rank is the i-th RREF row times its
+    pivot entry, which is positive, and the rows from rank on are zero in
+    the first ``cols`` columns.  No other code sets a row's sign.  With
+    ``back`` False a pivot is eliminated only from the rows below it, which
+    leaves an echelon form: enough for a rank, to discard the pivot rows, or
+    to solve by one back substitution (``_solve_echelon``).
 
     The pivot row is the one with the smallest nonzero |entry| in column pc
     among the rows not yet used, the earliest on a tie; the scan stops at
@@ -443,7 +445,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...], int]:
     their pivots.
     """
     work = _integer_rows(m)
-    pivots = _echelon(work, m.cols)
+    pivots = _echelon(work, m.cols, back=True)
     rank = len(pivots)
     r = Mat.vstack(_over_pivots(rank, m.cols, work, pivots), Mat.zeros(m.rows - rank, m.cols))
     return r, tuple(pivots), rank
@@ -486,7 +488,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return _row_kernel([], ambient_dim)
+        return cls._from_rows(ambient_dim, Mat.identity(ambient_dim).ints)
 
     @property
     def dim(self) -> int:
@@ -511,11 +513,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-    def contains_vector(self, v: Mat) -> bool:
-        if v.shape != (self.ambient_dim, 1):
-            raise ValueError("vector has wrong ambient dimension")
-        return self.contains(Subspace(self.ambient_dim, v))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -564,7 +561,7 @@ def _lead(row) -> int:
 def _span(ambient_dim: int, work: list[list[int]]) -> Subspace:
     """The span of the primitive integer vectors ``work`` (overwritten):
     their Gauss-Jordan rows as ``_echelon`` leaves them, pivots positive."""
-    rank = len(_echelon(work, ambient_dim))
+    rank = len(_echelon(work, ambient_dim, back=True))
     return Subspace._from_rows(ambient_dim, tuple([tuple(r) for r in work[:rank]]))
 
 
@@ -597,7 +594,7 @@ def _row_kernel(work: list[list[int]], n: int) -> Subspace:
     pivot p of each echelon row.  Every such p lies left of f, so in the
     original order these are the kernel's nonzero RREF rows.
     """
-    pivots = _echelon(work, n)
+    pivots = _echelon(work, n, back=True)
     rows = []
     for f in range(n - 1, -1, -1):
         if f in pivots:

@@ -1,16 +1,11 @@
-"""Univariate polynomial matrices over Q and exact pencil rank decisions.
-
-``full_rank_all_finite(E, A)`` decides whether the pencil s*E - A has rank
-min(rows, cols) at every finite complex point with one Wong chain: by the
-quasi-Kronecker form, full column rank holds at every finite lambda exactly
-when the limit V* of [E, A, 0] is zero, and full row rank is the same test
-on the transpose.  This is polynomial work in the pencil's size.
+"""Univariate polynomial matrices over Q: the minor-gcd rank oracle.
 
 ``Poly``, ``PolyMat``, ``normal_rank``, ``determinant`` and ``minor_gcd``
-stay as the independent route: the rank drops at some finite lambda exactly
-when the gcd of all maximal minors is non-constant.  Enumerating the minors
-is exponential, so the library decides through the Wong limits and the
-tests use the minors as an oracle.
+are the independent route to the rank decision of
+``wong.full_rank_all_finite``: the pencil s*E - A loses rank at some finite
+lambda exactly when the gcd of all its maximal minors is non-constant.
+Enumerating the minors is exponential, so the library decides through the
+Wong limits and the tests use the minors as an oracle.
 
 Rank at infinity is not handled here.  Callers that need the convention
 rank(inf * M - N) = rank(M) take a plain rank of the leading coefficient.
@@ -22,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Mat, Q, _q
-from .wong import SystemTriple, v_sequence
+from .wong import full_rank_all_finite  # re-exported under its old name
 
 
 class Poly:
@@ -194,11 +189,11 @@ def pencil(e: Mat, a: Mat) -> PolyMat:
                     for a_row, e_row in zip(a.data, e.data)])
 
 
-def _bareiss(grid: list[list[Poly]], need_det: bool) -> tuple[int, Poly]:
+def _bareiss(grid: list[list[Poly]]) -> tuple[int, Poly]:
     """Fraction-free elimination over Q[s] with full pivoting.
 
-    Returns (rank, det); det is only meaningful when need_det is set and the
-    grid is square, in which case it is the exact determinant.
+    Returns (rank, det); det is the exact determinant when the grid is
+    square.
     """
     rows = len(grid)
     cols = len(grid[0]) if rows else 0
@@ -233,18 +228,14 @@ def _bareiss(grid: list[list[Poly]], need_det: bool) -> tuple[int, Poly]:
                 grid[i][j] = num.exact_div(prev)
             grid[i][t] = Poly.ZERO
         prev = piv
-    rank = steps
-    det = prev if sign == 1 else -prev
-    return rank, (det if need_det else Poly.ZERO)
+    return steps, (prev if sign == 1 else -prev)
 
 
 def normal_rank(p: PolyMat) -> int:
     """Rank of p over the rational function field Q(s)."""
     if p.rows == 0 or p.cols == 0:
         return 0
-    grid = [list(row) for row in p.data]
-    rank, _ = _bareiss(grid, need_det=False)
-    return rank
+    return _bareiss([list(row) for row in p.data])[0]
 
 
 def determinant(p: PolyMat) -> Poly:
@@ -252,8 +243,7 @@ def determinant(p: PolyMat) -> Poly:
         raise ValueError("determinant needs a square matrix")
     if p.rows == 0:
         return Poly.ONE
-    grid = [list(row) for row in p.data]
-    rank, det = _bareiss(grid, need_det=True)
+    rank, det = _bareiss([list(row) for row in p.data])
     return det if rank == p.rows else Poly.ZERO
 
 
@@ -277,24 +267,3 @@ def minor_gcd(p: PolyMat, k: int) -> Poly:
                 return acc
     return acc
 
-
-def full_rank_all_finite(e: Mat, a: Mat) -> bool:
-    """True iff lambda*E - A has rank min(rows, cols) at every finite lambda.
-
-    E and A must have the same shape.  A pencil with no more columns than
-    rows has full column rank at every finite lambda iff the Wong limit V*
-    of [E, A, 0] is zero; a wider pencil is decided on its transpose.
-
-    Proof by the quasi-Kronecker form: V* spans the underdetermined and the
-    finite-eigenvalue blocks, V* n W* the underdetermined ones, and only
-    these two kinds lack full column rank at some finite lambda.  The rule
-    "normal rank n - dim(V* n W*) + dim E(V* n W*) = n and V* <= W*" is
-    equivalent: V* = 0 gives both; conversely, V* <= W* makes V* = V* n W*,
-    on which normal rank n makes E injective, and no underdetermined block
-    (E = [I_eps 0]) allows that, so V* = 0.
-    """
-    if e.shape != a.shape:
-        raise ValueError("a pencil needs E and A of the same shape")
-    if e.cols > e.rows:
-        e, a = e.T, a.T
-    return v_sequence(SystemTriple(e, a, Mat.zeros(e.rows, 0)))[-1].dim == 0

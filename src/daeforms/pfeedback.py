@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 from .linalg import (Mat, Subspace, complement, image_basis, kernel_basis,
                      solve_right)
-from .pencils import full_rank_all_finite
 from .sylvester import TwoEqInstance, solve_two_equations
-from .wong import FieldError, FormReport, SystemTriple, WongReport, wong_limits
+from .wong import (FieldError, FormReport, SystemTriple, WongReport, full_rank_all_finite,
+                   wong_limits)
 
 
 # --------------------------------------------------------------------------
@@ -578,9 +578,9 @@ def decouple_qpff(sys: SystemTriple, sizes: QpffBlockSizes,
 
 def _unit_span(dim: int, idx) -> Subspace:
     """The span of the unit vectors of Q^dim at ``idx``: its canonical rows
-    are those unit vectors, in order."""
-    return Subspace._from_rows(dim, tuple((0,) * j + (1,) + (0,) * (dim - 1 - j)
-                                          for j in sorted(set(idx))))
+    are those rows of the identity, in order."""
+    rows = Mat.identity(dim).ints
+    return Subspace._from_rows(dim, tuple([rows[j] for j in sorted(set(idx))]))
 
 
 def _wong_pattern_ok(sys: SystemTriple, z, rep: WongReport, im_b: Subspace) -> bool:

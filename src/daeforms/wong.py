@@ -6,8 +6,9 @@ the two subspace iterations
     V^0 = Q^n,   V^{i+1} = A^{-1}(E V^i + im B)
     W^0 = {0},   W^{i+1} = E^{-1}(A W^i + im B)
 
-are nested and stabilize after at most n steps.  Their limits V*, W* carry
-the controllability structure of the system: V* is the (augmented)
+are nested and stabilize after at most n steps; a chain stops at its first
+repeated subspace or at its bound, V^i = 0 or W^j = Q^n.  Their limits V*,
+W* carry the controllability structure of the system: V* is the (augmented)
 consistency space and V* n W* the reachability space.  A^{-1}, E^{-1} denote
 preimages of subspaces, not matrix inverses; E and A need not be square.
 
@@ -18,8 +19,9 @@ system, leaving [P_B E | P_B A] for both chains; a step prepends the columns
 P_B E v, v in V^i, eliminates them forward and reads V^{i+1} off the rest
 canonically (W swaps E and A).
 
-``FormReport`` is the verdict record of every structural check: the limit
-identities here and the quasi form checks of ``pfeedback`` and
+``full_rank_all_finite``, the quasi form checks' one rank decision, is one
+V chain, and ``FormReport`` is the verdict record of every structural check:
+the limit identities here and the quasi form checks of ``pfeedback`` and
 ``pdfeedback``.
 """
 
@@ -133,11 +135,16 @@ def _w_step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
 
 def _iterate(sys: SystemTriple, main: int, rows) -> list[Subspace]:
     """The chain of ``main`` (0 for V, 1 for W) from the ``_chain_rows``
-    ``rows``, up to and including its limit."""
+    ``rows``, up to and including its limit.  The chain ends where one more
+    step returns the same subspace, or at its bound (dim 0 for V, n for W):
+    it is monotone, so no step can leave its bound."""
     step = _w_step if main else _v_step
     rows = _arranged(rows, sys.n, main)
+    bound = sys.n if main else 0
     chain = [Subspace.zero(sys.n) if main else Subspace.full(sys.n)]
     for _ in range(sys.n + 1):
+        if chain[-1].dim == bound:
+            return chain
         nxt = step(sys, chain[-1], rows)
         if nxt == chain[-1]:
             return chain
@@ -159,10 +166,32 @@ def w_sequence(sys: SystemTriple) -> list[Subspace]:
     return _iterate(sys, 1, _chain_rows(sys))
 
 
+def full_rank_all_finite(e: Mat, a: Mat) -> bool:
+    """True iff lambda*E - A has rank min(rows, cols) at every finite lambda.
+
+    E and A must have the same shape.  A pencil with no more columns than
+    rows has full column rank at every finite lambda iff the Wong limit V*
+    of [E, A, 0] is zero; a wider pencil is decided on its transpose.
+
+    Proof by the quasi-Kronecker form: V* spans the underdetermined and the
+    finite-eigenvalue blocks, V* n W* the underdetermined ones, and only
+    these two kinds lack full column rank at some finite lambda.  The rule
+    "normal rank n - dim(V* n W*) + dim E(V* n W*) = n and V* <= W*" is
+    equivalent: V* = 0 gives both; conversely, V* <= W* makes V* = V* n W*,
+    on which normal rank n makes E injective, and no underdetermined block
+    (E = [I_eps 0]) allows that, so V* = 0.
+    """
+    if e.shape != a.shape:
+        raise ValueError("a pencil needs E and A of the same shape")
+    if e.cols > e.rows:
+        e, a = e.T, a.T
+    return v_sequence(SystemTriple(e, a, Mat.zeros(e.rows, 0)))[-1].dim == 0
+
+
 def wong_limits(sys: SystemTriple) -> WongReport:
     """Both chains, from one elimination of B's columns.  Each chain ends
-    where one more step returned the same subspace, so its limit is a
-    fixpoint of its one-step map by construction."""
+    where one more step returned the same subspace or at its bound, so its
+    limit is a fixpoint of its one-step map."""
     rows = _chain_rows(sys)
     return WongReport(tuple(_iterate(sys, 0, rows)), tuple(_iterate(sys, 1, rows)))
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
                       rref, solve_right, solve_two_equations)
+from daeforms import linalg
 from daeforms.linalg import _echelon
 from daeforms.pfeedback import _adapted, _unit_span
 from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
@@ -455,6 +456,22 @@ class TestLatticeAgainstDense:
             cols = sorted(set(idx))
             assert unit == Subspace(n, Mat(n, len(cols), [[row[j] for j in cols]
                                                           for row in ident.data]))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_full_space_runs_no_elimination(self, n, monkeypatch):
+        # Q^n and its coordinate spans are rows of the identity, not a kernel
+        calls = []
+        echelon = linalg._echelon
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return echelon(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_echelon", counted)
+        full, unit = Subspace.full(n), _unit_span(n, range(n))
+        assert not calls
+        monkeypatch.undo()
+        assert full == unit == kernel_basis(Mat.zeros(2, n))
 
     def test_complement_prefers_given_columns(self):
         outer = Subspace.full(3)

@@ -75,7 +75,7 @@ class TestKernelImage:
     def test_single_equation(self):
         k = kernel_basis(Mat.from_rows([[1, -1]]))
         assert k.dim == 1
-        assert k.contains_vector(Mat.col_vec([1, 1]))
+        assert k.contains(Subspace(2, Mat.col_vec([1, 1])))
 
     def test_golden_input_matrix_has_trivial_kernel(self):
         # rank of the 7x3 input matrix equals 3 by the independent oracle

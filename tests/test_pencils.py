@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import daeforms.pencils
+import daeforms.wong
 from daeforms import (Mat, Poly, full_rank_all_finite, minor_gcd, normal_rank,
                       pencil)
 from daeforms.pencils import PolyMat, determinant
@@ -160,6 +162,10 @@ class TestFullRankAllFinite:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             full_rank_all_finite(Mat.zeros(2, 2), Mat.zeros(2, 3))
+
+    def test_defined_in_wong_and_reexported(self):
+        assert daeforms.pencils.full_rank_all_finite is daeforms.wong.full_rank_all_finite
+        assert full_rank_all_finite is daeforms.wong.full_rank_all_finite
 
 
 class TestMinorGcd:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from daeforms import (Mat, SystemTriple, Subspace, augmented_projection_check,
                       check_limit_identities, image_basis, kernel_basis, preimage,
                       v_sequence, w_sequence, wong_limits)
+from daeforms import wong
 from daeforms.wong import _arranged, _chain_rows, _v_step, _w_step, augmented_system
 from golden import SYS763, V1_BASIS, W1_BASIS, W2_BASIS
 from oracles import kernel_in_w_limit
@@ -107,6 +108,56 @@ class TestWongLimits:
             assert kernel_in_w_limit(rand_system(rng))
 
 
+def count_steps(monkeypatch, name: str) -> list[int]:
+    """Counts the calls of the step ``name`` that the chains make."""
+    calls = []
+    step = getattr(wong, name)
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(wong, name, counted)
+    return calls
+
+
+class TestChainBound:
+    """A chain at its bound, V^i = 0 or W^j = Q^n, has reached its limit,
+    so no step confirms it."""
+
+    SYS = SystemTriple(Mat.zeros(1, 1), Mat.identity(1), Mat.zeros(1, 0))
+
+    def test_v_chain_ends_at_zero(self, monkeypatch):
+        calls = count_steps(monkeypatch, "_v_step")
+        assert v_sequence(self.SYS) == [Subspace.full(1), Subspace.zero(1)]
+        assert len(calls) == 1
+
+    def test_w_chain_ends_at_full_space(self, monkeypatch):
+        calls = count_steps(monkeypatch, "_w_step")
+        assert w_sequence(self.SYS) == [Subspace.zero(1), Subspace.full(1)]
+        assert len(calls) == 1
+
+    def test_limits(self):
+        rep = wong_limits(self.SYS)
+        assert rep.v_chain == (Subspace.full(1), Subspace.zero(1))
+        assert rep.w_chain == (Subspace.zero(1), Subspace.full(1))
+        assert rep.v_limit == Subspace.zero(1) and rep.w_limit == Subspace.full(1)
+
+    def test_confirming_step_only_below_the_bound(self, monkeypatch):
+        # one step per new element, plus one that repeats the limit unless
+        # the chain ends at its bound
+        v_calls = count_steps(monkeypatch, "_v_step")
+        w_calls = count_steps(monkeypatch, "_w_step")
+        rng = make_rng(36)
+        empty = SystemTriple(Mat.zeros(2, 0), Mat.zeros(2, 0), Mat.zeros(2, 1))
+        for sys in [empty] + [rand_system(rng, 4, 4, 2) for _ in range(40)]:
+            v_calls.clear()
+            w_calls.clear()
+            rep = wong_limits(sys)
+            assert len(v_calls) == rep.i_star + (rep.v_limit.dim != 0)
+            assert len(w_calls) == rep.j_star + (rep.w_limit.dim != sys.n)
+
+
 def chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
     """The rows that the chain ``main`` (0 for V, 1 for W) passes to its
     steps."""
@@ -114,9 +165,9 @@ def chain_rows(sys: SystemTriple, main: int) -> list[list[int]]:
 
 
 class TestLimitFixpoints:
-    """The chains stop at the first repeated subspace, so the limits are
-    fixpoints of the one-step maps; pinned here because wong_limits does not
-    re-step them at runtime."""
+    """The chains stop at the first repeated subspace or at their bound, so
+    the limits are fixpoints of the one-step maps; pinned here because
+    wong_limits does not re-step them at runtime."""
 
     @staticmethod
     def assert_fixpoints(sys):
