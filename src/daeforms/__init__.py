@@ -9,7 +9,7 @@ arithmetic is exact rational.
 
 from .linalg import (Mat, Q, Subspace, complement, image_basis, kernel_basis,
                      preimage, rref, solve_right)
-from .pencils import Poly, PolyMat, minor_gcd, normal_rank, pencil
+from .pencils import minor_gcd, normal_rank, pencil
 from .wong import (SystemTriple, WongReport, augmented_projection_check,
                    check_limit_identities, full_rank_all_finite, v_sequence, w_sequence,
                    wong_limits)

@@ -13,8 +13,8 @@ copy, so a test that fails anyway kills nothing.
 The gate exits 1 on a survivor, on an edit that no longer applies and on
 any other pytest outcome (a usage error, no test collected), and prints one
 line per mutant.  Naming the ids keeps a killed mutant cheap: most die in a
-few seconds.  Only the standard library is used here; pytest and
-hypothesis are the test suite's own.
+few seconds.  Only the standard library is used here; pytest, hypothesis
+and sympy are the test suite's own.
 """
 
 from __future__ import annotations
@@ -82,6 +82,33 @@ MUTANTS = (
            "        e11.rank() == l1\n        and b11.rank() == m1\n",
            "        e11.rank() == l1\n",
            ("tests/test_cli.py::TestVerifyCommand::test_one_by_one_leading_block_fails_its_check",)),
+    Mutant("qpff_b_middle_row_unchecked", "pfeedback.py",
+           "        and sys.B.sub(r1, r2, 0, sys.m).is_zero()\n", "",
+           ("tests/test_pfeedback.py::TestVerifyQpff",)),
+    Mutant("below_triangle_skips_last_column_block", "pfeedback.py",
+           "for mat in (sys.E, sys.A) for j in range(3))",
+           "for mat in (sys.E, sys.A) for j in range(2))",
+           ("tests/test_pdfeedback.py::TestVerifyQpdff",)),
+    Mutant("block3_width_guard_dropped", "pfeedback.py",
+           "ok3 = n3 + m3 <= l3 and full_rank_all_finite(", "ok3 = full_rank_all_finite(",
+           ("tests/test_cli.py::TestVerifyCommand::test_wide_trailing_block_fails_its_check",)),
+    Mutant("equation_basis_ignores_b", "pfeedback.py",
+           "_adapted(sys.l, e_meet, e_vstar, preferred=sys.B)", "_adapted(sys.l, e_meet, e_vstar)",
+           ("tests/test_pfeedback.py::TestSelectBases",)),
+    Mutant("qpdff_given_a33_row_split", "pdfeedback.py",
+           "no_input3, Mat.identity(z.l3))",
+           "no_input3,\n        Mat.hstack(*_adapted(z.l3, image_basis(no_input3),"
+           " preferred=blk[\"A33\"])).inv())",
+           ("tests/test_pfeedback.py::TestDecouplingWitnessesPinned",)),
+    Mutant("minor_gcd_kth_factor_only", "pencils.py",
+           "prod(factors[:k], start=p.domain.one)", "(factors[k - 1] if k else p.domain.one)",
+           ("tests/test_pencils.py::TestMinorGcd",)),
+    Mutant("normal_rank_counts_zero_factors", "pencils.py",
+           "sum(1 for f in _invariant_factors(p) if f)", "len(_invariant_factors(p))",
+           ("tests/test_pencils.py::TestNormalRank",)),
+    Mutant("sympy_imported_with_the_package", "pencils.py",
+           "from math import prod\n", "from math import prod\n\nimport sympy\n",
+           ("tests/test_pencils.py::TestLazySympy",)),
 )
 
 

@@ -11,7 +11,9 @@ solve must equal bit for bit is ``dense_oracle.dense_solve_two_equations``.
 
 from fractions import Fraction
 
-from daeforms import (Mat, Poly, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
+from sympy import QQ, Poly, symbols
+
+from daeforms import (Mat, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
 from daeforms.pfeedback import QpffBlockSizes
 
@@ -145,10 +147,9 @@ def gen_sylvester_always_solvable(a: Mat, b: Mat, c: Mat, d: Mat) -> bool:
     pb = pencil(b, d)
     if normal_rank(pc) != m or normal_rank(pb) != q:
         return False
-    g1 = minor_gcd(pc, m)
-    g2 = minor_gcd(pb, q)
-    common = Poly.gcd(g1, g2)
-    if not (common.is_constant() and not common.is_zero()):
+    s = symbols("s")
+    g1, g2 = (Poly(g[::-1], s, domain=QQ) for g in (minor_gcd(pc, m), minor_gcd(pb, q)))
+    if g1.gcd(g2).degree() != 0:
         return False
     drop_inf_c = c.rank() < m
     drop_inf_b = b.rank() < q

@@ -1,5 +1,8 @@
-"""Polynomial matrices and the all-lambda rank decision."""
+"""The invariant-factor rank oracle and the all-lambda rank decision."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,52 +10,33 @@ from hypothesis import given, settings, strategies as st
 
 import daeforms.pencils
 import daeforms.wong
-from daeforms import (Mat, Poly, full_rank_all_finite, minor_gcd, normal_rank,
-                      pencil)
-from daeforms.pencils import PolyMat, determinant
+from daeforms import Mat, full_rank_all_finite, minor_gcd, normal_rank, pencil
+from daeforms.pencils import determinant
 from golden import QPFF_E, QPFF_A, QPFF_B, QPFF_SIZES
 from randgen import make_rng, rand_mat, rand_invertible
 
+S = (0, 1)   # the polynomial s, coefficients in ascending order
 
-class TestPoly:
-    def test_trailing_zeros_stripped(self):
-        assert Poly((1, 2, 0, 0)) == Poly((1, 2))
-        assert Poly((0,)).is_zero()
 
-    def test_arithmetic(self):
-        p = Poly((1, 1))     # 1 + s
-        q = Poly((-1, 1))    # -1 + s
-        assert p * q == Poly((-1, 0, 1))
-        assert p + q == Poly((0, 2))
-        assert (p * q - p * q).is_zero()
-
-    def test_divmod_exact(self):
-        p = Poly((-1, 0, 1))
-        q, r = divmod(p, Poly((1, 1)))
-        assert q == Poly((-1, 1)) and r.is_zero()
-
-    def test_gcd_is_monic(self):
-        a = Poly((0, 2))          # 2s
-        b = Poly((0, 0, 6))       # 6s^2
-        assert Poly.gcd(a, b) == Poly((0, 1))
-
-    def test_eval(self):
-        assert Poly((1, 2, 3)).eval(F(1, 2)) == F(1) + F(1) + F(3, 4)
+def evaluate(coeffs, x) -> F:
+    """The polynomial with ascending ``coeffs`` at x."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class TestPencil:
     def test_simple_pencils(self):
-        p = pencil(Mat.identity(1), Mat.zeros(1, 1))
-        assert p[0, 0] == Poly((0, 1))
-        q = pencil(Mat.zeros(1, 1), Mat.identity(1))
-        assert q[0, 0] == Poly((-1,))
+        assert determinant(pencil(Mat.identity(1), Mat.zeros(1, 1))) == S
+        assert determinant(pencil(Mat.zeros(1, 1), Mat.identity(1))) == (-1,)
 
     def test_shift_template_row(self):
         # top row of the 2-chain selectors: s * [0, 1] - [1, 0] = [-1, s]
         e = Mat.from_rows([[0, 1]])
         a = Mat.from_rows([[1, 0]])
-        p = pencil(e, a)
-        assert p[0, 0] == Poly((-1,)) and p[0, 1] == Poly((0, 1))
+        assert determinant(pencil(e.sub(0, 1, 0, 1), a.sub(0, 1, 0, 1))) == (-1,)
+        assert determinant(pencil(e.sub(0, 1, 1, 2), a.sub(0, 1, 1, 2))) == S
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -64,7 +48,8 @@ class TestNormalRank:
         assert normal_rank(pencil(Mat.identity(1), Mat.zeros(1, 1))) == 1
 
     def test_rank_deficient(self):
-        p = PolyMat(2, 2, [[Poly((0, 1)), Poly.ZERO], [Poly.ZERO, Poly.ZERO]])
+        # [[s, 0], [0, 0]]
+        p = pencil(Mat.from_rows([[1, 0], [0, 0]]), Mat.zeros(2, 2))
         assert normal_rank(p) == 1
 
     def test_golden_trailing_block(self):
@@ -77,42 +62,39 @@ class TestNormalRank:
         rng = make_rng(20)
         for _ in range(40):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            p = pencil(rand_mat(rng, rows, cols), rand_mat(rng, rows, cols))
-            best = max(p.eval_at(x).rank() for x in range(-(rows * cols), rows * cols + 1))
-            assert normal_rank(p) == best
+            e, a = rand_mat(rng, rows, cols), rand_mat(rng, rows, cols)
+            best = max((x * e - a).rank() for x in range(-(rows * cols), rows * cols + 1))
+            assert normal_rank(pencil(e, a)) == best
 
     def test_degenerate_shapes(self):
-        assert normal_rank(PolyMat(0, 3, [])) == 0
-        assert normal_rank(PolyMat(3, 0, [(), (), ()])) == 0
+        assert normal_rank(pencil(Mat.zeros(0, 3), Mat.zeros(0, 3))) == 0
+        assert normal_rank(pencil(Mat.zeros(3, 0), Mat.zeros(3, 0))) == 0
 
 
 class TestDeterminant:
     def test_two_by_two(self):
         p = pencil(Mat.identity(2), Mat.from_rows([[0, 1], [1, 0]]))
         # det(sI - A) = s^2 - 1
-        assert determinant(p) == Poly((-1, 0, 1))
+        assert determinant(p) == (-1, 0, 1)
 
     def test_matches_cofactor_oracle(self):
+        # a polynomial of degree at most k is fixed by its values at k + 1
+        # points; each value is a cofactor expansion of x*E - A over Q
         rng = make_rng(21)
 
-        def cofactor_det(p: PolyMat) -> Poly:
-            if p.rows == 0:
-                return Poly.ONE
-            if p.rows == 1:
-                return p[0, 0]
-            total = Poly.ZERO
-            rest_rows = list(range(1, p.rows))
-            for j in range(p.cols):
-                rest_cols = [c for c in range(p.cols) if c != j]
-                term = p[0, j] * cofactor_det(p.submatrix(rest_rows, rest_cols))
-                total = total + term if j % 2 == 0 else total - term
-            return total
+        def cofactor_det(rows) -> F:
+            if not rows:
+                return F(1)
+            return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                       for j, x in enumerate(rows[0]))
 
         for _ in range(15):
             k = rng.randint(1, 4)
-            p = pencil(rand_mat(rng, k, k), rand_mat(rng, k, k))
-            assert determinant(p) == cofactor_det(p)
-
+            e, a = rand_mat(rng, k, k), rand_mat(rng, k, k)
+            det = determinant(pencil(e, a))
+            assert len(det) <= k + 1 and (not det or det[-1] != 0)
+            for x in range(k + 1):
+                assert evaluate(det, x) == cofactor_det([list(r) for r in (x * e - a).data])
 
 class TestFullRankAllFinite:
     def test_drop_at_zero(self):
@@ -145,11 +127,10 @@ class TestFullRankAllFinite:
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             target = min(rows, cols)
             e, a = rand_mat(rng, rows, cols), rand_mat(rng, rows, cols)
-            p = pencil(e, a)
             got = full_rank_all_finite(e, a)
             # sampling oracle at more points than the minor degrees allow roots
             bound = target + 2
-            sampled = all(p.eval_at(x).rank() == target for x in range(-bound, bound + 1))
+            sampled = all((x * e - a).rank() == target for x in range(-bound, bound + 1))
             if got:
                 assert sampled
             if not sampled:
@@ -170,29 +151,70 @@ class TestFullRankAllFinite:
 
 class TestMinorGcd:
     def test_common_root_detected(self):
-        # both 1x1 minors vanish at s = 0
-        p = PolyMat(1, 2, [[Poly((0, 1)), Poly((0, 2))]])
-        g = minor_gcd(p, 1)
-        assert g == Poly((0, 1))
+        # both 1x1 minors of [s, 2s] vanish at s = 0
+        p = pencil(Mat.from_rows([[1, 2]]), Mat.zeros(1, 2))
+        assert minor_gcd(p, 1) == S
 
     def test_all_zero(self):
-        p = PolyMat(2, 2, [[Poly.ZERO] * 2] * 2)
-        assert minor_gcd(p, 1).is_zero()
+        p = pencil(Mat.zeros(2, 2), Mat.zeros(2, 2))
+        assert minor_gcd(p, 1) == ()
+        assert normal_rank(p) == 0
 
     def test_empty_selection(self):
-        p = PolyMat(2, 2, [[Poly.ONE, Poly.ZERO], [Poly.ZERO, Poly.ONE]])
-        assert minor_gcd(p, 0) == Poly.ONE
+        p = pencil(Mat.zeros(2, 2), -Mat.identity(2))
+        assert minor_gcd(p, 0) == (1,)
+
+    def test_first_invariant_factor_not_one(self):
+        # s I_2 has invariant factors (s, s): the 2x2 minor gcd is s^2, not s
+        p = pencil(Mat.identity(2), Mat.zeros(2, 2))
+        assert minor_gcd(p, 1) == S
+        assert minor_gcd(p, 2) == (0, 0, 1) == determinant(p)
+
+    def test_past_the_normal_rank(self):
+        p = pencil(Mat.from_rows([[1, 0], [0, 0]]), Mat.zeros(2, 2))
+        assert minor_gcd(p, 1) == S and minor_gcd(p, 2) == ()
+        assert minor_gcd(p, 3) == ()
+
+    def test_jordan_block_at_nine(self):
+        # a 2x2 Jordan block at 9 beside a nilpotent block: factors 1, 1, (s - 9)^2
+        e, a = kronecker_pencil([("J", 2, 9), ("N", 1)])
+        p = pencil(e, a)
+        assert [minor_gcd(p, k) for k in range(4)] == [(1,), (1,), (1,), (81, -18, 1)]
+        assert determinant(p) == (-81, 18, -1)
+
+    def test_stacked_twin_drops_at_nine(self):
+        # the k = 4 pencils of TestWongDecision::test_stacked_pencil_and_its_twin
+        e, stacked, twin = stacked_pair(4)
+        assert minor_gcd(pencil(e, stacked), 4) == (1,)
+        assert minor_gcd(pencil(e, twin), 4) == (-9, 1)
+        assert minor_gcd(pencil(e.T, twin.T), 4) == (-9, 1)
+
+
+class TestLazySympy:
+    def test_cli_import_does_not_load_sympy(self):
+        # a fresh interpreter, as the console script starts: a module-level
+        # sympy import anywhere in the package would show up here
+        src = os.path.dirname(os.path.dirname(daeforms.__file__))
+        code = "import sys, daeforms.cli; sys.exit('sympy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- the Wong-limit decision against the minor-gcd route ---------------------
 
-def minor_gcd_decision(p: PolyMat, target: int) -> bool:
-    """The exponential oracle: normal rank equals target and the gcd of all
-    target x target minors is a nonzero constant."""
-    if normal_rank(p) != target:
-        return False
-    g = minor_gcd(p, target)
-    return g.is_constant() and not g.is_zero()
+def minor_gcd_decision(e: Mat, a: Mat, target: int) -> bool:
+    """The oracle: s*e - a has normal rank target, and the monic gcd of its
+    target x target minors is 1."""
+    p = pencil(e, a)
+    return normal_rank(p) == target and minor_gcd(p, target) == (1,)
+
+
+def stacked_pair(k: int) -> tuple[Mat, Mat, Mat]:
+    """E = [I_k; 0] with A = [0; I_k], whose pencil has full column rank at
+    every lambda, and its twin A = [9 I_k; N_k], which loses it at 9."""
+    ident, zero = Mat.identity(k), Mat.zeros(k, k)
+    shift = Mat(k, k, [[int(j == i + 1) for j in range(k)] for i in range(k)])
+    return Mat.vstack(ident, zero), Mat.vstack(zero, ident), Mat.vstack(ident * 9, shift)
 
 
 def kronecker_pencil(blocks) -> tuple[Mat, Mat]:
@@ -267,9 +289,8 @@ class TestWongDecision:
         decided = positive = 0
         for pair in seeded_pencils():
             for e, a in (pair, (pair[0].T, pair[1].T)):
-                p = pencil(e, a)
                 got = full_rank_all_finite(e, a)
-                assert got == minor_gcd_decision(p, min(p.rows, p.cols)), p
+                assert got == minor_gcd_decision(e, a, min(e.shape)), (e, a)
                 decided += 1
                 positive += got
         assert positive > 50 and decided - positive > 50
@@ -278,18 +299,14 @@ class TestWongDecision:
     @given(small_pencils())
     def test_agrees_with_minor_gcd_property(self, ea):
         e, a = ea
-        p = pencil(e, a)
-        assert full_rank_all_finite(e, a) == minor_gcd_decision(p, min(p.rows, p.cols))
+        assert full_rank_all_finite(e, a) == minor_gcd_decision(e, a, min(e.shape))
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 12, 20])
     def test_stacked_pencil_and_its_twin(self, k):
         # s[I_k; 0] - [0; I_k] has full column rank at every lambda; its twin
-        # s[I_k; 0] - [9 I_k; N_k] loses it at lambda = 9.  The minor-gcd
-        # route enumerates C(2k, k) minors here.
-        ident, zero = Mat.identity(k), Mat.zeros(k, k)
-        shift = Mat(k, k, [[int(j == i + 1) for j in range(k)] for i in range(k)])
-        e = Mat.vstack(ident, zero)
-        stacked, twin = Mat.vstack(zero, ident), Mat.vstack(ident * 9, shift)
+        # s[I_k; 0] - [9 I_k; N_k] loses it at lambda = 9, as TestMinorGcd
+        # shows for k = 4
+        e, stacked, twin = stacked_pair(k)
         assert full_rank_all_finite(e, stacked)
         assert not full_rank_all_finite(e, twin)
         assert full_rank_all_finite(e.T, stacked.T)
