@@ -12,12 +12,48 @@ W* carry the controllability structure of the system: V* is the (augmented)
 consistency space and V* n W* the reachability space.  A^{-1}, E^{-1} denote
 preimages of subspaces, not matrix inverses; E and A need not be square.
 
-A step is the preimage V^{i+1} = ker(P A), with P spanning the left kernel
-of [E V^i | B]: A x lies in E V^i + im B iff every such row annihilates it.
-On integer rows, the B columns of [B | E | A] are eliminated once per
-system, leaving [P_B E | P_B A] for both chains; a step prepends the columns
-P_B E v, v in V^i, eliminates them forward and reads V^{i+1} off the rest
-canonically (W swaps E and A).
+A step is a preimage: V^{i+1} = ker(Y_i A), Y_i the left kernel of
+[E V^i | B], since A x lies in E V^i + im B iff every row of Y_i
+annihilates it; likewise W^{i+1} = ker(Z_i E), Z_i the left kernel of
+[A W^i | B].  On integer rows, the B columns of [B | E | A] are eliminated
+once per system, leaving rows [P_B E | P_B A] that span
+{y [E | A] : y B = 0} for both chains.  As V^i shrinks, Y_i grows
+(Y_i <= Y_{i+1}); as W^i grows, Z_i shrinks (Z_{i+1} <= Z_i).  So each
+chain keeps what its earlier steps eliminated, and a step eliminates only
+what the step before added.  Every member is read off canonically by
+``_row_kernel``, so it is the same subspace, bit for bit, whichever rows
+span the space it is read from.
+
+The V chain runs in constraint form, V^i = ker C_i with C_0 = 0 and C_{i+1}
+the row space of Y_i A.  A row y with y B = 0 lies in Y_i iff y E
+annihilates V^i = ker C_i, that is iff y E lies in C_i; so C_{i+1} is the
+set of a with (e, a) in the span of the rows and e in C_i, or with (0, a)
+in S_i = span(rows) + [C_i | 0].  Forward elimination of the E columns of
+the rows leaves pivot rows with independent E parts and rows [0 | a] that
+span C_1.  C_i <= C_{i+1} makes S_i <= S_{i+1}, and S_{i+1} is S_i plus
+the rows [c | 0] with c in C_{i+1} outside C_i; so a step reduces only the
+constraints that the step before found, as rows [c | 0], against the pivot
+rows.  A remainder with a nonzero E part joins the pivot rows; any other is
+a row [0 | a].  The pivot rows' E parts stay independent, so the part of
+S_{i+1} with E part zero is [0 | C_{i+1}] plus these rows: C_{i+2} is
+C_{i+1} plus the a found.  An a that reduces to zero against the
+Gauss-Jordan rows of C_{i+1} is dropped, so every constraint found is new,
+and the next step reads V^{i+2} off the Gauss-Jordan rows of all
+constraints, which ``_row_kernel`` leaves for the step after.  Without a
+new constraint C_{i+2} = C_{i+1}, and the chain ends with no step to
+confirm it.
+
+The W chain runs on live rows [z P_B A | z P_B E], z in Z_i, which span
+L_i = {(a, e) in span(rows) : a annihilates W^i}; W^{i+1} is the kernel
+of their E parts.  W^i <= W^{i+1}, so L_{i+1} is the part of L_i whose A
+parts also annihilate W^{i+1}.  The pivot columns of W^{i+1} include those
+of W^i, and a vector of W^i that is zero at all of them is zero; so
+W^{i+1} is W^i plus the span of its canonical rows w at the pivots that
+W^i lacks.  Forward elimination of the columns z P_B A w, for those w
+only, among the live rows leaves L_{i+1}.  If it eliminates nothing, then
+Z_{i+1} = Z_i, W^{i+2} = W^{i+1}, and the chain ends with no step; else
+the next step reads W^{i+2}, and it confirms the limit when the E parts
+kept their span.
 
 ``full_rank_all_finite``, the quasi form checks' one rank decision, is one
 V chain, and ``FormReport`` is the verdict record of every structural check:
@@ -30,7 +66,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import Mat, Subspace, _forward, _primitive, _row_kernel, image_basis
+from .linalg import (Mat, Subspace, _echelon, _forward, _lead, _primitive, _reduce, _row_kernel,
+                     image_basis)
 
 
 class FieldError(ValueError):
@@ -104,52 +141,69 @@ def _chain_rows(sys: SystemTriple) -> list[list[int]]:
                     sys.m)
 
 
-def _arranged(rows, n: int, main: int) -> list[list[int]]:
-    """The rows of one chain from ``_chain_rows``: [P_B O | P_B M reversed]
-    with (M, O) = (A, E) for ``main`` 0 (V) and (E, A) for ``main`` 1 (W).
-    They equal the forward elimination of [B | O | M reversed] itself: its
-    pivots and multipliers depend on B's columns only, and a row's gcd not
-    on the order of its columns."""
-    if main:
-        return [[*row[n:], *reversed(row[:n])] for row in rows]
-    return [[*row[:n], *reversed(row[n:])] for row in rows]
+# One name per chain, so that a trace counts the members each chain reads.
+def _v_step(n: int, cons: list[list[int]], found: list[list[int]]) -> Subspace:
+    """V^{i+1} = ker C_{i+1}, with C_{i+1} spanned by the Gauss-Jordan rows
+    ``cons`` of C_i and the new constraints ``found``; ``cons`` is left
+    holding the Gauss-Jordan rows of C_{i+1}.  Columns are reversed."""
+    cons += [row[:] for row in found]
+    nxt = _row_kernel(cons, n)
+    del cons[n - nxt.dim:]
+    return nxt
 
 
-def _step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
-    """One Wong step M^{-1}(O space + im B) = ker(P M) from the chain's
-    ``_arranged`` rows: forward elimination of the prepended columns
-    P_B O v, v in ``space.rows``, leaves P M, reversed."""
-    n = sys.n
-    work = [_primitive([sum(map(mul, row, v)) for v in space.rows] + row[n:]) for row in rows]
-    return _row_kernel(_forward(work, space.dim), n)
+def _w_step(n: int, live: list[list[int]]) -> Subspace:
+    """W^{i+1}: the kernel of the E parts of the live rows
+    [z P_B A | z P_B E reversed], z in Z_i."""
+    return _row_kernel([row[n:] for row in live], n)
 
 
-# One name per chain, so that a trace counts the steps of each chain.
-def _v_step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
-    return _step(sys, space, rows)
+def _v_chain(n: int, rows) -> list[Subspace]:
+    """The V chain from the ``_chain_rows`` ``rows``, up to and including
+    its limit.  Each half of a row is reversed, as ``_row_kernel`` takes
+    it; ``heads`` are the pivots of the ``pivots`` rows, ``leads`` those of
+    the constraints."""
+    work = [row[:n][::-1] + row[n:][::-1] for row in rows]
+    heads = _echelon(work, n, back=False)
+    pivots = work[:len(heads)]
+    found = [row[n:] for row in work[len(heads):] if any(row)]
+    cons: list[list[int]] = []
+    chain = [Subspace.full(n)]
+    while found and chain[-1].dim:
+        if len(chain) > n:
+            raise AssertionError("Wong sequence failed to stabilize within n steps")
+        chain.append(_v_step(n, cons, found))
+        leads = [_lead(row) for row in cons]
+        fed, found = found, []
+        for c in fed:
+            r = _reduce(c + [0] * n, pivots, heads)
+            if any(r[:n]):
+                pivots.append(_primitive(r))
+                heads.append(_lead(r))
+            elif any(r := _reduce(r[n:], cons, leads)):
+                found.append(_primitive(r))
+    return chain
 
 
-def _w_step(sys: SystemTriple, space: Subspace, rows) -> Subspace:
-    return _step(sys, space, rows)
-
-
-def _iterate(sys: SystemTriple, main: int, rows) -> list[Subspace]:
-    """The chain of ``main`` (0 for V, 1 for W) from the ``_chain_rows``
-    ``rows``, up to and including its limit.  The chain ends where one more
-    step returns the same subspace, or at its bound (dim 0 for V, n for W):
-    it is monotone, so no step can leave its bound."""
-    step = _w_step if main else _v_step
-    rows = _arranged(rows, sys.n, main)
-    bound = sys.n if main else 0
-    chain = [Subspace.zero(sys.n) if main else Subspace.full(sys.n)]
-    for _ in range(sys.n + 1):
-        if chain[-1].dim == bound:
-            return chain
-        nxt = step(sys, chain[-1], rows)
-        if nxt == chain[-1]:
-            return chain
+def _w_chain(n: int, rows) -> list[Subspace]:
+    """The W chain from the ``_chain_rows`` ``rows``, up to and including
+    its limit.  ``added`` are the rows of the newest member at the pivots
+    that the member before lacks."""
+    live = [row[n:] + row[:n][::-1] for row in rows]
+    chain = [Subspace.zero(n)]
+    while chain[-1].dim < n:
+        nxt = _w_step(n, live)
+        if nxt.dim == chain[-1].dim:
+            break
+        known = {_lead(w) for w in chain[-1].rows}
+        added = [w for w in nxt.rows if _lead(w) not in known]
         chain.append(nxt)
-    raise AssertionError("Wong sequence failed to stabilize within n steps")
+        work = [[sum(map(mul, row, w)) for w in added] + row for row in live]
+        rank = len(_echelon(work, len(added), back=False))
+        if not rank:
+            break
+        live = [row[len(added):] for row in work[rank:] if any(row)]
+    return chain
 
 
 def v_sequence(sys: SystemTriple) -> list[Subspace]:
@@ -158,12 +212,12 @@ def v_sequence(sys: SystemTriple) -> list[Subspace]:
     The stabilized element appears exactly once, so the last list entry is V*
     and the termination index is len - 1.
     """
-    return _iterate(sys, 0, _chain_rows(sys))
+    return _v_chain(sys.n, _chain_rows(sys))
 
 
 def w_sequence(sys: SystemTriple) -> list[Subspace]:
     """The increasing chain W^0 < W^1 < ... up to and including the limit."""
-    return _iterate(sys, 1, _chain_rows(sys))
+    return _w_chain(sys.n, _chain_rows(sys))
 
 
 def full_rank_all_finite(e: Mat, a: Mat) -> bool:
@@ -190,10 +244,10 @@ def full_rank_all_finite(e: Mat, a: Mat) -> bool:
 
 def wong_limits(sys: SystemTriple) -> WongReport:
     """Both chains, from one elimination of B's columns.  Each chain ends
-    where one more step returned the same subspace or at its bound, so its
-    limit is a fixpoint of its one-step map."""
+    where the next member would repeat the last one, or at its bound, so
+    its limit is a fixpoint of its one-step map."""
     rows = _chain_rows(sys)
-    return WongReport(tuple(_iterate(sys, 0, rows)), tuple(_iterate(sys, 1, rows)))
+    return WongReport(tuple(_v_chain(sys.n, rows)), tuple(_w_chain(sys.n, rows)))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ It also decomposes every system of ``tests/data``, of those corpora and of
 the ``SCALE`` rows below into both quasi forms through the library, and
 decouples the result: the CLI writes no decoupling witness, and the verify
 corpus writes no witness at all, so only these digests see which witness
-each form takes.  The scale rows are PFF templates of 21x21x3 and 28x28x3
-scrambled as ``perfbench/corpus.py`` scrambles them; their (1,3)
-couplings are the largest coupled solves the gate sees.
+each form takes.  The scale rows are PFF templates of 21x21x3, 28x28x3
+and 37x37x3 scrambled as ``perfbench/corpus.py`` scrambles them; their
+(1,3) couplings are the largest coupled solves the gate sees, and their
+Wong chains the longest.
 
 It checks ``VERDICT_DRAWS`` seeded triples per quasi form with
 ``verify_qpff`` and ``verify_qpdff``.  Each satisfies its form's zero
@@ -87,6 +88,7 @@ SEEDS = (1, 2, 3, 4)
 SCALE = {
     "21x21x3": (((3, 2), (3, 3), 2, (3, 2), (2,), (3,)), (1, 2)),
     "28x28x3": (((4, 3), (4, 3), 2, (4, 3), (3,), (4,)), (1,)),
+    "37x37x3": (((5, 4), (5, 4), 3, (5, 4), (4,), (5,)), (1,)),
 }
 
 

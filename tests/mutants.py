@@ -42,11 +42,22 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("chain_confirms_its_bound", "wong.py",
-           "        if chain[-1].dim == bound:\n            return chain\n", "",
+           "    while chain[-1].dim < n:\n", "    while True:\n",
            ("tests/test_wong.py::TestChainBound",)),
     Mutant("chain_bounds_swapped", "wong.py",
-           "bound = sys.n if main else 0", "bound = 0 if main else sys.n",
+           "    while found and chain[-1].dim:\n", "    while found and chain[-1].dim < n:\n",
            ("tests/test_wong.py::TestChainBound",)),
+    Mutant("fed_constraint_dropped", "wong.py",
+           "            elif any(r := _reduce(r[n:], cons, leads)):\n"
+           "                found.append(_primitive(r))\n", "",
+           ("tests/test_wong.py::TestFusedStepAgainstLattice",)),
+    Mutant("v_member_from_new_constraints_only", "wong.py",
+           "    cons += [row[:] for row in found]\n", "    cons[:] = [row[:] for row in found]\n",
+           ("tests/test_wong.py::TestFusedStepAgainstLattice",)),
+    Mutant("w_rows_restricted_against_previous_member", "wong.py",
+           "        added = [w for w in nxt.rows if _lead(w) not in known]\n",
+           "        added = list(chain[-1].rows)\n",
+           ("tests/test_wong.py::TestFusedStepAgainstLattice",)),
     Mutant("wide_pencil_not_transposed", "wong.py",
            "    if e.cols > e.rows:\n        e, a = e.T, a.T\n", "",
            ("tests/test_pencils.py::TestWongDecision",)),

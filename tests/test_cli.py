@@ -748,12 +748,13 @@ class TestWorkDoneOnce:
         assert limits[0] == 2
 
     def test_qpff_takes_only_the_systems_w_steps(self, monkeypatch):
-        # the system's own W chain, j* + 1 = 3 steps; each all-lambda rank
-        # condition runs a V chain only
+        # the system's own W chain, j* = 2 steps: restricting its live rows
+        # to W^2 drops none, so no step confirms the limit; each all-lambda
+        # rank condition runs a V chain only
         steps = count_calls(monkeypatch, wong, "_w_step")
         code, _ = run_cli("qpff", path("sigma763.system"))
         assert code == 0
-        assert steps[0] == 3
+        assert steps[0] == 2
 
     @pytest.mark.parametrize("form, name", [("qpff", "qpff_classify_decouple.out"),
                                             ("qpdff", "qpdff_decouple.out")])
