@@ -58,11 +58,11 @@ class Mat:
 
     Row i is ``ints[i] / dens[i]``: a tuple of integers over a positive
     denominator, the smallest one, so equal matrices have equal rows.
-    ``data`` is the same matrix as a grid of reduced Fractions, built once
-    on first read; the arithmetic never reads it.
+    ``data`` is the same matrix as a grid of reduced Fractions, built on
+    each read; the arithmetic never reads it.
     """
 
-    __slots__ = ("rows", "cols", "ints", "dens", "_view")
+    __slots__ = ("rows", "cols", "ints", "dens")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable] = ()):
         if rows < 0 or cols < 0:
@@ -79,7 +79,6 @@ class Mat:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "dens", dens)
-        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -144,20 +143,16 @@ class Mat:
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as reduced Fractions, row-major; built on first read."""
-        view = self._view
-        if view is None:
-            view = tuple([tuple([Fraction(x, den) if x else _ZERO for x in row])
-                          for row, den in zip(self.ints, self.dens)])
-            object.__setattr__(self, "_view", view)
-        return view
+        """The entries as reduced Fractions, row-major; built on each read."""
+        return tuple([self.row(i) for i in range(self.rows)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.ints[i][j], self.dens[i])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        den = self.dens[i]
+        return tuple([Fraction(x, den) if x else _ZERO for x in self.ints[i]])
 
     def col(self, j: int) -> "Mat":
         return self.sub(0, self.rows, j, j + 1)

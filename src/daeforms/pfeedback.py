@@ -357,10 +357,13 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
 
     T gathers the state bases, S inverts the equation bases, the feedback
     components F_1, F_2 clear A below the first and second block rows, and V
-    sorts the inputs into (effective, redundant, constrained).  F_1 and F_2
-    are solved from blocks of S A T and S B, and the transformed triple is
-    [S (E T), S A T + S B F_P, S B V] from those same products.  The result
-    always passes verify_qpff, whose report it carries.
+    sorts the inputs into (effective, redundant, constrained).  The middle
+    block row of S B is zero (im B <= im [U_S, O_S]), and so is A21 (A (V* n
+    W*) <= E (V* n W*) + im B); zero rows change no pivot, so [F_1, F_2] is
+    one solve on the bottom block row, whose S B block also gives V's kernel.
+    The transformed triple is [S (E T), S A T + S B F_P, S B V] from those
+    same products.  The result always passes verify_qpff, whose report it
+    carries.
     """
     (u_t, r_t, o_t), (u_s, r_s, o_s) = select_bases(sys)
     l1, l2, l3 = u_s.cols, r_s.cols, o_s.cols
@@ -370,14 +373,13 @@ def compute_qpff(sys: SystemTriple) -> QpffDecomposition:
     sa_t = s @ sys.A @ t
     sb = s @ sys.B
 
-    f1 = solve_right(sb.sub(l1, sys.l, 0, sys.m), -sa_t.sub(l1, sys.l, 0, n1))
-    f2 = solve_right(sb.sub(l1 + l2, sys.l, 0, sys.m), -sa_t.sub(l1 + l2, sys.l, n1, n1 + n2))
-    if f1 is None or f2 is None:
+    sb3 = sb.sub(l1 + l2, sys.l, 0, sys.m)
+    f12 = solve_right(sb3, -sa_t.sub(l1 + l2, sys.l, 0, n1 + n2))
+    if f12 is None:
         raise AssertionError("feedback clearing equations must be solvable")
-    f_p = Mat.hstack(f1, f2, Mat.zeros(sys.m, n3))
+    f_p = Mat.hstack(f12, Mat.zeros(sys.m, n3))
 
-    v2, v1, v3 = _adapted(sys.m, kernel_basis(sys.B),
-                          kernel_basis(sb.sub(l1 + l2, sys.l, 0, sys.m)))
+    v2, v1, v3 = _adapted(sys.m, kernel_basis(sys.B), kernel_basis(sb3))
     m1, m2, m3 = v1.cols, v2.cols, v3.cols
     v = Mat.hstack(v1, v2, v3)
 

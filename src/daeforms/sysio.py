@@ -167,19 +167,14 @@ def parse_document(text: str) -> Document:
                                      f"{first_seen[key]})")
         first_seen[key] = lineno
 
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        lineno = i + 1
-        stripped = raw.strip(" \t")
-        if not stripped or stripped.startswith("#"):
-            i += 1
-            continue
+    # (line number, text) of every line that is neither blank nor a comment
+    content = iter([(lineno, stripped) for lineno, raw in enumerate(lines, 1)
+                    if (stripped := raw.strip(" \t")) and not stripped.startswith("#")])
+    for lineno, stripped in content:
         keyed = _KEY_LINE.match(stripped)
         if keyed and keyed.group(1) in _TEXT_KEYS:
             claim(keyed.group(1), lineno)
             doc.meta[keyed.group(1)] = keyed.group(2).strip()
-            i += 1
             continue
         header = _MATRIX_HEADER.match(_ascii_spaced(stripped, lineno))
         if header:
@@ -189,26 +184,20 @@ def parse_document(text: str) -> Document:
                 raise ParseError(lineno, f"matrix {key!r} has more rows or columns than "
                                          f"the document has characters")
             claim(key, lineno)
-            i += 1
             ints, dens = [], []
-            if rows > 0 and cols > 0:
-                while len(ints) < rows:
-                    if i >= len(lines):
-                        raise ParseError(lineno, f"matrix {key!r} is missing data rows")
-                    row_line = lines[i].strip(" \t")
-                    i += 1
-                    if not row_line or row_line.startswith("#"):
-                        continue
-                    row, den = _parse_row(row_line, i, key, cols)
-                    ints.append(row)
-                    dens.append(den)
+            for _ in range(rows if cols else 0):
+                data_no, data_line = next(content, (None, None))
+                if data_no is None:
+                    raise ParseError(lineno, f"matrix {key!r} is missing data rows")
+                row, den = _parse_row(data_line, data_no, key, cols)
+                ints.append(row)
+                dens.append(den)
             doc.matrices[key] = (Mat._reduced(rows, cols, ints, dens) if ints
                                  else Mat.zeros(rows, cols))
             continue
         if keyed:
             key = keyed.group(1)
             claim(key, lineno)
-            i += 1
             values = []
             for tok in keyed.group(2).split():
                 if not _INTEGER.match(tok):

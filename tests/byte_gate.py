@@ -139,10 +139,10 @@ def library_record(path: str, form: str) -> list:
     """Decompose the system at ``path`` into ``form`` and decouple it with
     the decomposition's report; return both triples and both witnesses as
     the text format writes them, or the exception raised."""
-    from daeforms import pdfeedback, pfeedback, sysio
+    from daeforms import compute_qpdff, compute_qpff, decouple_qpdff, decouple_qpff, sysio
     compute, decouple = {
-        "qpff": (pfeedback.compute_qpff, pfeedback.decouple_qpff),
-        "qpdff": (pdfeedback.compute_qpdff, pdfeedback.decouple_qpdff),
+        "qpff": (compute_qpff, decouple_qpff),
+        "qpdff": (compute_qpdff, decouple_qpdff),
     }[form]
     try:
         with open(path, encoding="utf-8") as fh:
@@ -262,9 +262,7 @@ def verdict_triples(form: str):
     ``form``: E and A block upper triangular, B zero outside the form's input
     blocks, block sizes 0 to 3, and E22 square 70 % of the time."""
     import random
-    from daeforms import Mat, SystemTriple
-    from daeforms.pdfeedback import QpdffBlockSizes
-    from daeforms.pfeedback import QpffBlockSizes
+    from daeforms import Mat, QpdffBlockSizes, QpffBlockSizes, SystemTriple
     rng = random.Random(FORMS.index(form) + 1)
     for _ in range(VERDICT_DRAWS):
         l1, l2, l3, n1, n3, m1, m2, m3 = (rng.randint(0, 3) for _ in range(8))
@@ -286,8 +284,8 @@ def verdict_triples(form: str):
 def verdict_record(form: str, triples) -> list:
     """The ``report.checks`` of the quasi form check of ``form`` on each
     (triple, block sizes) of ``triples``, or the exception raised."""
-    from daeforms import pdfeedback, pfeedback
-    verify = {"qpff": pfeedback.verify_qpff, "qpdff": pdfeedback.verify_qpdff}[form]
+    from daeforms import verify_qpdff, verify_qpff
+    verify = {"qpff": verify_qpff, "qpdff": verify_qpdff}[form]
     try:
         return [verify(system, sizes).checks for system, sizes in triples]
     except Exception as exc:  # a crash is part of the behaviour being compared

@@ -10,9 +10,13 @@ runs ``pytest -x`` on the named ids of this checkout with the copy first on
 (exit code 1).  Before any mutant, the same ids must pass on an unchanged
 copy, so a test that fails anyway kills nothing.
 
-The gate exits 1 on a survivor, on an edit that no longer applies and on
-any other pytest outcome (a usage error, no test collected), and prints one
-line per mutant.  Naming the ids keeps a killed mutant cheap: most die in a
+Each mutant's pytest may run for ten times as long as the unchanged run
+took, and at least ``MIN_TIMEOUT`` seconds; past that it is stopped and
+reported as ``timeout after N s``, so a mutant that keeps a loop from
+ending shows as a hang instead of stalling the gate.  The gate exits 1 on a
+survivor, on an edit that no longer applies, on a timeout and on any other
+pytest outcome (a usage error, no test collected), and prints one line per
+mutant.  Naming the ids keeps a killed mutant cheap: most die in a
 few seconds.  Only the standard library is used here; pytest, hypothesis
 and sympy are the test suite's own.
 """
@@ -30,6 +34,7 @@ from typing import NamedTuple
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
+MIN_TIMEOUT = 60.0  # seconds, the least time any mutant's pytest is given
 
 
 class Mutant(NamedTuple):
@@ -130,13 +135,17 @@ def copy_src(dest: str) -> str:
     return target
 
 
-def run_tests(src: str, tests) -> int:
-    """pytest's exit code on ``tests``, importing the package from ``src``."""
+def run_tests(src: str, tests, timeout: float | None = None) -> int | None:
+    """pytest's exit code on ``tests``, importing the package from ``src``,
+    or None when it was stopped after ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=src, HYPOTHESIS_PROFILE="ci",
                PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def apply(src: str, mutant: Mutant) -> bool:
@@ -155,18 +164,21 @@ def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         ids = sorted({t for m in MUTANTS for t in m.tests})
+        start = time.perf_counter()
         code = run_tests(copy_src(os.path.join(tmp, "base")), ids)
         if code != 0:
             print(f"the named tests do not pass on the unchanged tree (pytest exit {code})")
             return 1
+        timeout = max(MIN_TIMEOUT, 10 * (time.perf_counter() - start))
         for i, mutant in enumerate(MUTANTS):
             src = copy_src(os.path.join(tmp, str(i)))
             start = time.perf_counter()
             if not apply(src, mutant):
                 verdict, bad = "edit does not apply", bad + 1
             else:
-                code = run_tests(src, mutant.tests)
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+                code = run_tests(src, mutant.tests, timeout)
+                verdict = {0: "SURVIVED", 1: "killed", None: f"timeout after {timeout:.0f} s"
+                           }.get(code, f"pytest exit {code}")
                 bad += code != 1
             print(f"{mutant.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")

@@ -62,6 +62,13 @@ class TestParsing:
         doc = parse_document("E: 2x1\n1\n# interlude\n\n2\n")
         assert doc.matrices["E"] == Mat.from_rows([[1], [2]])
 
+    def test_rows_that_run_out_are_located_at_the_header(self):
+        # the comment and the blank line count as no data row
+        with pytest.raises(ParseError) as err:
+            parse_document("A: 1x1\n0\nE: 3x1\n1\n# interlude\n\n2\n")
+        assert err.value.line == 3
+        assert "is missing data rows" in str(err.value)
+
     def test_witness_kind_detection(self):
         from daeforms import PTransform
         from daeforms.pdfeedback import PDTransform
@@ -797,6 +804,12 @@ class TestWorkDoneOnce:
         inst = TwoEqInstance(A=a, B=b, C=c, D=d, E=-(a @ y0 + z0 @ d), F=-(c @ y0 + z0 @ b))
         assert solve_two_equations(inst) is not None
         assert [c[0] for c in counters] == [0, 0]
+
+    def test_qpff_solves_for_its_feedback_once(self, monkeypatch):
+        # F_1 and F_2 together, from the bottom block row of S B
+        solves = count_calls(monkeypatch, pfeedback, "solve_right")
+        pfeedback.compute_qpff(SYS763)
+        assert solves[0] == 1
 
     def test_decompositions_apply_no_witness(self, monkeypatch):
         # the transformed triple comes from the products that gave the feedback

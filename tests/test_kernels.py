@@ -57,7 +57,6 @@ def assert_canonical_mat(m: Mat):
     for row, den in zip(m.ints, m.dens):
         assert len(row) == m.cols and den > 0 and gcd(den, *row) == 1
         assert all(type(x) is int for x in row)
-    assert m.data is m.data
     assert all(type(x) is F and gcd(x.numerator, x.denominator) == 1
                for row in m.data for x in row)
     assert m.data == tuple(tuple(F(x, den) for x in row) for row, den in zip(m.ints, m.dens))

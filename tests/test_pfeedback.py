@@ -11,6 +11,7 @@ from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, Sys
                       kernel_basis, make_canonical_blocks, select_bases,
                       v_sequence, verify_pff, verify_qpff, w_sequence,
                       wong_limits)
+from daeforms import pfeedback
 from daeforms.pfeedback import BLOCK_LABELS, head_sel, lower_shift, tail_sel
 from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
@@ -95,6 +96,18 @@ class TestVerifyPff:
         with pytest.raises(ValueError):
             verify_pff(SYS763, PffData(alpha=(1,), beta=(), gamma=(), delta=(),
                                        kappa=(), a_cbar=Mat.zeros(0, 0)))
+
+    def test_oversized_data_raises_before_the_template_is_built(self, monkeypatch):
+        # a chain of length 10**9 would need about 10**18 template entries
+        built = []
+        for name in ("make_canonical_blocks", "_chain_diagonal"):
+            monkeypatch.setattr(pfeedback, name,
+                                lambda *args, name=name: built.append(name))
+        data = PffData(alpha=(10**9,), beta=(), gamma=(), delta=(), kappa=(),
+                       a_cbar=Mat.zeros(0, 0))
+        with pytest.raises(ValueError, match="inconsistent"):
+            verify_pff(SYS763, data)
+        assert built == []
 
 
 class TestWitnessAlgebra:
