@@ -18,9 +18,8 @@ from .pfeedback import (PffData, PDTransform, PTransform, QpffBlockSizes, QpffDe
                         apply_p_transform, classify_controllability, compose_p,
                         compute_qpff, decouple_qpff, invert_p, make_canonical_blocks,
                         select_bases, verify_pff, verify_qpff)
-from .pdfeedback import (PdffData, QpdffBlockSizes, QpdffDecomposition,
-                         apply_pd_transform, compute_qpdff, decouple_qpdff,
-                         decoupled_wong_pattern_ok, make_pdff_template,
-                         pff_to_pdff, verify_pdff, verify_qpdff)
+from .pdfeedback import (PdffData, QpdffBlockSizes, apply_pd_transform, compute_qpdff,
+                         decouple_qpdff, decoupled_wong_pattern_ok, pff_to_pdff,
+                         verify_pdff, verify_qpdff)
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ input columns.  Its decoupling ends in the same exact postcondition as
 the QPFF's, and that postcondition implies the Wong limit pattern of a
 decoupled QPDFF (the proof is in ``decouple_qpdff``), so the decoupled
 triple's Wong limits are never computed; ``decoupled_wong_pattern_ok``
-computes them for the tests.  The PDFF template is read from its own
-chain-layout table ``_PDFF_LAYOUT``, in the format of
-``pfeedback._PFF_LAYOUT``.
+computes them for the tests.  ``pfeedback.make_canonical_blocks`` builds
+the PDFF template from its chain-layout table ``_PDFF_LAYOUT``, whose r
+input rows are length-1 chains driven by the last inputs.
 
 Chain orientation differs between the two template families on purpose: the
 PDFF writes its underdetermined chains with the derivative on the leading
@@ -40,13 +40,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import Mat, image_basis, kernel_basis, solve_right
-from .wong import FieldError, SystemTriple, wong_limits
-from .pfeedback import (FormReport, PDTransform, PffData, QpffDecomposition, compose_p,
-                        head_sel, lower_shift, tail_sel, verify_pff, _adapted, _blocks,
-                        _below_triangle_zero, _chain_diagonal, _chain_extent, _chains,
-                        _check_decoupled, _check_template_data, _cuts, _decomposition,
-                        _decouple, _diagonal_checks, _driven_chains, _limit_split,
-                        _matches_template, _unit_span, _wong_pattern_ok)
+from .wong import FieldError, FormReport, SystemTriple, wong_limits
+from .pfeedback import (PDTransform, PffData, QpffDecomposition, compose_p, head_sel,
+                        lower_shift, tail_sel, verify_pff, _adapted, _blocks,
+                        _below_triangle_zero, _chains, _check_decoupled, _cuts,
+                        _decomposition, _decouple, _diagonal_checks, _driven_chains,
+                        _limit_split, _matches_template, _TemplateData, _unit_span,
+                        _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
 
 
@@ -55,17 +55,21 @@ from .pfeedback import apply_p_transform as apply_pd_transform
 # --------------------------------------------------------------------------
 
 # kind: (row delta, column delta, E atom, A atom), in template order, as in
-# ``pfeedback._PFF_LAYOUT``; the r input rows follow all chains.
+# ``pfeedback._PFF_LAYOUT``.  The alpha chains carry the derivative on the
+# leading states, the beta chains are nilpotent (N x' = x), the gamma
+# chains overdetermined, and each of the r input rows is a length-1 chain
+# with no column, the last inputs pinning it to zero through B.
 _PDFF_LAYOUT = {
     "alpha": (-1, 0, head_sel, tail_sel),
     "cbar": (0, 0, Mat.identity, None),
     "beta": (0, 0, lower_shift, Mat.identity),
     "gamma": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+    "r": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
 }
 
 
 @dataclass(frozen=True)
-class PdffData:
+class PdffData(_TemplateData):
     """Template data (alpha, A_cbar, beta, gamma, r) of a PD-feedback form."""
 
     alpha: tuple[int, ...]
@@ -75,35 +79,15 @@ class PdffData:
     r: int
 
     _LAYOUT = _PDFF_LAYOUT
+    _DRIVEN = ((), ("r",))
+    _TOO_FEW_INPUTS = "input count is smaller than the rank of B"
 
     def __post_init__(self):
-        _check_template_data(self)
+        super().__post_init__()
+        if type(self.r) is not int:
+            raise FieldError("r", "rank of B must be an integer")
         if self.r < 0:
             raise FieldError("r", "rank of B cannot be negative")
-
-    def dims(self, m: int | None = None) -> tuple[int, int, int]:
-        l, n = _chain_extent(self)
-        if m is None:
-            m = self.r
-        if m < self.r:
-            raise ValueError("input count is smaller than the rank of B")
-        return l + self.r, n, m
-
-
-def make_pdff_template(data: PdffData, m: int | None = None) -> SystemTriple:
-    """The exact PD-feedback form template.
-
-    Underdetermined alpha chains carry the derivative on the leading states
-    (E block [I, 0], A block [0, I]); beta blocks are nilpotent chains
-    N x' = x; gamma blocks are overdetermined chains; the bottom r rows pin
-    the effective inputs to zero through an identity block in B.
-    """
-    l, n, m = data.dims(m)
-    e_top, a_top = _chain_diagonal(data)
-    e = Mat.vstack(e_top, Mat.zeros(data.r, n))
-    amat = Mat.vstack(a_top, Mat.zeros(data.r, n))
-    bmat = Mat.block_diag(Mat.zeros(l - data.r, m - data.r), Mat.identity(data.r))
-    return SystemTriple(e, amat, bmat)
 
 
 def verify_pdff(sys: SystemTriple, data: PdffData) -> bool:
@@ -114,7 +98,7 @@ def verify_pdff(sys: SystemTriple, data: PdffData) -> bool:
     """
     if data.r != sys.B.rank():
         return False
-    return _matches_template(sys, data, make_pdff_template)
+    return _matches_template(sys, data)
 
 
 # --------------------------------------------------------------------------
@@ -137,10 +121,7 @@ class QpdffBlockSizes(NamedTuple):
                 and self.m1 + self.m2 == sys.m)
 
 
-QpdffDecomposition = QpffDecomposition
-
-
-def compute_qpdff(sys: SystemTriple) -> QpdffDecomposition:
+def compute_qpdff(sys: SystemTriple) -> QpffDecomposition:
     """Decompose sys into quasi PD-feedback form.
 
     The state bases are the same Wong-limit splittings as for the QPFF; on

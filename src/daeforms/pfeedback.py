@@ -20,11 +20,13 @@ This module provides
   trailing block and the input feedback.  Each decoupling ends in one exact
   postcondition (``_check_decoupled``): its output equals the block
   diagonal of its input's diagonal blocks,
-* the fully canonical P-feedback form (PFF) as a template verifier built
-  from shift and nilpotent chains indexed by multi-indices.  The layout
-  table ``_PFF_LAYOUT`` gives each chain kind its row and column deltas and
-  its E and A atoms; the chain ranges, the diagonal blocks and ``dims`` are
-  all read from it,
+* the template machinery of both fully canonical forms, PFF and PDFF:
+  shift and nilpotent chains indexed by multi-indices.  A layout table
+  (``_PFF_LAYOUT``, ``pdfeedback._PDFF_LAYOUT``) gives each chain kind its
+  row and column deltas and its E and A atoms; the chain ranges, the
+  diagonal blocks, ``dims`` and the ones of B are all read from it and from
+  the kinds the first and the last inputs drive, so ``make_canonical_blocks``
+  builds both templates,
 * the adapted bases (``_adapted``): every S, T and V of both quasi forms is
   a basis adapted to a chain of subspaces built from the Wong limits,
 * the block slicing, decomposition record and its verified construction
@@ -80,7 +82,11 @@ _PFF_LAYOUT = {
 
 
 def _lengths(data, kind: str) -> tuple[int, ...]:
-    return (data.a_cbar.rows,) if kind == "cbar" else getattr(data, kind)
+    """The chain lengths of ``kind``: one cbar chain of length dim A_cbar,
+    r input rows of length 1, else the multi-index of that name."""
+    if kind == "cbar":
+        return (data.a_cbar.rows,)
+    return (1,) * data.r if kind == "r" else getattr(data, kind)
 
 
 def _chains(data) -> dict[str, list[tuple[range, range]]]:
@@ -96,12 +102,6 @@ def _chains(data) -> dict[str, list[tuple[range, range]]]:
     return chains
 
 
-def _chain_extent(data) -> tuple[int, int]:
-    """The number of rows and columns that the chains of ``data`` span."""
-    chains = [chain for kind in _chains(data).values() for chain in kind]
-    return sum(len(rows) for rows, _ in chains), sum(len(cols) for _, cols in chains)
-
-
 def _chain_diagonal(data) -> tuple[Mat, Mat]:
     """The block diagonal E and A of the chains of ``data``."""
     atoms = [(e_atom(k), data.a_cbar if a_atom is None else a_atom(k))
@@ -110,30 +110,48 @@ def _chain_diagonal(data) -> tuple[Mat, Mat]:
     return Mat.block_diag(*[e for e, _ in atoms]), Mat.block_diag(*[a for _, a in atoms])
 
 
-def _check_template_data(data):
-    """Normalize the multi-indices of frozen template data (every kind of
-    its layout but cbar) to int tuples and check them and the square
-    uncontrollable block A_cbar."""
-    for name in [kind for kind in data._LAYOUT if kind != "cbar"]:
-        idx = tuple(int(k) for k in getattr(data, name))
-        object.__setattr__(data, name, idx)
-        if any(k < 1 for k in idx):
-            raise FieldError(name, f"multi-index {name} must contain positive integers")
-    if data.a_cbar.rows != data.a_cbar.cols:
-        raise FieldError("A_cbar", "the uncontrollable block must be square")
+class _TemplateData:
+    """The template data of both canonical forms.  Each subclass is a frozen
+    dataclass that names its chain layout ``_LAYOUT``, the kinds ``_DRIVEN``
+    whose chains the first, resp. the last inputs drive, and the error text
+    ``_TOO_FEW_INPUTS`` of ``dims``."""
+
+    def __post_init__(self):
+        """Normalize the multi-indices (every kind of the layout but cbar and
+        r) to tuples, check that they hold positive ints (a bool or a
+        string is refused, not converted) and that A_cbar is square."""
+        for name in [kind for kind in self._LAYOUT if kind not in ("cbar", "r")]:
+            idx = tuple(getattr(self, name))
+            object.__setattr__(self, name, idx)
+            if not all(type(k) is int and k >= 1 for k in idx):
+                raise FieldError(name, f"multi-index {name} must contain positive integers")
+        if self.a_cbar.rows != self.a_cbar.cols:
+            raise FieldError("A_cbar", "the uncontrollable block must be square")
+
+    def dims(self, m: int | None = None) -> tuple[int, int, int]:
+        """Total (l, n, m) of the template; m defaults to the number of
+        driven chains and may not be smaller."""
+        chains = [chain for kind in _chains(self).values() for chain in kind]
+        m_min = sum(len(_lengths(self, kind)) for kinds in self._DRIVEN for kind in kinds)
+        if m is None:
+            m = m_min
+        if m < m_min:
+            raise ValueError(self._TOO_FEW_INPUTS)
+        return sum(len(rows) for rows, _ in chains), sum(len(cols) for _, cols in chains), m
 
 
-def _matches_template(sys: SystemTriple, data, make) -> bool:
-    """sys equals the template ``make(data, sys.m)``; raises ValueError when
-    the template dimensions cannot match sys at all."""
+def _matches_template(sys: SystemTriple, data: _TemplateData) -> bool:
+    """sys equals the template ``make_canonical_blocks(data, sys.m)``;
+    raises ValueError when the template dimensions cannot match sys at
+    all."""
     l, n, _ = data.dims(sys.m)
     if (l, n) != (sys.l, sys.n):
         raise ValueError("template dimensions are inconsistent with the system")
-    return make(data, sys.m) == sys
+    return make_canonical_blocks(data, sys.m) == sys
 
 
 @dataclass(frozen=True)
-class PffData:
+class PffData(_TemplateData):
     """Multi-index data (alpha, beta, gamma, delta, kappa) plus the
     uncontrollable-ODE coefficient block of a P-feedback form."""
 
@@ -145,34 +163,27 @@ class PffData:
     a_cbar: Mat
 
     _LAYOUT = _PFF_LAYOUT
-
-    def __post_init__(self):
-        _check_template_data(self)
-
-    def dims(self, m: int | None = None) -> tuple[int, int, int]:
-        """Total (l, n, m) of the template; m defaults to the minimal width."""
-        l, n = _chain_extent(self)
-        m_min = len(self.beta) + len(self.kappa)
-        if m is None:
-            m = m_min
-        if m < m_min:
-            raise ValueError("input count is too small for the beta and kappa blocks")
-        return l, n, m
+    _DRIVEN = (("beta",), ("kappa",))
+    _TOO_FEW_INPUTS = "input count is too small for the beta and kappa blocks"
 
 
-def _driven_chains(data: PffData, m: int) -> list[tuple[int, tuple[range, range]]]:
-    """(input column, chain) of every chain driven by an input: the beta
-    chains by the first inputs, the kappa chains by the last ones."""
+def _driven_chains(data: _TemplateData, m: int) -> list[tuple[int, tuple[range, range]]]:
+    """(input column, chain) of every chain driven by an input: the chains
+    of the kinds ``data._DRIVEN[0]`` by the first inputs, those of
+    ``data._DRIVEN[1]`` by the last ones."""
     chains = _chains(data)
-    inputs = [*range(len(data.beta)), *range(m - len(data.kappa), m)]
-    return list(zip(inputs, chains["beta"] + chains["kappa"]))
+    first, last = ([chain for kind in kinds for chain in chains[kind]] for kinds in data._DRIVEN)
+    return list(zip([*range(len(first)), *range(m - len(last), m)], first + last))
 
 
-def make_canonical_blocks(data: PffData, m: int | None = None) -> SystemTriple:
-    """The exact P-feedback form template for the given multi-index data.
+def make_canonical_blocks(data: _TemplateData, m: int | None = None) -> SystemTriple:
+    """The exact template of a canonical form: the P-feedback form of
+    ``PffData`` or the PD-feedback form of ``PdffData``.
 
-    The input count ``m`` may exceed the minimal len(beta) + len(kappa); the
-    surplus becomes zero columns between the beta and kappa input blocks.
+    The input count ``m`` may exceed the number of driven chains; the
+    surplus becomes zero columns between the inputs driving the first
+    chains and those driving the last ones.  Each driven chain has the one
+    of its input in its last row.
     """
     l, n, m = data.dims(m)
     e, amat = _chain_diagonal(data)
@@ -188,7 +199,7 @@ def verify_pff(sys: SystemTriple, data: PffData) -> bool:
     invariance must permute the data themselves.  Raises ValueError when the
     template dimensions cannot match sys at all.
     """
-    return _matches_template(sys, data, make_canonical_blocks)
+    return _matches_template(sys, data)
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +342,7 @@ def select_bases(sys: SystemTriple) -> tuple[list[Mat], list[Mat]]:
 
 @dataclass(frozen=True)
 class QpffDecomposition:
-    """A decomposition into either quasi form; ``pdfeedback`` binds it as
-    ``QpdffDecomposition``."""
+    """A decomposition into either quasi form."""
 
     transformed: SystemTriple
     witness: PTransform

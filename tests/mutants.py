@@ -116,6 +116,9 @@ MUTANTS = (
            "no_input3,\n        Mat.hstack(*_adapted(z.l3, image_basis(no_input3),"
            " preferred=blk[\"A33\"])).inv())",
            ("tests/test_pfeedback.py::TestDecouplingWitnessesPinned",)),
+    Mutant("pdff_input_rows_driven_by_first_inputs", "pdfeedback.py",
+           '    _DRIVEN = ((), ("r",))\n', '    _DRIVEN = (("r",), ())\n',
+           ("tests/test_pdfeedback.py::TestPdffTemplate::test_matches_explicit_construction",)),
     Mutant("minor_gcd_kth_factor_only", "pencils.py",
            "prod(factors[:k], start=p.domain.one)", "(factors[k - 1] if k else p.domain.one)",
            ("tests/test_pencils.py::TestMinorGcd",)),

@@ -7,9 +7,10 @@ from daeforms import (Mat, PdffData, PDTransform, PffData, PTransform, QpdffBloc
                       SystemTriple, apply_p_transform, apply_pd_transform,
                       compose_p, compute_qpdff, compute_qpff, decouple_qpdff,
                       decoupled_wong_pattern_ok, invert_p, make_canonical_blocks,
-                      make_pdff_template, pff_to_pdff, v_sequence, verify_pdff,
+                      pff_to_pdff, v_sequence, verify_pdff,
                       verify_qpdff, w_sequence)
-from daeforms.pfeedback import lower_shift
+from daeforms.pfeedback import head_sel, lower_shift, tail_sel
+from daeforms.wong import FieldError
 from golden import (PDFF_A, PDFF_B, PDFF_DATA, PDFF_E, PDFF_WITNESS, PFF_DATA,
                     PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E, QPDFF_SIZES,
                     QPDFF_WITNESS, SYS763)
@@ -207,10 +208,48 @@ class TestDecoupleQpdff:
             assert decoupled_wong_pattern_ok(again, z)
 
 
+def explicit_pdff(data: PdffData, m: int) -> SystemTriple:
+    """The PDFF template written out: the diagonal of the alpha, cbar, beta
+    and gamma chains over r zero rows, and B = [[0, 0], [0, I_r]]."""
+    atoms = ([(head_sel(k), tail_sel(k)) for k in data.alpha]
+             + [(Mat.identity(data.a_cbar.rows), data.a_cbar)]
+             + [(lower_shift(k), Mat.identity(k)) for k in data.beta]
+             + [(tail_sel(k).T, head_sel(k).T) for k in data.gamma])
+    e, a = (Mat.block_diag(*[atom[i] for atom in atoms]) for i in (0, 1))
+    l, n = e.shape
+    zeros = Mat.zeros(data.r, n)
+    return SystemTriple(Mat.vstack(e, zeros), Mat.vstack(a, zeros),
+                        Mat.block_diag(Mat.zeros(l, m - data.r), Mat.identity(data.r)))
+
+
 class TestPdffTemplate:
     def test_golden_template(self):
-        tpl = make_pdff_template(PDFF_DATA)
+        tpl = make_canonical_blocks(PDFF_DATA)
         assert tpl.E == PDFF_E and tpl.A == PDFF_A and tpl.B == PDFF_B
+
+    @pytest.mark.parametrize("cbar", [0, 2])
+    @pytest.mark.parametrize("surplus", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_matches_explicit_construction(self, r, surplus, cbar):
+        rng = make_rng(71 + 10 * r + 3 * surplus + cbar)
+        for _ in range(5):
+            alpha, beta, gamma = (tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+                                  for _ in range(3))
+            data = PdffData(alpha, rand_mat(rng, cbar, cbar), beta, gamma, r)
+            want = explicit_pdff(data, r + surplus)
+            assert data.dims(r + surplus) == (want.l, want.n, want.m)
+            assert make_canonical_blocks(data, r + surplus) == want
+
+    @pytest.mark.parametrize("r", [1.7, True, "1", -1])
+    def test_r_must_be_a_nonnegative_int(self, r):
+        with pytest.raises(FieldError) as exc:
+            PdffData(alpha=(), a_cbar=Mat.zeros(0, 0), beta=(), gamma=(), r=r)
+        assert exc.value.field == "r"
+
+    def test_too_few_inputs(self):
+        data = PdffData(alpha=(), a_cbar=Mat.zeros(0, 0), beta=(), gamma=(), r=2)
+        with pytest.raises(ValueError, match="smaller than the rank of B"):
+            data.dims(1)
 
     def test_wrong_rank_is_false_not_an_error(self):
         got = apply_pd_transform(SYS763, PDFF_WITNESS)
@@ -221,7 +260,7 @@ class TestPdffTemplate:
     def test_permuted_alpha_verifies_permuted_system(self):
         from daeforms.pdfeedback import _perm_matrix
         data = PdffData(alpha=(2, 1), a_cbar=Mat.zeros(0, 0), beta=(), gamma=(), r=0)
-        tpl = make_pdff_template(data)
+        tpl = make_canonical_blocks(data)
         # swap the two alpha chains: new state order (old 2, old 0, old 1)
         s = Mat.identity(1)
         t = _perm_matrix([2, 0, 1]).T

@@ -1,6 +1,7 @@
 """P-feedback machinery: witnesses, QPFF construction, decoupling, templates."""
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, Sys
                       wong_limits)
 from daeforms import pfeedback
 from daeforms.pfeedback import BLOCK_LABELS, head_sel, lower_shift, tail_sel
+from daeforms.wong import FieldError
 from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
 from dense_oracle import dense_add, dense_matmul
@@ -63,6 +65,26 @@ class TestMakeCanonicalBlocks:
                        a_cbar=Mat.zeros(0, 0))
         tpl = make_canonical_blocks(data, m=2)
         assert tpl.B == Mat.zeros(0, 2)
+
+
+class TestTemplateDataTypes:
+    """Multi-index entries are positive ints: anything else is refused,
+    not converted by int()."""
+
+    NO_CHAINS = dict(alpha=(), beta=(), gamma=(), delta=(), kappa=(), a_cbar=Mat.zeros(0, 0))
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", (2.5,)), ("beta", (True,)), ("gamma", ("3",)), ("delta", (2.0,)),
+        ("kappa", (1, Fraction(2))), ("alpha", (0,)),
+    ])
+    def test_entry_not_a_positive_int_is_a_field_error(self, name, value):
+        with pytest.raises(FieldError, match="positive integers") as exc:
+            PffData(**{**self.NO_CHAINS, name: value})
+        assert exc.value.field == name
+
+    def test_a_list_of_ints_becomes_a_tuple(self):
+        data = PffData(**{**self.NO_CHAINS, "beta": [2, 1]})
+        assert data.beta == (2, 1) and data.dims() == (3, 3, 2)
 
 
 class TestVerifyPff:
