@@ -68,7 +68,7 @@ class Mat:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         grid = [_row_from_entries(tuple(row)) for row in entries]
-        if rows == 0 or cols == 0:
+        if not grid and cols == 0:  # Mat(k, 0): no entries to give
             grid = [((), 1)] * rows
         if len(grid) != rows or any(len(r) != cols for r, _ in grid):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")

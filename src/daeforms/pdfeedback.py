@@ -41,10 +41,9 @@ from typing import NamedTuple
 
 from .linalg import Mat, image_basis, kernel_basis, solve_right
 from .wong import FieldError, FormReport, SystemTriple, wong_limits
-from .pfeedback import (PDTransform, PffData, QpffDecomposition, compose_p, head_sel,
-                        lower_shift, tail_sel, verify_pff, _adapted, _blocks,
-                        _below_triangle_zero, _chains, _check_decoupled, _cuts,
-                        _decomposition, _decouple, _diagonal_checks, _driven_chains,
+from .pfeedback import (PDTransform, PffData, QpffDecomposition, compose_p, verify_pff,
+                        _adapted, _blocks, _below_triangle_zero, _chains, _check_decoupled,
+                        _cuts, _decomposition, _decouple, _diagonal_checks, _driven_chains,
                         _limit_split, _matches_template, _TemplateData, _unit_span,
                         _wong_pattern_ok)
 from .pfeedback import apply_p_transform as apply_pd_transform
@@ -54,17 +53,17 @@ from .pfeedback import apply_p_transform as apply_pd_transform
 # PD-feedback form template
 # --------------------------------------------------------------------------
 
-# kind: (row delta, column delta, E atom, A atom), in template order, as in
-# ``pfeedback._PFF_LAYOUT``.  The alpha chains carry the derivative on the
-# leading states, the beta chains are nilpotent (N x' = x), the gamma
+# kind: (row delta, column delta, E offset, A offset), in template order, as
+# in ``pfeedback._PFF_LAYOUT``.  The alpha chains carry the derivative on
+# the leading states, the beta chains are nilpotent (N x' = x), the gamma
 # chains overdetermined, and each of the r input rows is a length-1 chain
 # with no column, the last inputs pinning it to zero through B.
 _PDFF_LAYOUT = {
-    "alpha": (-1, 0, head_sel, tail_sel),
-    "cbar": (0, 0, Mat.identity, None),
-    "beta": (0, 0, lower_shift, Mat.identity),
-    "gamma": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
-    "r": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+    "alpha": (-1, 0, 0, 1),
+    "cbar": (0, 0, 0, None),
+    "beta": (0, 0, -1, 0),
+    "gamma": (0, -1, -1, 0),
+    "r": (0, -1, -1, 0),
 }
 
 

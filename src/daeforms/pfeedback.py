@@ -23,10 +23,10 @@ This module provides
 * the template machinery of both fully canonical forms, PFF and PDFF:
   shift and nilpotent chains indexed by multi-indices.  A layout table
   (``_PFF_LAYOUT``, ``pdfeedback._PDFF_LAYOUT``) gives each chain kind its
-  row and column deltas and its E and A atoms; the chain ranges, the
-  diagonal blocks, ``dims`` and the ones of B are all read from it and from
-  the kinds the first and the last inputs drive, so ``make_canonical_blocks``
-  builds both templates,
+  row and column deltas and the diagonal offsets of its ones in E and A;
+  the chain ranges, ``dims`` and the ones of E, A and B are all read from
+  it and from the kinds the first and the last inputs drive, so
+  ``make_canonical_blocks`` builds both templates as integer rows,
 * the adapted bases (``_adapted``): every S, T and V of both quasi forms is
   a basis adapted to a chain of subspaces built from the Wong limits,
 * the block slicing, decomposition record and its verified construction
@@ -49,35 +49,22 @@ from .wong import (FieldError, FormReport, SystemTriple, WongReport, full_rank_a
 
 
 # --------------------------------------------------------------------------
-# canonical template atoms and chain layout
+# canonical template layout
 # --------------------------------------------------------------------------
 
-def lower_shift(k: int) -> Mat:
-    """N_k: the k x k nilpotent with ones on the subdiagonal."""
-    return Mat(k, k, [[1 if i == j + 1 else 0 for j in range(k)] for i in range(k)])
-
-
-def tail_sel(k: int) -> Mat:
-    """K_k = [0, I_{k-1}]: drops the first of k coordinates (0 x 1 for k = 1)."""
-    return Mat(k - 1, k, [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k - 1)])
-
-
-def head_sel(k: int) -> Mat:
-    """L_k = [I_{k-1}, 0]: drops the last of k coordinates (0 x 1 for k = 1)."""
-    return Mat(k - 1, k, [[1 if j == i else 0 for j in range(k)] for i in range(k - 1)])
-
-
-# kind: (row delta, column delta, E atom, A atom), in template order.  A
-# chain of length k spans k + row delta rows and k + column delta columns,
-# and its E and A blocks are the atoms at k.  The one cbar chain has length
-# dim A_cbar; its A atom None stands for A_cbar itself.
+# kind: (row delta, column delta, E offset, A offset), in template order.  A
+# chain of length k spans k + row delta rows and k + column delta columns; its
+# E and A blocks have ones at (i, i + offset) inside the block, which makes
+# N_k (-1 on k x k), K_k = [0, I] (+1 on (k-1) x k), L_k = [I, 0] (0) and
+# their transposes.  The one cbar chain has length dim A_cbar; its A offset
+# None stands for A_cbar itself.
 _PFF_LAYOUT = {
-    "alpha": (-1, 0, tail_sel, head_sel),
-    "beta": (0, 0, Mat.identity, lambda k: lower_shift(k).T),
-    "cbar": (0, 0, Mat.identity, None),
-    "gamma": (0, 0, lower_shift, Mat.identity),
-    "delta": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
-    "kappa": (0, -1, lambda k: tail_sel(k).T, lambda k: head_sel(k).T),
+    "alpha": (-1, 0, 1, 0),
+    "beta": (0, 0, 0, 1),
+    "cbar": (0, 0, 0, None),
+    "gamma": (0, 0, -1, 0),
+    "delta": (0, -1, -1, 0),
+    "kappa": (0, -1, -1, 0),
 }
 
 
@@ -100,14 +87,6 @@ def _chains(data) -> dict[str, list[tuple[range, range]]]:
             chains[kind].append((range(r, r + k + dr), range(c, c + k + dc)))
             r, c = r + k + dr, c + k + dc
     return chains
-
-
-def _chain_diagonal(data) -> tuple[Mat, Mat]:
-    """The block diagonal E and A of the chains of ``data``."""
-    atoms = [(e_atom(k), data.a_cbar if a_atom is None else a_atom(k))
-             for kind, (_, _, e_atom, a_atom) in data._LAYOUT.items()
-             for k in _lengths(data, kind)]
-    return Mat.block_diag(*[e for e, _ in atoms]), Mat.block_diag(*[a for _, a in atoms])
 
 
 class _TemplateData:
@@ -176,6 +155,13 @@ def _driven_chains(data: _TemplateData, m: int) -> list[tuple[int, tuple[range, 
     return list(zip([*range(len(first)), *range(m - len(last), m)], first + last))
 
 
+def _unit(zero: tuple, cols: range, j: int) -> tuple:
+    """``zero`` with a one at ``cols[j]``, or ``zero`` if j is off ``cols``."""
+    if not 0 <= j < len(cols):
+        return zero
+    return zero[:cols[j]] + (1,) + zero[cols[j] + 1:]
+
+
 def make_canonical_blocks(data: _TemplateData, m: int | None = None) -> SystemTriple:
     """The exact template of a canonical form: the P-feedback form of
     ``PffData`` or the PD-feedback form of ``PdffData``.
@@ -186,10 +172,23 @@ def make_canonical_blocks(data: _TemplateData, m: int | None = None) -> SystemTr
     of its input in its last row.
     """
     l, n, m = data.dims(m)
-    e, amat = _chain_diagonal(data)
     input_at = {rows[-1]: j for j, (rows, _) in _driven_chains(data, m)}
-    bmat = Mat(l, m, [[int(input_at.get(i) == j) for j in range(m)] for i in range(l)])
-    return SystemTriple(e, amat, bmat)
+    zero = (0,) * n
+    e, a, a_dens = [], [], []
+    for kind, chains in _chains(data).items():
+        _, _, e_off, a_off = data._LAYOUT[kind]
+        for rows, cols in chains:
+            e += [_unit(zero, cols, i + e_off) for i in range(len(rows))]
+            if a_off is None:  # the rows of A_cbar over their own denominators
+                a += [zero[:cols.start] + row + zero[cols.stop:] for row in data.a_cbar.ints]
+                a_dens += data.a_cbar.dens
+            else:
+                a += [_unit(zero, cols, i + a_off) for i in range(len(rows))]
+                a_dens += [1] * len(rows)
+    b = [_unit((0,) * m, range(m), input_at.get(i, -1)) for i in range(l)]
+    return SystemTriple(Mat._trusted(l, n, tuple(e), (1,) * l),
+                        Mat._trusted(l, n, tuple(a), tuple(a_dens)),
+                        Mat._trusted(l, m, tuple(b), (1,) * l))
 
 
 def verify_pff(sys: SystemTriple, data: PffData) -> bool:

@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+PFF_TEMPLATE = "tests/test_pfeedback.py::TestMakeCanonicalBlocks::test_matches_explicit_construction"
+
 MUTANTS = (
     Mutant("chain_confirms_its_bound", "wong.py",
            "    while chain[-1].dim < n:\n", "    while True:\n",
@@ -84,6 +86,9 @@ MUTANTS = (
     Mutant("reduced_without_gcd", "linalg.py",
            "                g = gcd(den, *row)\n", "                g = 1\n",
            ("tests/test_kernels.py::TestCanonicalMat",)),
+    Mutant("zero_size_grid_ignored", "linalg.py",
+           "        if not grid and cols == 0:", "        if rows == 0 or cols == 0:",
+           ("tests/test_linalg.py::TestZeroDimensionMatrices",)),
     Mutant("parse_row_without_lcm", "sysio.py",
            "    den = lcm(*[d for _, d in pairs])\n", "    den = max([d for _, d in pairs])\n",
            ("tests/test_cli.py::TestParsing", "tests/test_cli.py::TestIntegerRowParsing")),
@@ -116,6 +121,18 @@ MUTANTS = (
            "no_input3,\n        Mat.hstack(*_adapted(z.l3, image_basis(no_input3),"
            " preferred=blk[\"A33\"])).inv())",
            ("tests/test_pfeedback.py::TestDecouplingWitnessesPinned",)),
+    Mutant("pff_alpha_e_offset_zero", "pfeedback.py",
+           '    "alpha": (-1, 0, 1, 0),\n', '    "alpha": (-1, 0, 0, 0),\n',
+           (PFF_TEMPLATE,)),
+    Mutant("pdff_beta_e_offset_flipped", "pdfeedback.py",
+           '    "beta": (0, 0, -1, 0),\n', '    "beta": (0, 0, 1, 0),\n',
+           ("tests/test_pdfeedback.py::TestPdffTemplate::test_matches_explicit_construction",)),
+    Mutant("cbar_rows_without_their_denominators", "pfeedback.py",
+           "                a_dens += data.a_cbar.dens\n", "                a_dens += [1] * len(rows)\n",
+           (PFF_TEMPLATE,)),
+    Mutant("input_one_in_first_chain_row", "pfeedback.py",
+           "input_at = {rows[-1]: j for j", "input_at = {rows[0]: j for j",
+           (PFF_TEMPLATE,)),
     Mutant("pdff_input_rows_driven_by_first_inputs", "pdfeedback.py",
            '    _DRIVEN = ((), ("r",))\n', '    _DRIVEN = (("r",), ())\n',
            ("tests/test_pdfeedback.py::TestPdffTemplate::test_matches_explicit_construction",)),

@@ -4,9 +4,14 @@ Besides the Wong-limit properties, this holds the generalized Sylvester
 equation A X B - C X D = E: its solver, the classical reduction of the
 coupled pair to it, and a sufficient condition for its solvability.  The
 tests use them to cross-check the library's direct coupled solve.  It also
-holds ``residual`` of the coupled pair and ``last_unit``, a PFF template
-atom, which only the tests use.  The reference that the library's coupled
-solve must equal bit for bit is ``dense_oracle.dense_solve_two_equations``.
+holds ``residual`` of the coupled pair.  The reference that the library's
+coupled solve must equal bit for bit is
+``dense_oracle.dense_solve_two_equations``.
+
+The canonical templates are written out here block by block from the
+paper's atoms N_k, K_k, L_k and the input column ``last_unit``:
+``explicit_pff`` and ``explicit_pdff`` are the references that
+``make_canonical_blocks`` must equal.
 """
 
 from fractions import Fraction
@@ -15,13 +20,63 @@ from sympy import QQ, Poly, symbols
 
 from daeforms import (Mat, Q, Subspace, SystemTriple, TwoEqInstance, image_basis,
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
-from daeforms.pfeedback import QpffBlockSizes
+from daeforms.pdfeedback import PdffData
+from daeforms.pfeedback import PffData, QpffBlockSizes
+
+
+def lower_shift(k: int) -> Mat:
+    """N_k: the k x k nilpotent with ones on the subdiagonal."""
+    return Mat(k, k, [[1 if i == j + 1 else 0 for j in range(k)] for i in range(k)])
+
+
+def tail_sel(k: int) -> Mat:
+    """K_k = [0, I_{k-1}]: drops the first of k coordinates (0 x 1 for k = 1)."""
+    return Mat(k - 1, k, [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k - 1)])
+
+
+def head_sel(k: int) -> Mat:
+    """L_k = [I_{k-1}, 0]: drops the last of k coordinates (0 x 1 for k = 1)."""
+    return Mat(k - 1, k, [[1 if j == i else 0 for j in range(k)] for i in range(k - 1)])
 
 
 def last_unit(k: int) -> Mat:
     """The k-th standard basis column of Q^k: the input column of a driven
     chain of length k in the PFF template."""
     return Mat(k, 1, [[1 if i == k - 1 else 0] for i in range(k)])
+
+
+def explicit_pff(data: PffData, m: int) -> SystemTriple:
+    """The PFF template written out: E and A block diagonal in the atoms of
+    the alpha, beta, cbar, gamma, delta and kappa chains, and B with the
+    input column of each beta chain among the first inputs and of each
+    kappa chain among the last, the m - #beta - #kappa surplus inputs zero
+    in between."""
+    atoms = ([(tail_sel(k), head_sel(k)) for k in data.alpha]
+             + [(Mat.identity(k), lower_shift(k).T) for k in data.beta]
+             + [(Mat.identity(data.a_cbar.rows), data.a_cbar)]
+             + [(lower_shift(k), Mat.identity(k)) for k in data.gamma]
+             + [(tail_sel(k).T, head_sel(k).T) for k in data.delta + data.kappa])
+    e, a = (Mat.block_diag(*[atom[i] for atom in atoms]) for i in (0, 1))
+    between = data.a_cbar.rows + sum(data.gamma) + sum(data.delta)
+    b = Mat.block_diag(Mat.zeros(sum(data.alpha) - len(data.alpha), 0),
+                       *[last_unit(k) for k in data.beta],
+                       Mat.zeros(between, m - len(data.beta) - len(data.kappa)),
+                       *[last_unit(k) for k in data.kappa])
+    return SystemTriple(e, a, b)
+
+
+def explicit_pdff(data: PdffData, m: int) -> SystemTriple:
+    """The PDFF template written out: the diagonal of the alpha, cbar, beta
+    and gamma chains over r zero rows, and B = [[0, 0], [0, I_r]]."""
+    atoms = ([(head_sel(k), tail_sel(k)) for k in data.alpha]
+             + [(Mat.identity(data.a_cbar.rows), data.a_cbar)]
+             + [(lower_shift(k), Mat.identity(k)) for k in data.beta]
+             + [(tail_sel(k).T, head_sel(k).T) for k in data.gamma])
+    e, a = (Mat.block_diag(*[atom[i] for atom in atoms]) for i in (0, 1))
+    l, n = e.shape
+    zeros = Mat.zeros(data.r, n)
+    return SystemTriple(Mat.vstack(e, zeros), Mat.vstack(a, zeros),
+                        Mat.block_diag(Mat.zeros(l, m - data.r), Mat.identity(data.r)))
 
 
 def residual(inst: TwoEqInstance, y: Mat, z: Mat) -> tuple[Mat, Mat]:

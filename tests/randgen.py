@@ -22,6 +22,13 @@ def rand_mat(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2
     return Mat(rows, cols, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+def rand_fraction_mat(rng: random.Random, rows: int, cols: int) -> Mat:
+    """Entries p/q with |p| <= 3 and 1 <= q <= 4, so rows differ in their
+    denominators."""
+    return Mat(rows, cols, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                             for _ in range(cols)] for _ in range(rows)])
+
+
 def rand_system(rng: random.Random, lmax: int = 5, nmax: int = 5, mmax: int = 3) -> SystemTriple:
     l = rng.randint(1, lmax)
     n = rng.randint(1, nmax)

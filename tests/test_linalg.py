@@ -310,3 +310,14 @@ class TestZeroDimensionMatrices:
     def test_rank_and_rref(self):
         assert Mat.zeros(0, 4).rank() == 0
         assert Mat.zeros(4, 0).rank() == 0
+
+    @pytest.mark.parametrize("rows, cols, entries", [(2, 0, [[5]]), (0, 3, [[1, 2, 3]]),
+                                                     (2, 0, [[]]), (2, 0, [[], [], []])])
+    def test_grid_must_match_a_zero_size_shape(self, rows, cols, entries):
+        with pytest.raises(ValueError, match="entry grid does not match shape"):
+            Mat(rows, cols, entries)
+
+    @pytest.mark.parametrize("rows, cols, entries", [(2, 0, ()), (2, 0, [[], []]),
+                                                     (0, 3, []), (0, 0, [])])
+    def test_empty_grid_of_a_zero_size_shape(self, rows, cols, entries):
+        assert Mat(rows, cols, entries) == Mat.zeros(rows, cols)

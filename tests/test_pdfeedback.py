@@ -9,12 +9,12 @@ from daeforms import (Mat, PdffData, PDTransform, PffData, PTransform, QpdffBloc
                       decoupled_wong_pattern_ok, invert_p, make_canonical_blocks,
                       pff_to_pdff, v_sequence, verify_pdff,
                       verify_qpdff, w_sequence)
-from daeforms.pfeedback import head_sel, lower_shift, tail_sel
 from daeforms.wong import FieldError
 from golden import (PDFF_A, PDFF_B, PDFF_DATA, PDFF_E, PDFF_WITNESS, PFF_DATA,
                     PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E, QPDFF_SIZES,
                     QPDFF_WITNESS, SYS763)
-from randgen import make_rng, rand_mat, rand_pd_transform, rand_system
+from oracles import explicit_pdff
+from randgen import make_rng, rand_fraction_mat, rand_mat, rand_pd_transform, rand_system
 
 
 class TestApplyPdTransform:
@@ -208,20 +208,6 @@ class TestDecoupleQpdff:
             assert decoupled_wong_pattern_ok(again, z)
 
 
-def explicit_pdff(data: PdffData, m: int) -> SystemTriple:
-    """The PDFF template written out: the diagonal of the alpha, cbar, beta
-    and gamma chains over r zero rows, and B = [[0, 0], [0, I_r]]."""
-    atoms = ([(head_sel(k), tail_sel(k)) for k in data.alpha]
-             + [(Mat.identity(data.a_cbar.rows), data.a_cbar)]
-             + [(lower_shift(k), Mat.identity(k)) for k in data.beta]
-             + [(tail_sel(k).T, head_sel(k).T) for k in data.gamma])
-    e, a = (Mat.block_diag(*[atom[i] for atom in atoms]) for i in (0, 1))
-    l, n = e.shape
-    zeros = Mat.zeros(data.r, n)
-    return SystemTriple(Mat.vstack(e, zeros), Mat.vstack(a, zeros),
-                        Mat.block_diag(Mat.zeros(l, m - data.r), Mat.identity(data.r)))
-
-
 class TestPdffTemplate:
     def test_golden_template(self):
         tpl = make_canonical_blocks(PDFF_DATA)
@@ -233,9 +219,9 @@ class TestPdffTemplate:
     def test_matches_explicit_construction(self, r, surplus, cbar):
         rng = make_rng(71 + 10 * r + 3 * surplus + cbar)
         for _ in range(5):
-            alpha, beta, gamma = (tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+            alpha, beta, gamma = (tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
                                   for _ in range(3))
-            data = PdffData(alpha, rand_mat(rng, cbar, cbar), beta, gamma, r)
+            data = PdffData(alpha, rand_fraction_mat(rng, cbar, cbar), beta, gamma, r)
             want = explicit_pdff(data, r + surplus)
             assert data.dims(r + surplus) == (want.l, want.n, want.m)
             assert make_canonical_blocks(data, r + surplus) == want

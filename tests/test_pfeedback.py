@@ -13,13 +13,13 @@ from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, Sys
                       v_sequence, verify_pff, verify_qpff, w_sequence,
                       wong_limits)
 from daeforms import pfeedback
-from daeforms.pfeedback import BLOCK_LABELS, head_sel, lower_shift, tail_sel
+from daeforms.pfeedback import BLOCK_LABELS
 from daeforms.wong import FieldError
 from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
                     QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
 from dense_oracle import dense_add, dense_matmul
-from oracles import last_unit
-from randgen import make_rng, rand_mat, rand_p_transform, rand_system
+from oracles import explicit_pff, head_sel, last_unit, lower_shift, tail_sel
+from randgen import make_rng, rand_fraction_mat, rand_mat, rand_p_transform, rand_system
 
 
 class TestTemplateAtoms:
@@ -65,6 +65,19 @@ class TestMakeCanonicalBlocks:
                        a_cbar=Mat.zeros(0, 0))
         tpl = make_canonical_blocks(data, m=2)
         assert tpl.B == Mat.zeros(0, 2)
+
+    @pytest.mark.parametrize("cbar", [0, 1, 2, 3])
+    @pytest.mark.parametrize("surplus", [0, 1, 2])
+    def test_matches_explicit_construction(self, surplus, cbar):
+        rng = make_rng(91 + 10 * surplus + cbar)
+        for _ in range(8):
+            alpha, beta, gamma, delta, kappa = (
+                tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3))) for _ in range(5))
+            data = PffData(alpha, beta, gamma, delta, kappa, rand_fraction_mat(rng, cbar, cbar))
+            m = len(beta) + len(kappa) + surplus
+            want = explicit_pff(data, m)
+            assert data.dims(m) == (want.l, want.n, want.m)
+            assert make_canonical_blocks(data, m) == want
 
 
 class TestTemplateDataTypes:
@@ -120,13 +133,14 @@ class TestVerifyPff:
                                        kappa=(), a_cbar=Mat.zeros(0, 0)))
 
     def test_oversized_data_raises_before_the_template_is_built(self, monkeypatch):
-        # a chain of length 10**9 would need about 10**18 template entries
-        built = []
-        for name in ("make_canonical_blocks", "_chain_diagonal"):
-            monkeypatch.setattr(pfeedback, name,
-                                lambda *args, name=name: built.append(name))
+        # a chain of length 10**9 would need about 10**18 template entries;
+        # the builder wraps its rows with Mat._trusted and fills them by _unit
         data = PffData(alpha=(10**9,), beta=(), gamma=(), delta=(), kappa=(),
                        a_cbar=Mat.zeros(0, 0))
+        built = []
+        for owner, name in ((pfeedback, "make_canonical_blocks"), (pfeedback, "_unit"),
+                            (Mat, "_trusted")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: built.append(name))
         with pytest.raises(ValueError, match="inconsistent"):
             verify_pff(SYS763, data)
         assert built == []
