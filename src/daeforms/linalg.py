@@ -1,7 +1,10 @@
 """Exact rational matrices and the subspace lattice built on top of them.
 
 Everything here works over Q, so ranks, kernels and echelon forms are exact
-decisions, never tolerance calls.  A Mat holds each row as a tuple of
+decisions, never tolerance calls.  A rank is first counted modulo the prime
+``_PRIME`` (``_rank_mod``): a full rank there is certain over Q too, because
+rank_p(M mod p) <= rank_Q(M) <= min(rows, cols), and any smaller count is
+decided again by the exact elimination.  A Mat holds each row as a tuple of
 integers over one positive denominator, the smallest one, so the form is
 unique.  Every operation runs on these integers, and every elimination on
 primitive integer rows in ``_echelon``.  That kernel is fraction-free like
@@ -28,6 +31,7 @@ from typing import Iterable, Sequence
 
 Q = Fraction
 _ZERO = Fraction(0)
+_PRIME = 32749  # the largest prime below 2^15: a product of residues fits one 30-bit digit
 
 # Tuples are built from lists, tuple([...]), never from generators: a tuple
 # grown from a generator is resized from 10 entries, which moves blocks
@@ -291,6 +295,10 @@ class Mat:
     # -- rank and inversion --------------------------------------------------------
 
     def rank(self) -> int:
+        full = min(self.rows, self.cols)
+        rank = _rank_mod(self.ints, full)
+        if rank == full:
+            return rank
         return len(_echelon(_integer_rows(self), self.cols, back=False))
 
     def is_invertible(self) -> bool:
@@ -323,6 +331,42 @@ def _primitive(row: list[int]) -> list[int]:
 def _integer_rows(m: Mat) -> list[list[int]]:
     """The rows of m, each made primitive: a fresh list per row."""
     return [_primitive(list(row)) for row in m.ints]
+
+
+def _rank_mod(int_rows, full: int) -> int:
+    """The rank of the integer rows modulo ``_PRIME`` if it is ``full``,
+    else at most that rank: never more than their rank over Q.
+
+    Each row is reduced against the pivot rows found so far, each scaled to
+    a one at its pivot and kept as its nonzero entries, as ``_echelon``
+    keeps them; a row that is not zero mod p afterwards gives the next
+    pivot.  Entries are reduced mod p only where they are read, so the
+    remainders stay a few digits long.  The count stops at ``full`` pivots,
+    and as soon as more rows than rows - ``full`` have vanished, since the
+    rank can then no longer be full.
+    """
+    pivots: list[tuple[int, list[tuple[int, int]]]] = []
+    spare = len(int_rows) - full  # rows that may vanish with the rank still full
+    for row in int_rows:
+        if len(pivots) == full:
+            break
+        row = list(row)
+        for pc, nonzeros in pivots:
+            if f := row[pc] % _PRIME:
+                for j, y in nonzeros:
+                    row[j] -= f * y
+        for lead, x in enumerate(row):
+            if x % _PRIME:
+                break
+        else:
+            spare -= 1
+            if spare < 0:
+                break
+            continue
+        inv = pow(x, -1, _PRIME)
+        pivots.append((lead, [(j, y * inv % _PRIME) for j, y in enumerate(row[lead:], lead)
+                              if y % _PRIME]))
+    return len(pivots)
 
 
 def _echelon(work: list[list[int]], cols: int, back: bool) -> list[int]:

@@ -262,7 +262,8 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
     nb, nk = len(data.beta), len(data.kappa)
 
     # derivative feedback replacing each chain-end input by its derivative
-    fd_at = {j: cols[-1] for j, (_, cols) in _driven_chains(data, m) if cols}
+    chains = _chains(data)
+    fd_at = {j: cols[-1] for j, (_, cols) in _driven_chains(data, chains, m) if cols}
     first = PDTransform(Mat.identity(l), Mat.identity(n), Mat.identity(m), Mat.zeros(m, n),
                         Mat(m, n, [[-int(fd_at.get(i) == j) for j in range(n)]
                                    for i in range(m)]))
@@ -272,9 +273,8 @@ def pff_to_pdff(sys: SystemTriple, data: PffData) -> tuple[SystemTriple, PDTrans
     # overdetermined delta chains, and all constrained input rows at the bottom.
     # Original alpha chains carry the derivative on the trailing states, so
     # their rows and states are reversed to match the PDFF orientation.
-    chains = _chains(data).items()
-    row = {kind: [rows for rows, _ in kind_chains] for kind, kind_chains in chains}
-    col = {kind: [cols for _, cols in kind_chains] for kind, kind_chains in chains}
+    row = {kind: [rows for rows, _ in kind_chains] for kind, kind_chains in chains.items()}
+    col = {kind: [cols for _, cols in kind_chains] for kind, kind_chains in chains.items()}
     row_order = [i for rows in ([r[::-1] for r in row["alpha"]]
                                 + [r[:-1] for r in row["beta"]] + row["cbar"] + row["gamma"]
                                 + [r[:-1] for r in row["kappa"]] + row["delta"]

@@ -26,7 +26,8 @@ This module provides
   row and column deltas and the diagonal offsets of its ones in E and A;
   the chain ranges, ``dims`` and the ones of E, A and B are all read from
   it and from the kinds the first and the last inputs drive, so
-  ``make_canonical_blocks`` builds both templates as integer rows,
+  ``make_canonical_blocks`` builds both templates as integer rows; a
+  template check derives the chain ranges once for its dims and its build,
 * the adapted bases (``_adapted``): every S, T and V of both quasi forms is
   a basis adapted to a chain of subspaces built from the Wong limits,
 * the block slicing, decomposition record and its verified construction
@@ -110,23 +111,30 @@ class _TemplateData:
     def dims(self, m: int | None = None) -> tuple[int, int, int]:
         """Total (l, n, m) of the template; m defaults to the number of
         driven chains and may not be smaller."""
-        chains = [chain for kind in _chains(self).values() for chain in kind]
-        m_min = sum(len(_lengths(self, kind)) for kinds in self._DRIVEN for kind in kinds)
-        if m is None:
-            m = m_min
-        if m < m_min:
-            raise ValueError(self._TOO_FEW_INPUTS)
-        return sum(len(rows) for rows, _ in chains), sum(len(cols) for _, cols in chains), m
+        return _dims(self, _chains(self), m)
+
+
+def _dims(data: _TemplateData, chains, m: int | None) -> tuple[int, int, int]:
+    """``data.dims(m)`` from the chain ranges ``chains = _chains(data)``."""
+    m_min = sum(len(chains[kind]) for kinds in data._DRIVEN for kind in kinds)
+    if m is None:
+        m = m_min
+    if m < m_min:
+        raise ValueError(data._TOO_FEW_INPUTS)
+    every = [chain for kind in chains.values() for chain in kind]
+    return sum(len(rows) for rows, _ in every), sum(len(cols) for _, cols in every), m
 
 
 def _matches_template(sys: SystemTriple, data: _TemplateData) -> bool:
     """sys equals the template ``make_canonical_blocks(data, sys.m)``;
     raises ValueError when the template dimensions cannot match sys at
-    all."""
-    l, n, _ = data.dims(sys.m)
-    if (l, n) != (sys.l, sys.n):
+    all.  The chain ranges are derived once, for the dimensions and the
+    build."""
+    chains = _chains(data)
+    dims = _dims(data, chains, sys.m)
+    if dims[:2] != (sys.l, sys.n):
         raise ValueError("template dimensions are inconsistent with the system")
-    return make_canonical_blocks(data, sys.m) == sys
+    return _template(data, chains, dims) == sys
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,12 @@ class PffData(_TemplateData):
     _TOO_FEW_INPUTS = "input count is too small for the beta and kappa blocks"
 
 
-def _driven_chains(data: _TemplateData, m: int) -> list[tuple[int, tuple[range, range]]]:
-    """(input column, chain) of every chain driven by an input: the chains
-    of the kinds ``data._DRIVEN[0]`` by the first inputs, those of
-    ``data._DRIVEN[1]`` by the last ones."""
-    chains = _chains(data)
+def _driven_chains(data: _TemplateData, chains,
+                   m: int) -> list[tuple[int, tuple[range, range]]]:
+    """(input column, chain) of every chain driven by an input, among the
+    chain ranges ``chains = _chains(data)``: the chains of the kinds
+    ``data._DRIVEN[0]`` by the first inputs, those of ``data._DRIVEN[1]``
+    by the last ones."""
     first, last = ([chain for kind in kinds for chain in chains[kind]] for kinds in data._DRIVEN)
     return list(zip([*range(len(first)), *range(m - len(last), m)], first + last))
 
@@ -171,13 +180,20 @@ def make_canonical_blocks(data: _TemplateData, m: int | None = None) -> SystemTr
     chains and those driving the last ones.  Each driven chain has the one
     of its input in its last row.
     """
-    l, n, m = data.dims(m)
-    input_at = {rows[-1]: j for j, (rows, _) in _driven_chains(data, m)}
+    chains = _chains(data)
+    return _template(data, chains, _dims(data, chains, m))
+
+
+def _template(data: _TemplateData, chains, dims: tuple[int, int, int]) -> SystemTriple:
+    """``make_canonical_blocks`` from the chain ranges ``chains =
+    _chains(data)`` and the template's ``dims``."""
+    l, n, m = dims
+    input_at = {rows[-1]: j for j, (rows, _) in _driven_chains(data, chains, m)}
     zero = (0,) * n
     e, a, a_dens = [], [], []
-    for kind, chains in _chains(data).items():
+    for kind, kind_chains in chains.items():
         _, _, e_off, a_off = data._LAYOUT[kind]
-        for rows, cols in chains:
+        for rows, cols in kind_chains:
             e += [_unit(zero, cols, i + e_off) for i in range(len(rows))]
             if a_off is None:  # the rows of A_cbar over their own denominators
                 a += [zero[:cols.start] + row + zero[cols.stop:] for row in data.a_cbar.ints]
@@ -244,17 +260,18 @@ class PDTransform(PTransform):
 
 
 def apply_p_transform(sys: SystemTriple, w: PTransform) -> SystemTriple:
-    """[S(E T + B F_D), S(A T + B F_P), S B V], with F_D = 0 for a P witness."""
+    """[S(E T + B F_D), S(A T + B F_P), S B V], with F_D = 0 for a P witness.
+
+    E T + B F_D is [E | B] [T; F_D], and so on: the three blocks are formed
+    side by side and multiplied by S once."""
     if w.S.cols != sys.l or w.T.rows != sys.n or w.V.rows != sys.m:
         raise ValueError("witness dimensions do not fit the system")
-    et = sys.E @ w.T
-    if isinstance(w, PDTransform):
-        et = et + sys.B @ w.F_D
-    return SystemTriple(
-        w.S @ et,
-        w.S @ (sys.A @ w.T + sys.B @ w.F_P),
-        w.S @ sys.B @ w.V,
-    )
+    t, n = w.T, sys.n
+    et = (Mat.hstack(sys.E, sys.B) @ Mat.vstack(t, w.F_D) if isinstance(w, PDTransform)
+          else sys.E @ t)
+    out = w.S @ Mat.hstack(et, Mat.hstack(sys.A, sys.B) @ Mat.vstack(t, w.F_P), sys.B @ w.V)
+    return SystemTriple(out.sub(0, sys.l, 0, n), out.sub(0, sys.l, n, 2 * n),
+                        out.sub(0, sys.l, 2 * n, out.cols))
 
 
 def compose_p(first: PTransform, second: PTransform) -> PTransform:

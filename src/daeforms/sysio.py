@@ -58,9 +58,8 @@ class ParseError(ValueError):
 _MATRIX_HEADER = re.compile(r"^([A-Za-z0-9_]+):[ \t]*([0-9]+)x([0-9]+)$")
 _KEY_LINE = re.compile(r"^([A-Za-z0-9_]+):(.*)$")
 _FOREIGN_SPACE = re.compile(r"[^\S \t]")  # whitespace other than ASCII space and tab
-_NUMBER = r"-?[0-9]+(?:/[0-9]+)?"  # an exact rational, as the entries are written
-_RATIONAL = re.compile(_NUMBER)
-_DATA_LINE = re.compile(rf"{_NUMBER}(?:[ \t]+{_NUMBER})*")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # an exact rational, as the entries are written
+_DATA_CHARS = "0123456789-/ \t"  # the only characters of a data line taken whole
 _INTEGER = re.compile(r"^-?[0-9]+$")
 
 _TEXT_KEYS = ("name", "description")
@@ -101,18 +100,20 @@ def _parse_rational(token: str, lineno: int) -> tuple[int, int]:
 
 def _parse_row(line: str, lineno: int, key: str, cols: int) -> tuple[list[int], int]:
     """(ints, den) with the data line ``line`` of matrix ``key`` equal to
-    ints / den.  A line of well-formed tokens is converted with int() alone,
-    and needs an lcm only when it holds a fraction; any other line is
+    ints / den.  A line of ASCII digits, minus signs, spaces and tabs only
+    is converted by int() alone, which on those characters accepts exactly
+    -?[0-9]+ up to the digit limit.  A line of those and slashes needs an
+    lcm; any other line, and any line with a token that int() refuses, is
     checked token by token for its first error."""
-    well_formed = _DATA_LINE.fullmatch(line) is not None
-    tokens = (line if well_formed else _ascii_spaced(line, lineno)).split()
+    plain = not line.strip(_DATA_CHARS)
+    tokens = (line if plain else _ascii_spaced(line, lineno)).split()
     if len(tokens) != cols:
         raise ParseError(lineno, f"expected {cols} entries for {key!r}, got {len(tokens)}")
-    if well_formed and "/" not in line:
+    if plain and "/" not in line:
         try:
             return list(map(int, tokens)), 1
         except ValueError:
-            pass  # a number too long to convert, located below
+            pass  # a malformed token or a number too long to convert, located below
     pairs = [_parse_rational(t, lineno) for t in tokens]
     den = lcm(*[d for _, d in pairs])
     return [x * (den // d) for x, d in pairs], den

@@ -38,7 +38,11 @@ inverse.  And it makes ``LATTICE_DRAWS`` seeded raw subspace lattice
 calls: ``Subspace(n, basis)`` over negative, fractional and dependent
 columns, ``sum``, ``intersect``, ``image_under``, ``kernel_basis`` and
 ``complement`` with and without ``preferred`` columns, so the gate sees
-the canonical rows directly.
+the canonical rows directly.  It makes ``RANK_DRAWS`` seeded raw
+``Mat.rank()`` and ``is_invertible()`` calls, ``RANK_PER_SHAPE`` for every
+shape from 0 x 0 to 6 x 6: rational, of lower rank, and with one row times
+the prime 32749, so that the rank's count modulo that prime falls short
+and its exact elimination decides.
 
 The inputs always come from this checkout, so two runs with different ROOTs
 make the same calls.  Each output line is ``<call> <sha256>``.  A CLI digest
@@ -48,9 +52,12 @@ decoupled triple and both witnesses in the text format, or the exception
 raised; a verdict digest covers the ``report.checks`` of ``VERDICT_CHUNK``
 triples, a solve digest the (Y, Z) rows, or None, of ``SOLVE_CHUNK``
 pairs, a linear digest the rows of X, or None, of ``LINEAR_CHUNK``
-calls, and a lattice digest the ``rows`` and the basis bits of every
-subspace and the bits of every complement of ``LATTICE_CHUNK`` draws.  Two trees give the same bytes exactly when the two outputs are
-equal; the first line that differs names the first differing call.
+calls, a lattice digest the ``rows`` and the basis bits of every
+subspace and the bits of every complement of ``LATTICE_CHUNK`` draws, and
+a rank digest the shape, ``rank()`` and ``is_invertible()`` of
+``RANK_CHUNK`` matrices.  Two trees give the same bytes exactly when the
+two outputs are equal; the first line that differs names the first
+differing call.
 """
 
 from __future__ import annotations
@@ -110,6 +117,12 @@ LINEAR_CHUNK = 60
 # seeded raw subspace lattice calls, digested in chunks
 LATTICE_DRAWS = 300
 LATTICE_CHUNK = 50
+
+# seeded raw rank calls per shape, up to 6 x 6, digested in chunks
+RANK_PER_SHAPE = 6
+RANK_DRAWS = 49 * RANK_PER_SHAPE
+RANK_CHUNK = 49
+RANK_PRIME = 32749  # the modulus of Mat.rank's first count
 
 
 def cli_record(argv, output: str | None) -> list:
@@ -206,6 +219,10 @@ def calls(tmp: str):
     for start in range(0, LATTICE_DRAWS, LATTICE_CHUNK):
         yield (f"lattice/{start:03d}", HERE, functools.partial(
             lattice_record, spans[start:start + LATTICE_CHUNK]))
+    mats = list(rank_instances())
+    for start in range(0, RANK_DRAWS, RANK_CHUNK):
+        yield (f"rank/{start:03d}", HERE, functools.partial(
+            rank_record, mats[start:start + RANK_CHUNK]))
 
 
 def _scale_calls(tmp: str):
@@ -419,6 +436,42 @@ def lattice_record(instances) -> list:
             out.append(["crash", type(exc).__name__, str(exc)])
             continue
         out.append([[s.rows for s in spaces], [[b.shape, b.ints, b.dens] for b in mats]])
+    return out
+
+
+def rank_instances():
+    """``RANK_PER_SHAPE`` seeded matrices per shape, rows then columns from
+    0 to 6, by turns: from ``_fractional``, so rational and sometimes of
+    lower rank; a product through fewer columns, so of lower rank; and
+    from ``_fractional`` with one row times ``RANK_PRIME``, so that a
+    square one has a determinant that the prime divides."""
+    import random
+    from daeforms import Mat
+    rng = random.Random(17)
+    for rows in range(7):
+        for cols in range(7):
+            for i in range(RANK_PER_SHAPE):
+                if i % 3 == 1:
+                    inner = rng.randint(0, max(min(rows, cols) - 1, 0))
+                    yield _fractional(rng, rows, inner) @ _fractional(rng, inner, cols)
+                    continue
+                m = _fractional(rng, rows, cols)
+                if i % 3 == 2 and rows:
+                    k = rng.randrange(rows)
+                    m = Mat(rows, cols, [[x * RANK_PRIME if j == k else x for x in row]
+                                         for j, row in enumerate(m.data)])
+                yield m
+
+
+def rank_record(mats) -> list:
+    """``rank()`` and ``is_invertible()`` of each of ``mats``, or the
+    exception raised."""
+    out = []
+    for m in mats:
+        try:
+            out.append([m.shape, m.rank(), m.is_invertible()])
+        except Exception as exc:  # a crash is part of the behaviour being compared
+            out.append(["crash", type(exc).__name__, str(exc)])
     return out
 
 

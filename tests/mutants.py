@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 
 
 PFF_TEMPLATE = "tests/test_pfeedback.py::TestMakeCanonicalBlocks::test_matches_explicit_construction"
+MODULAR_RANK = "tests/test_kernels.py::TestModularRank"
+REGEX_REFERENCE = "tests/test_cli.py::TestIntegerRowParsing::test_matches_the_regex_reference"
 
 MUTANTS = (
     Mutant("chain_confirms_its_bound", "wong.py",
@@ -89,11 +91,23 @@ MUTANTS = (
     Mutant("zero_size_grid_ignored", "linalg.py",
            "        if not grid and cols == 0:", "        if rows == 0 or cols == 0:",
            ("tests/test_linalg.py::TestZeroDimensionMatrices",)),
+    Mutant("rank_mod_without_fallback", "linalg.py",
+           "        if rank == full:\n            return rank\n", "        return rank\n",
+           (MODULAR_RANK,)),
+    Mutant("rank_mod_accepts_any_rank", "linalg.py",
+           "        if rank == full:\n", "        if rank:\n",
+           (MODULAR_RANK,)),
+    Mutant("data_chars_take_plus", "sysio.py",
+           '_DATA_CHARS = "0123456789-/ \\t"', '_DATA_CHARS = "0123456789-/+ \\t"',
+           (REGEX_REFERENCE,)),
+    Mutant("data_chars_take_underscore", "sysio.py",
+           '_DATA_CHARS = "0123456789-/ \\t"', '_DATA_CHARS = "0123456789-/_ \\t"',
+           (REGEX_REFERENCE,)),
     Mutant("parse_row_without_lcm", "sysio.py",
            "    den = lcm(*[d for _, d in pairs])\n", "    den = max([d for _, d in pairs])\n",
            ("tests/test_cli.py::TestParsing", "tests/test_cli.py::TestIntegerRowParsing")),
     Mutant("apply_drops_f_d", "pfeedback.py",
-           "        et = et + sys.B @ w.F_D\n", "        et = et\n",
+           "Mat.hstack(sys.E, sys.B) @ Mat.vstack(t, w.F_D)", "sys.E @ t",
            ("tests/test_pdfeedback.py::TestApplyPdTransform",)),
     Mutant("block1_e11_rank_dropped", "pfeedback.py",
            "        e11.rank() == l1\n        and b11.rank() == m1\n",

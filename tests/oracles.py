@@ -12,9 +12,15 @@ The canonical templates are written out here block by block from the
 paper's atoms N_k, K_k, L_k and the input column ``last_unit``:
 ``explicit_pff`` and ``explicit_pdff`` are the references that
 ``make_canonical_blocks`` must equal.
+
+``reference_parse_row`` is the data-line reader that ``sysio._parse_row``
+must equal: a line that the regular expression ``_DATA_LINE`` matches whole
+is taken by int() alone, every other line token by token.
 """
 
+import re
 from fractions import Fraction
+from math import lcm
 
 from sympy import QQ, Poly, symbols
 
@@ -22,6 +28,7 @@ from daeforms import (Mat, Q, Subspace, SystemTriple, TwoEqInstance, image_basis
                       kernel_basis, minor_gcd, normal_rank, pencil, solve_right, wong_limits)
 from daeforms.pdfeedback import PdffData
 from daeforms.pfeedback import PffData, QpffBlockSizes
+from daeforms.sysio import ParseError, _ascii_spaced, _parse_rational
 
 
 def lower_shift(k: int) -> Mat:
@@ -209,3 +216,26 @@ def gen_sylvester_always_solvable(a: Mat, b: Mat, c: Mat, d: Mat) -> bool:
     drop_inf_c = c.rank() < m
     drop_inf_b = b.rank() < q
     return not (drop_inf_c and drop_inf_b)
+
+
+_NUMBER = r"-?[0-9]+(?:/[0-9]+)?"
+_DATA_LINE = re.compile(rf"{_NUMBER}(?:[ \t]+{_NUMBER})*")
+
+
+def reference_parse_row(line: str, lineno: int, key: str, cols: int) -> tuple[list[int], int]:
+    """(ints, den) with the data line ``line`` of matrix ``key`` equal to
+    ints / den, or the ParseError of its first error: a line of well-formed
+    tokens, by one ``_DATA_LINE`` match, is converted with int() alone; any
+    other line, or a number too long to convert, is read token by token."""
+    well_formed = _DATA_LINE.fullmatch(line) is not None
+    tokens = (line if well_formed else _ascii_spaced(line, lineno)).split()
+    if len(tokens) != cols:
+        raise ParseError(lineno, f"expected {cols} entries for {key!r}, got {len(tokens)}")
+    if well_formed and "/" not in line:
+        try:
+            return list(map(int, tokens)), 1
+        except ValueError:
+            pass
+    pairs = [_parse_rational(t, lineno) for t in tokens]
+    den = lcm(*[d for _, d in pairs])
+    return [x * (den // d) for x, d in pairs], den

@@ -1,5 +1,6 @@
 """File format round trips and the command line interface."""
 
+import dataclasses
 import io
 import os
 import tempfile
@@ -15,6 +16,7 @@ from daeforms.sysio import ParseError, parse_document, parse_system, parse_witne
 from byte_gate import FORMS, GOLDEN_CALLS, verdict_record, verdict_triples
 from golden import (PDFF_A, PDFF_B, PDFF_E, PFF_WITNESS, QPDFF_A, QPDFF_B, QPDFF_E,
                     QPDFF_SIZES, SYS763)
+from oracles import reference_parse_row
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -351,6 +353,31 @@ class TestIntegerRowParsing:
         assert str(exc.value) == "line 5: " + err.replace("{LONG}", LONG)
         assert exc.value.line == 5
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_regex_reference(self, data):
+        # tokens of signs and digits, some with '+', '_' or a non-ASCII digit
+        # that int() would take, joined by ASCII and non-ASCII spaces; each
+        # line gives the reference's (ints, den) or its error message
+        chars = "0123456789-/+_. \t\u00a0\u0663"
+        number = st.builds(lambda sign, digits, den: sign + digits + den,
+                           st.sampled_from(["", "-", "+", "_", "--"]),
+                           st.text("0123456789_\u0663", min_size=0, max_size=4),
+                           st.sampled_from(["", "", "/", "/0", "/7", "/-2", "/1_0", "/+3"]))
+        token = st.one_of(number, st.text(chars, min_size=1, max_size=5))
+        gaps = st.sampled_from([" ", "\t", " \t ", "\u00a0"])
+        parts = data.draw(st.lists(st.tuples(token, gaps), min_size=0, max_size=5))
+        line = "".join(t + g for t, g in parts)[:-1] if parts else ""
+        cols = data.draw(st.sampled_from([len(line.split()), len(line.split()) + 1]))
+        try:
+            want = reference_parse_row(line, 7, "E", cols)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                sysio._parse_row(line, 7, "E", cols)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            assert sysio._parse_row(line, 7, "E", cols) == want
+
 
 def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
@@ -514,6 +541,22 @@ class TestVerifyCommand:
                              "--data", str(out))
         assert code == 0
         assert "verify qpdff: pass" in text
+
+    @pytest.mark.parametrize("form", ["qpff", "qpdff"])
+    def test_witness_singular_modulo_the_rank_prime_passes(self, form, tmp_path):
+        # the last row of S times 32749, the prime of Mat.rank's modular
+        # count: S stays invertible and the triple stays in the quasi form,
+        # but S is singular modulo that prime, so only the exact rank sees it
+        out, witness = tmp_path / "dec.out", tmp_path / "scaled.witness"
+        run_cli(form, path("sigma763.system"), "--output", str(out))
+        w = sysio.parse_witness(out.read_text())
+        last = w.S.rows - 1
+        scaled = Mat.vstack(w.S.sub(0, last, 0, w.S.cols), w.S.sub(last, last + 1, 0, w.S.cols)
+                            * 32749)
+        witness.write_text(sysio.format_witness(dataclasses.replace(w, S=scaled)))
+        code, text = run_cli("verify", path("sigma763.system"), "--witness", str(witness),
+                             "--form", form, "--data", str(out))
+        assert (code, text) == (0, f"verify {form}: pass\n")
 
     @pytest.mark.parametrize("form,m_sizes", [("qpff", "0 0 0"), ("qpdff", "0 0")])
     def test_wide_trailing_block_fails_its_check(self, form, m_sizes, tmp_path):

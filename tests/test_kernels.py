@@ -2,6 +2,7 @@
 integer-row form of Mat and its arithmetic, rref, the matrix product, the
 inverse, the subspace lattice and the coupled Sylvester solve."""
 
+import os
 from fractions import Fraction as F
 from math import gcd
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from daeforms import (Mat, Subspace, TwoEqInstance, complement, kernel_basis, preimage,
                       rref, solve_right, solve_two_equations)
 from daeforms import linalg
-from daeforms.linalg import _echelon
+from daeforms.linalg import _echelon, _integer_rows
 from daeforms.pfeedback import _adapted, _unit_span
+from daeforms.sysio import parse_witness
 from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_complement,
                           dense_hstack, dense_image, dense_intersect, dense_inverse,
                           dense_kernel, dense_matmul, dense_preimage, dense_rank,
@@ -22,6 +24,7 @@ from dense_oracle import (dense_add, dense_block, dense_block_diag, dense_comple
 from oracles import residual
 from randgen import make_rng, rand_invertible
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 ZERO_SHARES = (0.0, 0.3, 0.6, 0.9)
 
 
@@ -177,6 +180,74 @@ class TestCanonicalMat:
             return Mat(rows, cols, data.draw(st.lists(
                 st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
         assert_ops_match_dense(mat(r, c), mat(r, c), mat(c, k), data.draw(entry))
+
+
+PRIME = linalg._PRIME
+
+
+class TestModularRank:
+    """Mat.rank counts pivots modulo the prime 32749 first and takes that
+    count only when it is full; below full it eliminates over Q, so a
+    matrix of full rank that is singular modulo the prime gets its exact
+    rank."""
+
+    @pytest.mark.parametrize("rows,rank", [
+        ([[PRIME, 0], [0, 1]], 2),
+        ([[1, 0], [0, PRIME]], 2),
+        ([[PRIME, 0], [0, PRIME]], 2),
+        ([[1, 1], [1, 1 + PRIME]], 2),
+        ([[F(PRIME, 2), 0], [0, F(1, 3)]], 2),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9 + PRIME]], 3),
+        ([[PRIME], [0]], 1),
+        ([[0, PRIME]], 1),
+        ([[1, 2], [2, 4]], 1),
+        ([[PRIME, 2 * PRIME], [1, 2]], 1),
+    ])
+    def test_singular_modulo_the_prime(self, rows, rank):
+        m = Mat.from_rows(rows)
+        assert linalg._rank_mod(m.ints, min(m.shape)) < min(m.shape)
+        assert m.rank() == rank == dense_rank(m)
+        assert m.is_invertible() == (m.rows == m.cols == rank)
+
+    @pytest.mark.parametrize("rows,rank", [
+        ([[PRIME, 0], [0, 1], [1, 0]], 2),  # the vanishing row is one too many
+        ([[1, 0, PRIME], [0, 1, 0]], 2),
+        ([[F(1, PRIME), 1], [0, 1]], 2),  # rows over their denominators
+    ])
+    def test_full_modulo_the_prime(self, rows, rank):
+        m = Mat.from_rows(rows)
+        assert linalg._rank_mod(m.ints, min(m.shape)) == rank
+        assert m.rank() == rank == dense_rank(m)
+
+    def test_witness_row_scaled_by_the_prime(self):
+        with open(os.path.join(DATA, "sigma763_pff.witness"), encoding="utf-8") as fh:
+            s = parse_witness(fh.read()).S
+        for i in range(s.rows):
+            scaled = Mat(s.rows, s.cols, [[x * PRIME if k == i else x for x in row]
+                                          for k, row in enumerate(s.data)])
+            assert linalg._rank_mod(scaled.ints, s.rows) < s.rows
+            assert scaled.rank() == s.rows and scaled.is_invertible()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property(self, data):
+        # rational matrices up to 7 x 7, of full or lower rank, with some
+        # entries a multiple of the prime and some rows multiplied by it
+        r, c = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12),
+                          st.sampled_from([PRIME, -PRIME, 2 * PRIME, F(1, PRIME)]))
+
+        def mat(rows, cols):
+            return Mat(rows, cols, data.draw(st.lists(
+                st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        m = mat(r, c)
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, max(min(r, c) - 1, 0)))
+            m = mat(r, k) @ mat(k, c)
+        scaled = data.draw(st.sets(st.integers(0, 6), max_size=3))
+        m = Mat(r, c, [[x * PRIME if i in scaled else x for x in row]
+                       for i, row in enumerate(m.data)])
+        assert m.rank() == len(_echelon(_integer_rows(m), m.cols, back=False))
 
 
 class TestRrefAgainstDense:

@@ -10,13 +10,13 @@ from daeforms import (Mat, PDTransform, PffData, PTransform, QpffBlockSizes, Sys
                       apply_p_transform, classify_controllability, compose_p,
                       compute_qpff, decouple_qpff, image_basis, invert_p,
                       kernel_basis, make_canonical_blocks, select_bases,
-                      v_sequence, verify_pff, verify_qpff, w_sequence,
+                      v_sequence, verify_pdff, verify_pff, verify_qpff, w_sequence,
                       wong_limits)
 from daeforms import pfeedback
 from daeforms.pfeedback import BLOCK_LABELS
 from daeforms.wong import FieldError
-from golden import (PFF_A, PFF_B, PFF_DATA, PFF_E, PFF_WITNESS, QPFF_A, QPFF_B,
-                    QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
+from golden import (PDFF_A, PDFF_B, PDFF_DATA, PDFF_E, PFF_A, PFF_B, PFF_DATA, PFF_E,
+                    PFF_WITNESS, QPFF_A, QPFF_B, QPFF_E, QPFF_SIZES, QPFF_WITNESS, SYS763)
 from dense_oracle import dense_add, dense_matmul
 from oracles import explicit_pff, head_sel, last_unit, lower_shift, tail_sel
 from randgen import make_rng, rand_fraction_mat, rand_mat, rand_p_transform, rand_system
@@ -138,12 +138,23 @@ class TestVerifyPff:
         data = PffData(alpha=(10**9,), beta=(), gamma=(), delta=(), kappa=(),
                        a_cbar=Mat.zeros(0, 0))
         built = []
-        for owner, name in ((pfeedback, "make_canonical_blocks"), (pfeedback, "_unit"),
-                            (Mat, "_trusted")):
+        for owner, name in ((pfeedback, "make_canonical_blocks"), (pfeedback, "_template"),
+                            (pfeedback, "_unit"), (Mat, "_trusted")):
             monkeypatch.setattr(owner, name, lambda *args, name=name: built.append(name))
         with pytest.raises(ValueError, match="inconsistent"):
             verify_pff(SYS763, data)
         assert built == []
+
+    @pytest.mark.parametrize("form", ["pff", "pdff"])
+    def test_one_chain_walk_per_check(self, form, monkeypatch):
+        # the dimensions, the driven chains and the fill of a template check
+        # all read the chain ranges of one _chains call
+        sys, data = {"pff": (SystemTriple(PFF_E, PFF_A, PFF_B), PFF_DATA),
+                     "pdff": (SystemTriple(PDFF_E, PDFF_A, PDFF_B), PDFF_DATA)}[form]
+        walks, chains = [], pfeedback._chains
+        monkeypatch.setattr(pfeedback, "_chains", lambda d: walks.append(d) or chains(d))
+        assert {"pff": verify_pff, "pdff": verify_pdff}[form](sys, data)
+        assert walks == [data]
 
 
 class TestWitnessAlgebra:
